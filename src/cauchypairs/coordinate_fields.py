@@ -1,162 +1,46 @@
 """Finite-difference exterior calculus on box grids and the universal-cover
 construction of parallel Cauchy pairs.
 
-Fields are sampled on uniform rectangular grids over a box in R^3 with the
-coordinate order (x, y, z).  Covectors and 2-tensors carry their component
-indices as trailing array axes.  All derivatives are second-order central
-differences with second-order one-sided stencils at the boundary; residual
-norms exclude a 2-node boundary collar unless asked otherwise.
+Fields are sampled on 3-axis grids over a box in R^3 with the coordinate
+order (x, y, z).  The grid type, the stencils and the 2-node residual collar
+are those of `cauchypairs.grid`, shared with the 4D modules.
 """
 
 from __future__ import annotations
-
-import json
-import struct
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import sqrtm
 
+from . import grid as fd
 from .errors import (
     DegenerateCoframe,
-    GridTooSmall,
     MixedConditionViolated,
     WDerivativeVanishes,
     YZDependence,
 )
 
-_MAGIC = b"CPGRID1\n"
 
-
-class FieldGrid:
+class FieldGrid(fd.Grid):
     """A scalar/covector/tensor field sampled on a uniform box grid in R^3.
 
     `box` is ((x0, x1), (y0, y1), (z0, z1)); `values` has shape
     (nx, ny, nz, *component_shape) with at least 5 samples per axis.
     """
 
-    def __init__(self, box, values):
-        box = tuple((float(a), float(b)) for a, b in box)
-        values = np.asarray(values, dtype=float)
-        if len(box) != 3:
-            raise ValueError("box must have three axis intervals")
-        if values.ndim < 3:
-            raise ValueError("values must carry three leading grid axes")
-        if any(n < 5 for n in values.shape[:3]):
-            raise GridTooSmall(f"need >= 5 samples per axis, got {values.shape[:3]}")
-        if any(b <= a for a, b in box):
-            raise ValueError("box intervals must be nondegenerate")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.box = box
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape[:3]
-
-    @property
-    def component_shape(self):
-        return self.values.shape[3:]
-
-    @property
-    def spacing(self):
-        return tuple(
-            (b - a) / (n - 1) for (a, b), n in zip(self.box, self.shape)
-        )
-
-    def axis(self, i):
-        a, b = self.box[i]
-        return np.linspace(a, b, self.shape[i])
-
-    def meshgrid(self):
-        return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
-
-    @classmethod
-    def from_function(cls, box, n, func):
-        """Sample func(x, y, z) (broadcasting over arrays) on an n-per-axis grid."""
-        if np.isscalar(n):
-            n = (n, n, n)
-        axes = [np.linspace(a, b, ni) for (a, b), ni in zip(box, n)]
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(func(xx, yy, zz), dtype=float)
-        if vals.shape[:3] != xx.shape:
-            vals = np.broadcast_to(vals, xx.shape).copy()
-        return cls(box, vals)
-
-    def like(self, values):
-        return FieldGrid(self.box, values)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_binary(self) -> bytes:
-        """Flat layout: magic, axis sizes, box bounds, payload rank+dims, float64 data."""
-        head = [_MAGIC]
-        head.append(struct.pack("<3q", *self.shape))
-        head.append(struct.pack("<6d", *(v for ab in self.box for v in ab)))
-        comp = self.component_shape
-        head.append(struct.pack("<q", len(comp)))
-        if comp:
-            head.append(struct.pack(f"<{len(comp)}q", *comp))
-        data = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        return b"".join(head) + data
-
-    @classmethod
-    def from_binary(cls, blob: bytes) -> "FieldGrid":
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("not a FieldGrid binary blob")
-        off = len(_MAGIC)
-        shape = struct.unpack_from("<3q", blob, off)
-        off += 24
-        bounds = struct.unpack_from("<6d", blob, off)
-        off += 48
-        (rank,) = struct.unpack_from("<q", blob, off)
-        off += 8
-        comp = struct.unpack_from(f"<{rank}q", blob, off) if rank else ()
-        off += 8 * rank
-        full = tuple(shape) + tuple(comp)
-        values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(full)
-        box = tuple((bounds[2 * i], bounds[2 * i + 1]) for i in range(3))
-        return cls(box, values.copy())
-
-    def to_text(self) -> str:
-        """Structured text (JSON) form, intended for small grids."""
-        return json.dumps(
-            {
-                "box": [list(ab) for ab in self.box],
-                "shape": list(self.shape),
-                "component_shape": list(self.component_shape),
-                "values": self.values.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "FieldGrid":
-        doc = json.loads(text)
-        return cls(doc["box"], np.array(doc["values"], dtype=float))
-
-
-def _grad(grid: FieldGrid, values, axis):
-    return np.gradient(values, grid.spacing[axis], axis=axis, edge_order=2)
+    ndim = 3
 
 
 def interior_max(grid: FieldGrid, values, include_boundary: bool = False) -> float:
     """Max |values| over the grid, excluding a 2-node collar by default."""
-    v = np.abs(np.asarray(values))
-    if not include_boundary:
-        v = v[2:-2, 2:-2, 2:-2]
-    return float(v.max())
+    return fd.interior_max(values, grid.ndim, include_boundary)
 
 
 def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     """Exterior derivative of a covector grid: (d omega)_ij = d_i omega_j - d_j omega_i."""
     if grid.component_shape != (3,):
         raise ValueError("fd_exterior_derivative expects a covector grid")
-    om = grid.values
-    partial = np.stack([_grad(grid, om, i) for i in range(3)], axis=3)
-    d = partial - np.swapaxes(partial, 3, 4)
-    return grid.like(d)
+    return grid.like(fd.exterior_derivative(grid, grid.values))
 
 
 def fd_dd_residual(grid: FieldGrid, include_boundary: bool = False) -> float:
@@ -165,39 +49,23 @@ def fd_dd_residual(grid: FieldGrid, include_boundary: bool = False) -> float:
     # coefficient of dx^dy^dz in d of the 2-form: cyclic sum of partials
     acc = np.zeros(grid.shape)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        acc += _grad(grid, d[..., j, k], i)
+        acc += grid.grad(d[..., j, k], i)
     return interior_max(grid, acc, include_boundary)
-
-
-def _wedge(alpha, beta):
-    """(alpha ^ beta)_ij for covector arrays with trailing component axis."""
-    return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
 
 
 def metric_from_coframe(coframe: FieldGrid) -> np.ndarray:
     """h_ij = sum_a (e_a)_i (e_a)_j for a coframe grid of shape (..., 3 frames, 3)."""
-    e = coframe.values
-    return np.einsum("...ai,...aj->...ij", e, e)
+    return fd.coframe_metric(coframe.values)
 
 
 def christoffel3_fd(grid: FieldGrid, h: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of a 3-metric grid by central differences."""
-    # dh[..., i, j, l] = d_i h_jl
-    dh = np.stack([_grad(grid, h, i) for i in range(3)], axis=3)
-    hinv = np.linalg.inv(h)
-    sym = (
-        dh
-        + np.swapaxes(dh, -3, -2)  # d_j h_il
-        - np.moveaxis(dh, -3, -1)  # d_l h_ij
-    )
-    return 0.5 * np.einsum("...kl,...ijl->...kij", hinv, sym)
+    return fd.christoffel(grid, h)
 
 
 def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """(nabla omega)_{ij} = d_i omega_j - Gamma^k_ij omega_k for a covector grid."""
-    gamma = christoffel3_fd(grid, h)
-    partial = np.stack([_grad(grid, omega, i) for i in range(3)], axis=3)
-    return partial - np.einsum("...kij,...k->...ij", gamma, omega)
+    return fd.covariant_derivative(grid, christoffel3_fd(grid, h), omega)
 
 
 def constraint_residual_fd(
@@ -237,7 +105,7 @@ def constraint_residual_fd(
     worst = 0.0
     for a in range(3):
         de = fd_exterior_derivative(coframe.like(e[..., a, :])).values
-        res = de - _wedge(theta_e[..., a, :], eu)
+        res = de - fd.wedge(theta_e[..., a, :], eu)
         val = interior_max(coframe, res, include_boundary)
         report[f"exterior_{names[a]}"] = val
         worst = max(worst, val)
@@ -360,7 +228,7 @@ def build_universal_theta(data: UniversalCoverData) -> FieldGrid:
     x = g.axis(0)
     eu_exp = np.exp(-u)
 
-    du = [_grad(g, u, i) for i in range(3)]
+    du = [g.grad(u, i) for i in range(3)]
 
     # transverse frame vectors: columns of the inverse factorization matrix
     binv = np.linalg.inv(data.transverse)  # (nx, 2, 2); v_l = binv[:, :, 0]
@@ -406,10 +274,10 @@ def warped_F_for_ricci_flat(
         raise WDerivativeVanishes("w'(x) vanishes at some sample")
 
     u = u_grid.values
-    uy = _grad(u_grid, u, 1)
-    uz = _grad(u_grid, u, 2)
-    uyy = _grad(u_grid, uy, 1)
-    uzz = _grad(u_grid, uz, 2)
+    uy = u_grid.grad(u, 1)
+    uz = u_grid.grad(u, 2)
+    uyy = u_grid.grad(uy, 1)
+    uzz = u_grid.grad(uz, 2)
     bracket = np.exp(2 * (u - w_s[:, None, None])) * (
         2 * uy**2 + 2 * uz**2 + uyy + uzz
     )

@@ -21,6 +21,10 @@ class ParamOutOfRange(CauchyPairsError):
     """Family parameters violate the constraints of the requested table row."""
 
 
+class GridInvalid(CauchyPairsError, ValueError):
+    """Grid box or samples are malformed, or a serialized grid blob is corrupt."""
+
+
 class GridTooSmall(CauchyPairsError):
     """Fewer than five samples on some axis; central stencils unavailable."""
 
@@ -72,7 +76,3 @@ class NullDirectionNotParallel(CauchyPairsError):
 
 class ConfigInvalid(CauchyPairsError):
     """CLI configuration failed schema validation."""
-
-
-class CheckFailed(CauchyPairsError):
-    """A requested verification did not pass at the requested tolerance."""

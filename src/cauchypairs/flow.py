@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from . import grid as fd
 from . import spacetime_verifier as sv
 from .errors import (
     DegenerateCoframe,
@@ -20,7 +21,7 @@ from .errors import (
     NullDirectionNotParallel,
     ParamOutOfRange,
 )
-from .spacetime_verifier import Grid4, Metric4Grid, interior_max4
+from .spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid, interior_max4
 
 
 @dataclass
@@ -37,8 +38,7 @@ class FlowSolution:
     meta: dict = field(default_factory=dict)
 
     def spatial_metric(self) -> np.ndarray:
-        e = self.coframe.values
-        return np.einsum("...ai,...aj->...ij", e, e)
+        return fd.coframe_metric(self.coframe.values)
 
     def theta(self) -> np.ndarray:
         return -0.5 * self.coframe.grad(self.spatial_metric(), 0)
@@ -50,16 +50,6 @@ class FlowSolution:
         g[..., 0, 0] = -1.0
         g[..., 1:, 1:] = h
         return Metric4Grid(self.coframe.box, g, check_signature=check_signature)
-
-
-def _spatial_exterior(grid: Grid4, omega: np.ndarray) -> np.ndarray:
-    """d omega on each t-slice for a spatial covector grid (..., 3)."""
-    partial = np.stack([grid.grad(omega, i) for i in range(1, 4)], axis=4)
-    return partial - np.swapaxes(partial, 4, 5)
-
-
-def _wedge3(alpha, beta):
-    return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
 
 
 def comoving_residual(
@@ -95,15 +85,15 @@ def comoving_residual(
     eu = e[..., 0, :]
     worst = 0.0
     for a, name in enumerate(("u", "l", "n")):
-        de = _spatial_exterior(grid, e[..., a, :])
-        res = de - _wedge3(theta_e[..., a, :], eu)
+        de = fd.exterior_derivative(grid, e[..., a, :], SPATIAL_AXES)
+        res = de - fd.wedge(theta_e[..., a, :], eu)
         val = interior_max4(res, include_boundary)
         report[f"exterior_{name}"] = val
         worst = max(worst, val)
     report["exterior_max"] = worst
 
     report["theta_eu_closed"] = interior_max4(
-        _spatial_exterior(grid, theta_e[..., 0, :]), include_boundary
+        fd.exterior_derivative(grid, theta_e[..., 0, :], SPATIAL_AXES), include_boundary
     )
     report["theta_eu_static"] = interior_max4(
         grid.grad(theta_e[..., 0, :], 0), include_boundary
@@ -361,7 +351,7 @@ def plane_wave_check(
 
     gamma = sv.christoffel_fd(g)
     # nab_riem[..., l, m, n, p, s] = nabla_l R_{mnps}
-    nab_riem = np.stack([g.grad(riem, i) for i in range(4)], axis=4)
+    nab_riem = fd.partials(g, riem)
     nab_riem = nab_riem - np.einsum("...qlm,...qnps->...lmnps", gamma, riem)
     nab_riem = nab_riem - np.einsum("...qln,...mqps->...lmnps", gamma, riem)
     nab_riem = nab_riem - np.einsum("...qlp,...mnqs->...lmnps", gamma, riem)

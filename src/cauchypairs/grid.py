@@ -1,0 +1,183 @@
+"""Uniform N-axis box grids and the finite-difference kernels on them.
+
+Field components occupy the array axes after the grid axes.  Derivatives are
+second-order central differences with second-order one-sided stencils at the
+boundary; residual norms exclude a 2-node boundary collar unless asked
+otherwise.  The kernels act over a tuple of grid axes, all by default; axes
+(1, 2, 3) of a (t, x, y, z) grid give the spatial operators on every t-slice.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import struct
+
+import numpy as np
+
+from .errors import GridInvalid, GridTooSmall
+
+MAGIC = b"CPGRID1\n"
+
+
+class Grid:
+    """A field sampled on a uniform box grid with `ndim` (fixed by each
+    subclass) leading grid axes.  `box` holds one (lo, hi) interval per grid
+    axis; `values` has shape (*grid_shape, *component_shape), with at least 5
+    samples per grid axis."""
+
+    ndim = 0
+
+    def __init__(self, box, values):
+        k = self.ndim
+        try:
+            box = tuple((float(a), float(b)) for a, b in box)
+        except (TypeError, ValueError) as exc:
+            raise GridInvalid(f"box must be a sequence of (lo, hi) pairs: {exc}") from None
+        values = np.asarray(values, dtype=float)
+        if len(box) != k:
+            raise GridInvalid(f"box must have {k} axis intervals, got {len(box)}")
+        if values.ndim < k:
+            raise GridInvalid(f"values must carry {k} leading grid axes")
+        if any(n < 5 for n in values.shape[:k]):
+            raise GridTooSmall(f"need >= 5 samples per axis, got {values.shape[:k]}")
+        if not all(-math.inf < a < b < math.inf for a, b in box):
+            raise GridInvalid("box intervals must be finite and nondegenerate")
+        if not np.all(np.isfinite(values)):
+            raise GridInvalid("field values must be finite")
+        self.box = box
+        self.values = values
+
+    @property
+    def shape(self):
+        return self.values.shape[: self.ndim]
+
+    @property
+    def component_shape(self):
+        return self.values.shape[self.ndim:]
+
+    @property
+    def spacing(self):
+        return tuple((b - a) / (n - 1) for (a, b), n in zip(self.box, self.shape))
+
+    def axis(self, i):
+        a, b = self.box[i]
+        return np.linspace(a, b, self.shape[i])
+
+    def meshgrid(self):
+        return np.meshgrid(*(self.axis(i) for i in range(self.ndim)), indexing="ij")
+
+    @classmethod
+    def from_function(cls, box, n, func):
+        """Sample func(*coordinates) (broadcasting over arrays) with n samples per axis."""
+        if np.isscalar(n):
+            n = (n,) * cls.ndim
+        axes = [np.linspace(a, b, ni) for (a, b), ni in zip(box, n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        vals = np.asarray(func(*mesh), dtype=float)
+        if vals.shape[: cls.ndim] != mesh[0].shape:
+            vals = np.broadcast_to(vals, mesh[0].shape).copy()
+        return cls(box, vals)
+
+    def like(self, values):
+        """A grid of the same type over the same box carrying `values`."""
+        return type(self)(self.box, values)
+
+    def grad(self, values, axis):
+        """d/dx_axis of an array whose leading axes are this grid's."""
+        return np.gradient(values, self.spacing[axis], axis=axis, edge_order=2)
+
+    # -- serialization ------------------------------------------------------
+
+    def to_binary(self) -> bytes:
+        """Flat little-endian layout: magic, ndim int64 axis sizes, 2 ndim
+        float64 box bounds, int64 payload rank and dims, row-major float64 data."""
+        k, comp = self.ndim, self.component_shape
+        bounds = (v for ab in self.box for v in ab)
+        head = struct.pack(f"<{k}q{2 * k}dq{len(comp)}q", *self.shape, *bounds, len(comp), *comp)
+        return MAGIC + head + np.ascontiguousarray(self.values, dtype="<f8").tobytes()
+
+    @classmethod
+    def from_binary(cls, blob: bytes):
+        """Inverse of `to_binary`; every size is checked against the blob
+        length before anything is allocated."""
+        k = cls.ndim
+        if blob[: len(MAGIC)] != MAGIC:
+            raise GridInvalid("not a grid binary blob")
+        head = struct.Struct(f"<{k}q{2 * k}dq")
+        off = len(MAGIC) + head.size
+        if len(blob) < off:
+            raise GridInvalid(f"truncated header: {len(blob)} bytes, need {off}")
+        fields = head.unpack_from(blob, len(MAGIC))
+        shape, bounds, rank = fields[:k], fields[k: 3 * k], fields[3 * k]
+        if not 0 <= rank <= (len(blob) - off) // 8:
+            raise GridInvalid(f"payload rank {rank} does not fit a {len(blob)}-byte blob")
+        full = shape + struct.unpack_from(f"<{rank}q", blob, off)
+        off += 8 * rank
+        if any(d < 0 for d in full) or 8 * math.prod(full) != len(blob) - off:
+            raise GridInvalid(f"{len(blob) - off} data bytes do not fit shape {full}")
+        values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(full)
+        box = tuple(zip(bounds[0::2], bounds[1::2]))
+        return cls(box, values.copy())
+
+    def to_text(self) -> str:
+        """Structured text (JSON) form, intended for small grids."""
+        return json.dumps(
+            {
+                "box": [list(ab) for ab in self.box],
+                "shape": list(self.shape),
+                "component_shape": list(self.component_shape),
+                "values": self.values.tolist(),
+            },
+            sort_keys=True,
+        )
+
+    @classmethod
+    def from_text(cls, text: str):
+        doc = json.loads(text)
+        return cls(doc["box"], np.array(doc["values"], dtype=float))
+
+
+def partials(grid: Grid, values, axes=None) -> np.ndarray:
+    """d_i values for i in `axes`, stacked on a new axis after the grid axes."""
+    if axes is None:
+        axes = range(grid.ndim)
+    return np.stack([grid.grad(values, i) for i in axes], axis=grid.ndim)
+
+
+def exterior_derivative(grid: Grid, omega, axes=None) -> np.ndarray:
+    """(d omega)_ij = d_i omega_j - d_j omega_i of a covector field."""
+    partial = partials(grid, omega, axes)
+    return partial - np.swapaxes(partial, grid.ndim, grid.ndim + 1)
+
+
+def christoffel(grid: Grid, metric, axes=None) -> np.ndarray:
+    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a metric field."""
+    dg = partials(grid, metric, axes)  # dg[..., i, j, l] = d_i g_jl
+    ginv = np.linalg.inv(metric)
+    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, sym)
+
+
+def covariant_derivative(grid: Grid, gamma, omega, axes=None) -> np.ndarray:
+    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a covector field."""
+    partial = partials(grid, omega, axes)
+    return partial - np.einsum("...kij,...k->...ij", gamma, omega)
+
+
+def wedge(alpha, beta) -> np.ndarray:
+    """(alpha ^ beta)_ij for covector arrays with a trailing component axis."""
+    return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
+
+
+def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
+    """Max |values| over `naxes` leading grid axes, excluding a 2-node collar by default."""
+    v = np.abs(np.asarray(values))
+    if not include_boundary:
+        v = v[(slice(2, -2),) * naxes]
+    return float(v.max())
+
+
+def coframe_metric(e) -> np.ndarray:
+    """h_ij = sum_a (e_a)_i (e_a)_j for coframe rows of shape (..., frame, component)."""
+    return np.einsum("...ai,...aj->...ij", e, e)

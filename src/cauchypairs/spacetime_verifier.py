@@ -12,69 +12,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import grid as fd
 from .errors import (
-    GridTooSmall,
+    GridInvalid,
     LambdaVanishes,
     PairAlgebraViolated,
     SignatureViolation,
 )
 
+SPATIAL_AXES = (1, 2, 3)
 
-class Grid4:
+
+class Grid4(fd.Grid):
     """A field sampled on a uniform 4D box grid; payload in trailing axes."""
 
-    def __init__(self, box, values):
-        box = tuple((float(a), float(b)) for a, b in box)
-        values = np.asarray(values, dtype=float)
-        if len(box) != 4:
-            raise ValueError("box must have four axis intervals")
-        if values.ndim < 4:
-            raise ValueError("values must carry four leading grid axes")
-        if any(n < 5 for n in values.shape[:4]):
-            raise GridTooSmall(f"need >= 5 samples per axis, got {values.shape[:4]}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.box = box
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape[:4]
-
-    @property
-    def spacing(self):
-        return tuple((b - a) / (n - 1) for (a, b), n in zip(self.box, self.shape))
-
-    def axis(self, i):
-        a, b = self.box[i]
-        return np.linspace(a, b, self.shape[i])
-
-    def meshgrid(self):
-        return np.meshgrid(*(self.axis(i) for i in range(4)), indexing="ij")
-
-    @classmethod
-    def from_function(cls, box, n, func):
-        if np.isscalar(n):
-            n = (n,) * 4
-        axes = [np.linspace(a, b, ni) for (a, b), ni in zip(box, n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(func(*mesh), dtype=float)
-        if vals.shape[:4] != mesh[0].shape:
-            vals = np.broadcast_to(vals, mesh[0].shape).copy()
-        return cls(box, vals)
-
-    def like(self, values):
-        return Grid4(self.box, values)
-
-    def grad(self, values, axis):
-        return np.gradient(values, self.spacing[axis], axis=axis, edge_order=2)
+    ndim = 4
 
 
 def interior_max4(values, include_boundary: bool = False) -> float:
-    v = np.abs(np.asarray(values))
-    if not include_boundary:
-        v = v[2:-2, 2:-2, 2:-2, 2:-2]
-    return float(v.max())
+    return fd.interior_max(values, 4, include_boundary)
 
 
 class Metric4Grid(Grid4):
@@ -83,9 +39,9 @@ class Metric4Grid(Grid4):
     def __init__(self, box, values, check_signature: bool = True):
         super().__init__(box, values)
         if self.values.shape[4:] != (4, 4):
-            raise ValueError("metric payload must be 4x4")
+            raise GridInvalid("metric payload must be 4x4")
         if not np.allclose(self.values, np.swapaxes(self.values, -1, -2)):
-            raise ValueError("metric must be symmetric at every node")
+            raise GridInvalid("metric must be symmetric at every node")
         if check_signature:
             eig = np.linalg.eigvalsh(self.values)
             neg = (eig < 0).sum(axis=-1)
@@ -107,12 +63,7 @@ class Metric4Grid(Grid4):
 
 def christoffel_fd(g: Metric4Grid) -> np.ndarray:
     """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho})."""
-    gv = g.values
-    # dg[..., m, i, j] = d_m g_ij
-    dg = np.stack([g.grad(gv, i) for i in range(4)], axis=4)
-    ginv = g.inverse()
-    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, sym)
+    return fd.christoffel(g, g.values)
 
 
 def ricci4_fd(g: Metric4Grid, symmetry_tol: float = None) -> np.ndarray:
@@ -122,12 +73,12 @@ def ricci4_fd(g: Metric4Grid, symmetry_tol: float = None) -> np.ndarray:
                + Gamma^m_{ms} Gamma^s_{ij} - Gamma^m_{is} Gamma^s_{mj}.
     """
     gam = christoffel_fd(g)
-    d_gam = np.stack([g.grad(gam, i) for i in range(4)], axis=4)
+    d_gam = fd.partials(g, gam)
     # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
     term1 = np.einsum("...mmij->...ij", d_gam)
     trace_gam = np.einsum("...mmj->...j", gam)
     # term2[..., i, j] = d_i (Gamma^m_mj)
-    term2 = np.stack([g.grad(trace_gam, i) for i in range(4)], axis=4)
+    term2 = fd.partials(g, trace_gam)
     term3 = np.einsum("...mms,...sij->...ij", gam, gam)
     term4 = np.einsum("...mis,...smj->...ij", gam, gam)
     ric = term1 - term2 + term3 - term4
@@ -141,7 +92,7 @@ def riemann4_fd(g: Metric4Grid) -> np.ndarray:
     """R^mu_{nu rho s} = d_rho Gamma^mu_{s nu} - d_s Gamma^mu_{rho nu}
     + Gamma^mu_{rho q} Gamma^q_{s nu} - Gamma^mu_{s q} Gamma^q_{rho nu}."""
     gam = christoffel_fd(g)
-    d_gam = np.stack([g.grad(gam, i) for i in range(4)], axis=4)
+    d_gam = fd.partials(g, gam)
     # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
     term = np.einsum("...pksn->...knps", d_gam)  # d_p Gamma^k_{s n} -> R^k_{n p s}
     riem = term - np.swapaxes(term, -2, -1)
@@ -154,8 +105,7 @@ def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None) -> np.n
     """(nabla omega)_{mu nu} = d_mu omega_nu - Gamma^l_{mu nu} omega_l."""
     if gamma is None:
         gamma = christoffel_fd(g)
-    partial = np.stack([g.grad(omega, i) for i in range(4)], axis=4)
-    return partial - np.einsum("...kij,...k->...ij", gamma, omega)
+    return fd.covariant_derivative(g, gamma, omega)
 
 
 class ParabolicPairData:
@@ -236,7 +186,7 @@ def parallel_pair_residual(
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")
     l_perp = pair.l[..., 1:]
     l_sharp = np.einsum("...ij,...j->...i", hinv, l_perp)
-    dlam = np.stack([g.grad(lam, i) for i in range(1, 4)], axis=-1)
+    dlam = fd.partials(g, lam, SPATIAL_AXES)
     kappa = np.zeros(g.shape + (4,))
     kappa[..., 0] = -np.einsum("...i,...i->...", dlam, l_sharp) / u0
     kappa[..., 1:] = np.einsum("...ij,...j->...i", theta, l_sharp) / u0[..., None]
@@ -276,7 +226,7 @@ def general_flow_residual(
     def theta_of(cov):
         return np.einsum("...ij,...j->...i", theta, sharp(cov))
 
-    dlam = np.stack([grid.grad(lam, i) for i in range(1, 4)], axis=-1)
+    dlam = fd.partials(grid, lam, SPATIAL_AXES)
     dlam_l = np.einsum("...i,...i->...", dlam, sharp(l_perp))
     dlam_u = np.einsum("...i,...i->...", dlam, sharp(u_perp))
 
@@ -290,12 +240,12 @@ def general_flow_residual(
     )
     report["evolution_l"] = interior_max4(ev_l, include_boundary)
 
-    gamma_h = _christoffel_spatial(grid, h)
-    nab_u = _spatial_cov_deriv(grid, gamma_h, u_perp)
+    gamma_h = fd.christoffel(grid, h, SPATIAL_AXES)
+    nab_u = fd.covariant_derivative(grid, gamma_h, u_perp, SPATIAL_AXES)
     report["spatial_u"] = interior_max4(
         nab_u + u0[..., None, None] * theta, include_boundary
     )
-    nab_l = _spatial_cov_deriv(grid, gamma_h, l_perp)
+    nab_l = fd.covariant_derivative(grid, gamma_h, l_perp, SPATIAL_AXES)
     res_l = u0[..., None, None] * nab_l - theta_of(l_perp)[..., :, None] * u_perp[..., None, :]
     report["spatial_l"] = interior_max4(res_l, include_boundary)
 
@@ -305,21 +255,9 @@ def general_flow_residual(
     report["norm_l"] = interior_max4(norm_l - 1, include_boundary)
 
     report["derived_dtu0"] = interior_max4(grid.grad(u0, 0) - dlam_u, include_boundary)
-    du0 = np.stack([grid.grad(u0, i) for i in range(1, 4)], axis=-1)
+    du0 = fd.partials(grid, u0, SPATIAL_AXES)
     report["derived_du0"] = interior_max4(du0 + theta_of(u_perp), include_boundary)
 
     report["max"] = max(report.values())
     return report
 
-
-def _christoffel_spatial(grid: Grid4, h: np.ndarray) -> np.ndarray:
-    """Per-slice Christoffel symbols of the spatial metric h (indices 1..3)."""
-    dh = np.stack([grid.grad(h, i) for i in range(1, 4)], axis=4)
-    hinv = np.linalg.inv(h)
-    sym = dh + np.swapaxes(dh, -3, -2) - np.moveaxis(dh, -3, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", hinv, sym)
-
-
-def _spatial_cov_deriv(grid: Grid4, gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    partial = np.stack([grid.grad(omega, i) for i in range(1, 4)], axis=4)
-    return partial - np.einsum("...kij,...k->...ij", gamma, omega)

@@ -214,3 +214,58 @@ class TestReproduceFixtures:
         for row in report["result"]["rows"]:
             assert row["mismatches"] == []
             assert row["group"] == row["expected_group"]
+
+
+FD_CONFIGS = {
+    "flow-diag": {
+        "mode": "flow-diag",
+        "family": {"case": "B_nonzero", "a": 1.0, "b": 1.0},
+        "interval": [0.0, 0.02], "box": [[0, 0.02]] * 3, "n": 9,
+    },
+    "flow-pp": {
+        "mode": "flow-pp", "pp": {"c": 0.3},
+        "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": [5, 5, 5, 5],
+    },
+    "verify-spacetime": {
+        "mode": "verify-spacetime", "metric": {"kind": "minkowski"},
+        "box": [[0, 1]] * 4, "n": 5,
+    },
+}
+
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("mode", sorted(FD_CONFIGS))
+    def test_valid_config_runs(self, mode):
+        assert cli.run(FD_CONFIGS[mode])["passed"]
+
+    @pytest.mark.parametrize("mode", sorted(FD_CONFIGS))
+    @pytest.mark.parametrize("axes", [1, -1])
+    def test_wrong_axis_count_rejected(self, mode, axes):
+        box = FD_CONFIGS[mode]["box"]
+        with pytest.raises(ConfigInvalid):
+            cli.run(dict(FD_CONFIGS[mode], box=box[:axes] if axes > 0 else box + box[:1]))
+
+    @pytest.mark.parametrize("mode", sorted(FD_CONFIGS))
+    @pytest.mark.parametrize(
+        "interval", [[0, "x"], [0, 1, 2], [0], [0, True], [1, 0], [0, 1e400], "0..1"]
+    )
+    def test_bad_box_interval_rejected(self, mode, interval):
+        box = [interval] + FD_CONFIGS[mode]["box"][1:]
+        with pytest.raises(ConfigInvalid):
+            cli.run(dict(FD_CONFIGS[mode], box=box))
+        if mode == "flow-diag":
+            with pytest.raises(ConfigInvalid):
+                cli.run(dict(FD_CONFIGS[mode], interval=interval))
+
+    @pytest.mark.parametrize("mode", sorted(FD_CONFIGS))
+    @pytest.mark.parametrize("n", ["7", 0, 7.0, True, [9, 5, 5], [9, 5, 5, "5"]])
+    def test_bad_n_rejected(self, mode, n):
+        with pytest.raises(ConfigInvalid):
+            cli.run(dict(FD_CONFIGS[mode], n=n))
+
+    @pytest.mark.parametrize("bad", [{"box": [[0, 1]]}, {"n": "7"}])
+    def test_main_exits_two(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, dict(FD_CONFIGS["verify-spacetime"], **bad))
+        assert cli.main([path]) == 2
+        assert "config error" in capsys.readouterr().err

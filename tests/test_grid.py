@@ -1,0 +1,168 @@
+"""Tests for the shared N-axis grid: typed errors, the binary layout of every
+grid dimension, and the per-slice kernels against the 3D ones."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from cauchypairs import coordinate_fields as cf
+from cauchypairs import grid as fd
+from cauchypairs.coordinate_fields import FieldGrid
+from cauchypairs.errors import CauchyPairsError, GridInvalid
+from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
+
+BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
+BOX4 = ((0.0, 1.0),) + BOX3
+
+
+def field_blob(rng):
+    return FieldGrid(BOX3, rng.standard_normal((5, 6, 7, 3))).to_binary()
+
+
+class TestGridInvalid:
+    def test_is_a_typed_value_error(self):
+        assert issubclass(GridInvalid, CauchyPairsError)
+        assert issubclass(GridInvalid, ValueError)
+
+    @pytest.mark.parametrize("cls, box, shape", [
+        (FieldGrid, BOX3[:2], (5, 5, 5)),
+        (FieldGrid, BOX3, (5, 5)),
+        (FieldGrid, ((0, 1), (0, 1), (1, 0)), (5, 5, 5)),
+        (FieldGrid, ((0, 1), (0, 1), (0, np.nan)), (5, 5, 5)),
+        (FieldGrid, ((0, 1), (0, 1), 7), (5, 5, 5)),
+        (Grid4, BOX3, (5, 5, 5, 5)),
+        (Grid4, BOX4, (5, 5, 5)),
+    ])
+    def test_constructor_rejects(self, cls, box, shape):
+        with pytest.raises(GridInvalid):
+            cls(box, np.zeros(shape))
+
+    def test_non_finite_values_rejected(self):
+        vals = np.zeros((5, 5, 5, 5))
+        vals[2, 2, 2, 2] = np.inf
+        with pytest.raises(GridInvalid):
+            Grid4(BOX4, vals)
+
+    @pytest.mark.parametrize("box", [
+        ((0, 1), (0, 0), (0, 1), (0, 1)),
+        ((0, 1), (0, 1), (0, 1), (1, 0.5)),
+    ])
+    def test_4d_box_must_be_nondegenerate(self, box):
+        with pytest.raises(GridInvalid):
+            Grid4(box, np.zeros((5, 5, 5, 5)))
+
+    def test_bad_magic(self, rng):
+        blob = field_blob(rng)
+        with pytest.raises(GridInvalid):
+            FieldGrid.from_binary(b"CPGRID2\n" + blob[8:])
+
+    @pytest.mark.parametrize("cut", [8, 20, 79])
+    def test_truncated_header(self, rng, cut):
+        with pytest.raises(GridInvalid, match="truncated header"):
+            FieldGrid.from_binary(field_blob(rng)[:cut])
+
+    @pytest.mark.parametrize("cut", [88, 100, -8, -1])
+    def test_truncated_data(self, rng, cut):
+        with pytest.raises(GridInvalid):
+            FieldGrid.from_binary(field_blob(rng)[:cut])
+
+    def test_trailing_bytes(self, rng):
+        with pytest.raises(GridInvalid):
+            FieldGrid.from_binary(field_blob(rng) + b"\0" * 8)
+
+    @pytest.mark.parametrize("offset", [8, 16, 88])
+    def test_forged_size(self, rng, offset):
+        # offsets 8 and 16 are axis sizes, 88 the payload dimension
+        blob = bytearray(field_blob(rng))
+        struct.pack_into("<q", blob, offset, 2**40)
+        with pytest.raises(GridInvalid):
+            FieldGrid.from_binary(bytes(blob))
+
+    @pytest.mark.parametrize("rank", [2**40, -1])
+    def test_forged_rank(self, rng, rank):
+        blob = bytearray(field_blob(rng))
+        struct.pack_into("<q", blob, 80, rank)
+        with pytest.raises(GridInvalid):
+            FieldGrid.from_binary(bytes(blob))
+
+
+class TestSerialization:
+    def test_field_grid_header_layout(self, rng):
+        vals = rng.standard_normal((5, 6, 7, 3, 2))
+        blob = FieldGrid(BOX3, vals).to_binary()
+        header = 8 + 3 * 8 + 6 * 8 + 8 + 2 * 8
+        assert len(blob) == header + vals.size * 8
+        assert blob[:8] == b"CPGRID1\n"
+        assert struct.unpack_from("<3q", blob, 8) == (5, 6, 7)
+        assert struct.unpack_from("<6d", blob, 32) == (0.0, 0.1, 0.0, 0.2, 0.0, 0.3)
+        assert struct.unpack_from("<3q", blob, 80) == (2, 3, 2)
+        assert blob[header:] == vals.astype("<f8").tobytes()
+
+    def test_grid4_round_trip(self, rng):
+        g = Grid4(BOX4, rng.standard_normal((5, 6, 5, 7, 3)))
+        blob = g.to_binary()
+        assert len(blob) == 8 + 4 * 8 + 8 * 8 + 8 + 8 + g.values.size * 8
+        for back in (Grid4.from_binary(blob), Grid4.from_text(g.to_text())):
+            assert type(back) is Grid4
+            assert back.box == g.box
+            np.testing.assert_array_equal(back.values, g.values)
+
+    def test_metric4_round_trip(self):
+        def gfun(t, x, y, z):
+            out = np.zeros(t.shape + (4, 4))
+            out[..., 0, 0] = -1.0 - t**2
+            out[..., 1, 1] = 1.0 + x * y
+            out[..., 2, 2] = 1.0
+            out[..., 3, 3] = np.exp(z)
+            out[..., 1, 2] = out[..., 2, 1] = 0.1 * t
+            return out
+
+        g = Metric4Grid.from_metric_function(BOX4, (5, 6, 5, 5), gfun)
+        for back in (Metric4Grid.from_binary(g.to_binary()),
+                     Metric4Grid.from_text(g.to_text())):
+            assert type(back) is Metric4Grid
+            assert back.box == g.box
+            np.testing.assert_array_equal(back.values, g.values)
+
+
+class TestSliceKernels:
+    """Kernels over axes (1, 2, 3) of a t-independent 4D stack must equal the
+    3D kernels on every slice, bit for bit."""
+
+    @staticmethod
+    def fields(n=9):
+        g3 = FieldGrid.from_function(BOX3, (n, n + 2, n + 1), lambda x, y, z: 0.0 * x)
+        xx, yy, zz = g3.meshgrid()
+        e = np.zeros(g3.shape + (3, 3))
+        e[..., 0, 0] = np.exp(xx * zz)
+        e[..., 0, 1] = 0.3 * np.sin(yy)
+        e[..., 1, 1] = 1.0 + xx**2
+        e[..., 1, 2] = yy * zz
+        e[..., 2, 2] = np.exp(-yy)
+        e[..., 2, 0] = 0.2 * zz
+        omega = np.stack([np.sin(xx + yy), xx * zz**2, np.cos(zz) * yy], axis=-1)
+        return g3, cf.metric_from_coframe(g3.like(e)), omega
+
+    def test_christoffel_and_covariant_derivative_per_slice(self):
+        g3, h, omega = self.fields()
+        nt = 5
+        g4 = Grid4(BOX4, np.broadcast_to(h, (nt,) + h.shape))
+        om4 = np.broadcast_to(omega, (nt,) + omega.shape)
+        gamma4 = fd.christoffel(g4, g4.values, SPATIAL_AXES)
+        nab4 = fd.covariant_derivative(g4, gamma4, om4, SPATIAL_AXES)
+        d4 = fd.exterior_derivative(g4, om4, SPATIAL_AXES)
+        gamma3 = cf.christoffel3_fd(g3, h)
+        nab3 = cf.covariant_derivative_covector(g3, h, omega)
+        d3 = cf.fd_exterior_derivative(g3.like(omega)).values
+        for t in range(nt):
+            np.testing.assert_array_equal(gamma4[t], gamma3)
+            np.testing.assert_array_equal(nab4[t], nab3)
+            np.testing.assert_array_equal(d4[t], d3)
+
+    def test_collar_over_grid_axes_only(self):
+        v = np.zeros((9, 9, 3))
+        v[1, 4, :] = 5.0
+        v[4, 4, 2] = 1.0
+        assert fd.interior_max(v, 2) == 1.0
+        assert fd.interior_max(v, 2, include_boundary=True) == 5.0
