@@ -153,8 +153,11 @@ def _e11_change(theta: ShapeOperator, tol: float) -> CoframeChange:
         # pure off-diagonal block: (e_l, e_n, Theta_ln e_u) already normal form
         m = ((0, 1, 0), (0, 0, 1), (b, 0, 0))
         return CoframeChange(matrix=m, case="e11-offdiagonal", target=TARGET_E11)
-    sinb = math.sqrt((1 - b / s_d) / 2)
-    cosb = (a / s_d) / math.sqrt(2 * (1 - b / s_d))
+    c = 1 - b / s_d
+    if c <= 0:  # |a| << |b|: b / s_d rounds to 1 and the rotation angle is lost
+        raise DegenerateCase(f"E(1,1) rotation undefined: 1 - ln/sqrt|Delta| = {c}", margin=c)
+    sinb = math.sqrt(c / 2)
+    cosb = (a / s_d) / math.sqrt(2 * c)
     m = ((0, cosb, -sinb), (0, sinb, cosb), (s_d, 0, 0))
     return CoframeChange(matrix=m, case="e11-rotation", target=TARGET_E11)
 
@@ -164,6 +167,8 @@ def _t2r_change(theta: ShapeOperator, tol: float) -> CoframeChange:
     s = np.array([float(theta.ul), float(theta.un)])
     if abs(t) <= tol:
         # vanishing transverse block; the shear covector alone generates the algebra
+        if not s.any():  # an exact nonzero T within tol: no coframe change exists
+            raise DegenerateCase(f"T = {t} and the shear both vanish to tol", margin=abs(t))
         m = ((1, 0, 0), (0, s[1], -s[0]), (0, -s[0], -s[1]))
         return CoframeChange(matrix=m, case="t2r-shear", target=TARGET_T2R)
     if np.hypot(s[0], s[1]) <= tol:
@@ -193,6 +198,8 @@ def _tau3_change(theta: ShapeOperator, tol: float):
         sgn = 1.0 if t > 0 else -1.0
         lam = (t + sgn * sq) / 2
         mev = (t - sgn * sq) / 2
+        if lam == mev:  # T^2 - 4 Delta cancelled: the change matrix would be singular
+            raise DegenerateCase(f"tau_3 block eigenvalues coincide at {lam}", margin=sq)
         mu = mev / lam
         m = (
             (0, 1, (lam - tll) / tln),

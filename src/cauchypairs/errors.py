@@ -74,5 +74,9 @@ class NullDirectionNotParallel(CauchyPairsError):
     """Declared null direction is not parallel; plane-wave check inapplicable."""
 
 
+class NotInGHForm(CauchyPairsError, ValueError):
+    """Metric has dt-space cross terms, so it is not in globally hyperbolic form."""
+
+
 class ConfigInvalid(CauchyPairsError):
     """CLI configuration failed schema validation."""

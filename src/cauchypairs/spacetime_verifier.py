@@ -16,6 +16,7 @@ from . import grid as fd
 from .errors import (
     GridInvalid,
     LambdaVanishes,
+    NotInGHForm,
     PairAlgebraViolated,
     SignatureViolation,
 )
@@ -43,10 +44,10 @@ class Metric4Grid(Grid4):
         if not np.allclose(self.values, np.swapaxes(self.values, -1, -2)):
             raise GridInvalid("metric must be symmetric at every node")
         if check_signature:
+            # ascending eigenvalues: exactly one negative, three positive
             eig = np.linalg.eigvalsh(self.values)
-            neg = (eig < 0).sum(axis=-1)
-            if np.any(neg != 1):
-                bad = np.argwhere(neg != 1)
+            bad = np.argwhere(~((eig[..., 0] < 0) & (eig[..., 1] > 0)))
+            if bad.size:
                 raise SignatureViolation(
                     f"signature is not (-,+,+,+) at {len(bad)} nodes, "
                     f"first at index {tuple(bad[0])}"
@@ -120,7 +121,7 @@ class ParabolicPairData:
         u = np.asarray(u, dtype=float)
         l = np.asarray(l, dtype=float)
         if u.shape != g.shape + (4,) or l.shape != g.shape + (4,):
-            raise ValueError("u and l must be 4-covector grids on the metric grid")
+            raise GridInvalid("u and l must be 4-covector grids on the metric grid")
         ginv = g.inverse()
         uu = np.einsum("...ij,...i,...j->...", ginv, u, u)
         ll = np.einsum("...ij,...i,...j->...", ginv, l, l)
@@ -146,7 +147,7 @@ def gh_decomposition(g: Metric4Grid, off_diag_tol: float = 1e-9):
     gv = g.values
     cross = float(np.abs(gv[..., 0, 1:]).max())
     if cross > off_diag_tol:
-        raise ValueError(f"metric has dt-space cross terms of size {cross}")
+        raise NotInGHForm(f"metric has dt-space cross terms of size {cross}")
     g00 = gv[..., 0, 0]
     if np.any(g00 >= 0):
         raise SignatureViolation("g_00 must be negative in the GH decomposition")

@@ -53,6 +53,18 @@ class TestClassify:
         assert group.tag == E11
         assert change.case == "e11-offdiagonal"
 
+    @pytest.mark.parametrize("comps, tol", [
+        # 1 - ln / sqrt|Delta| rounds to 0: the E(1,1) rotation angle is lost
+        ({"ll": 1, "nn": -1, "ln": 1e8}, 1e-9),
+        # T^2 - 4 Delta cancels: the tau_3 change matrix would be singular
+        ({"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": Fraction(-7, 3)}, 1e-9),
+        # an exact trace T = 3 within tol and no shear: no tau_2 (+) R change
+        ({"ll": 2, "ln": 0.5, "nn": 1}, 1e308),
+    ])
+    def test_round_off_degeneracies_raise_typed_error(self, comps, tol):
+        with pytest.raises(DegenerateCase):
+            classifier.classify(ShapeOperator.from_components(**comps), tol)
+
     def test_shear_is_tau2_plus_r(self):
         theta = ShapeOperator.from_components(ul=1, un=2)
         group, change = classifier.classify(theta)

@@ -3,9 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchypairs import cli
-from cauchypairs.errors import ConfigInvalid
+from cauchypairs.errors import CauchyPairsError, ConfigInvalid
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -92,12 +93,10 @@ class TestReports:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_provenance_fields(self, monkeypatch):
-        monkeypatch.setenv("CAUCHYPAIRS_THREADS", "4")
         report = cli.run({"mode": "verify-pair", "theta": {}}, tolerance=1e-8)
         prov = report["provenance"]
         assert prov["tool"] == "cauchypairs"
         assert prov["tolerance"] == 1e-8
-        assert prov["threads"] == "4"
 
     def test_render_text_has_verdict_line(self):
         report = cli.run({"mode": "verify-pair", "theta": {}})
@@ -269,3 +268,106 @@ class TestGridArguments:
         path = write_config(tmp_path, dict(FD_CONFIGS["verify-spacetime"], **bad))
         assert cli.main([path]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+FD_SMALL = FD_CONFIGS["verify-spacetime"]
+THETA_CONFIG = {"mode": "verify-pair", "theta": {"ll": 2, "ln": 0.5, "nn": 1}}
+
+# (config, extra argv, exit code): malformed values exit 2, degenerate input 3
+EXIT_CODE_TABLE = [
+    (dict(THETA_CONFIG, theta={"ll": "abc"}), [], 2),
+    (dict(THETA_CONFIG, theta={"ll": "1/0"}), [], 2),
+    (dict(THETA_CONFIG, theta={"ll": float("nan")}), ["--exact"], 2),
+    (dict(THETA_CONFIG, theta={"uu": 1e308, "ll": 1e308}), [], 2),
+    (dict(THETA_CONFIG, theta={"ll": 10**400}), [], 2),
+    (dict(FD_CONFIGS["flow-diag"], family={"case": "B_nonzero", "a": "x", "b": 1.0}), [], 2),
+    (dict(FD_CONFIGS["flow-diag"], family={"case": "B_nonzero", "a": 1.0, "b": "x"}), [], 2),
+    (dict(FD_CONFIGS["flow-diag"], family={
+        "case": "B_nonzero", "a": 1.0, "b": 1.0, "Ll": {"kind": "affine", "w1": "x"}}), [], 2),
+    (dict(FD_CONFIGS["flow-diag"], family={
+        "case": "B_nonzero", "a": 1.0, "b": 1.0, "Ll": {"kind": "exp", "rate": "x"}}), [], 2),
+    (dict(FD_CONFIGS["flow-pp"], pp={"a_l": "x"}), [], 2),
+    (dict(FD_CONFIGS["flow-pp"], threshold="x"), [], 2),
+    (dict(FD_SMALL, pair={"u": [1, 1]}), [], 2),
+    (dict(FD_SMALL, pair={"u": ["a", 1, 0, 0]}), [], 2),
+    (dict(FD_SMALL, metric={"kind": "milne", "a": "x"}), [], 2),
+    ({"mode": "reproduce", "fixture": ["table"]}, [], 2),
+    (dict(THETA_CONFIG, tolerance=-1), [], 2),
+    (dict(THETA_CONFIG, tolerance="nan"), [], 2),
+    (dict(THETA_CONFIG, tolerance=True), [], 2),
+    (dict(THETA_CONFIG, mode="classify", tolerance=-1), [], 2),
+    (dict(THETA_CONFIG, mode="classify", tolerance="nan"), [], 2),
+    (dict(THETA_CONFIG, mode="classify", tolerance=True), [], 2),
+    (dict(FD_SMALL, threshold=-1), [], 2),
+    ({"mode": "classify", "theta": {"ll": 1, "nn": -1, "ln": 1e8}}, [], 3),
+    ({"mode": "classify",
+      "theta": {"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": "-7/3"}}, [], 3),
+    (dict(THETA_CONFIG, mode="classify", tolerance=1e308), [], 3),
+    (dict(FD_SMALL, metric={"kind": "milne", "a": 0, "b": 1}), [], 3),
+    (dict(FD_SMALL, metric={"kind": "milne", "a": 1, "b": -1}), [], 3),
+]
+
+
+@pytest.mark.parametrize("config, extra, code", EXIT_CODE_TABLE)
+def test_exit_code_table(tmp_path, capsys, config, extra, code):
+    assert cli.main([write_config(tmp_path, config)] + extra) == code
+    assert ("config error" if code == 2 else "check failed") in capsys.readouterr().err
+
+
+# small valid configs with every key of their blocks and profiles present
+FUZZ_BASES = [
+    THETA_CONFIG,
+    dict(THETA_CONFIG, mode="classify", tolerance=1e-9),
+    {"mode": "curvature", "theta": {"uu": "1", "ll": "1/2", "nn": "1"}},
+    dict(FD_CONFIGS["flow-diag"], threshold=1e-5, family={
+        "case": "B_nonzero", "a": 1.0, "b": 1.0,
+        "Ll": {"kind": "exp_affine", "w1": 1.0, "w2": 1.0, "rate": 1.0,
+               "w1_y": 0.0, "w2_y": 0.0},
+        "Ln": {"kind": "const", "value": 2.0}}),
+    dict(FD_CONFIGS["flow-diag"], family={
+        "case": "B_zero", "a": {"kind": "affine", "w1": 0.5, "w2": 1.0}, "b": 0.0}),
+    dict(FD_CONFIGS["flow-pp"], threshold=1e-6,
+         pp={"a_l": 0.0, "b_l": -1.0, "a_n": 0.0, "b_n": 1.0, "c": 0.3}),
+    dict(FD_SMALL, threshold=1e-6, metric={"kind": "milne", "a": 1.0, "b": 0.0},
+         pair={"u": [1, 1, 0, 0], "l": [0, 0, 1, 0]}),
+    {"mode": "reproduce", "fixture": "tau3mu", "tolerance": 1e-9},
+]
+
+
+def _sites(cfg, path=()):
+    """Paths of every top-level key and of every key inside a block or profile."""
+    for key, value in cfg.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _sites(value, path + (key,))
+
+
+FUZZ_SITES = [(i, site) for i, cfg in enumerate(FUZZ_BASES) for site in _sites(cfg)]
+HOSTILE = ["x", "1/0", "nan", "1e400", None, True, [], [1], [1, 2], {},
+           float("nan"), float("inf"), -float("inf"), 1e308, 10**400, -1, 0, 1.5]
+
+
+def _replaced(cfg, site, value):
+    out = dict(cfg)
+    inner = out
+    for key in site[:-1]:
+        inner[key] = dict(inner[key])
+        inner = inner[key]
+    inner[site[-1]] = value
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(FUZZ_SITES), st.sampled_from(HOSTILE))
+def test_fuzzed_configs_raise_only_typed_errors(site, value):
+    index, path = site
+    # no grid may be sized by a large count: the memory budget is not enforced
+    if path == ("n",) and isinstance(value, int) and not isinstance(value, bool):
+        value = min(value, 9)
+    config = _replaced(FUZZ_BASES[index], path, value)
+    for exact in (False, True):
+        try:
+            report = cli.run(config, exact=exact)
+        except CauchyPairsError:
+            continue
+        assert isinstance(report["passed"], bool)

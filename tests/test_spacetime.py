@@ -5,7 +5,9 @@ import pytest
 
 from cauchypairs import flow, spacetime_verifier as sv
 from cauchypairs.errors import (
+    GridInvalid,
     LambdaVanishes,
+    NotInGHForm,
     PairAlgebraViolated,
     SignatureViolation,
 )
@@ -44,6 +46,21 @@ class TestMetric4Grid:
                 BOX, 5,
                 lambda t, x, y, z: np.broadcast_to(np.eye(4), t.shape + (4, 4)),
             )
+
+    @pytest.mark.parametrize(
+        "diag", [(-1.0, 0.0, 1, 1), (0.0, 1, 1, 1), (-1.0, 1, 1, 0.0), (-1.0, -1, 1, 1)]
+    )
+    def test_degenerate_or_wrong_signature_rejected(self, diag):
+        # a zero eigenvalue is not Lorentzian: the metric has no inverse
+        vals = np.broadcast_to(np.diag(diag), (5, 5, 5, 5, 4, 4))
+        with pytest.raises(SignatureViolation):
+            Metric4Grid(BOX, vals)
+
+    def test_degenerate_at_one_slice_rejected(self):
+        vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
+        vals[4, ..., 1, 1] = 0.0
+        with pytest.raises(SignatureViolation, match="at 125 nodes"):
+            Metric4Grid(BOX, vals)
 
     def test_symmetry_enforced(self):
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
@@ -99,6 +116,13 @@ class TestGHDecomposition:
         with pytest.raises(ValueError):
             sv.gh_decomposition(g)
 
+    def test_cross_terms_raise_typed_error(self):
+        vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
+        vals[..., 0, 2] = vals[..., 2, 0] = 0.2
+        g = Metric4Grid(BOX, vals, check_signature=False)
+        with pytest.raises(NotInGHForm):
+            sv.gh_decomposition(g)
+
     def test_comoving_metric_decomposition(self):
         def gfun(t, x, y, z):
             out = np.zeros(t.shape + (4, 4))
@@ -130,6 +154,8 @@ class TestParabolicPair:
             sv.ParabolicPairData(g, u, 2 * l)  # l not unit
         with pytest.raises(PairAlgebraViolated):
             sv.ParabolicPairData(g, l, l)  # u not null
+        with pytest.raises(GridInvalid):
+            sv.ParabolicPairData(g, u[..., :3], l)  # not a 4-covector grid
 
     def test_minkowski_pair_parallel(self):
         g = minkowski(n=9)
