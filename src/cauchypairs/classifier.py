@@ -40,7 +40,7 @@ class GroupClass:
                     margin=self.mu,
                 )
         elif self.mu is not None:
-            raise ValueError("mu is only meaningful for the Tau3Mu tag")
+            raise ParamOutOfRange("mu is only meaningful for the Tau3Mu tag")
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,10 @@ def _tau3_change(theta: ShapeOperator, tol: float):
     delta = float(theta.block_det)
     tll, tln, tnn = float(theta.ll), float(theta.ln), float(theta.nn)
     if abs(tln) > tol:
-        # sign(T) is well defined: a non-unimodular pair with Delta != 0 has T != 0
-        assert abs(t) > tol, "tau_3 branch requires a nonzero transverse trace"
+        # sign(T) needs T != 0, which holds exactly here; in float mode a shear just
+        # above tol can bring a pair with T = 0 to this branch
+        if abs(t) <= tol:
+            raise DegenerateCase(f"tau_3 block trace T = {t} within tol", margin=abs(t))
         sq = math.sqrt(max(t * t - 4 * delta, 0.0))
         sgn = 1.0 if t > 0 else -1.0
         lam = (t + sgn * sq) / 2
@@ -321,7 +323,8 @@ def _build_row(row: str, p: dict, variant: str):
         theta = ShapeOperator.from_components(
             uu=uu, ll=t * c * c, ln=t * c * s, nn=t * s * s
         )
-        allowed = _close(uu, t)
+        # bool(): a Python bool in the table cell for numpy-scalar params too
+        allowed = bool(fc.is_zero(uu - t))
         return theta, {"cauchy": True, "constrained_rf": allowed, "codazzi": allowed}
     if row == "t2r_mixed_l":
         _require(variant == "cauchy", "mixed row admits no crf or Codazzi pairs")
@@ -354,15 +357,9 @@ def _build_row(row: str, p: dict, variant: str):
     _require(t != 0 and delta != 0, "tau_3 row needs T != 0 and Delta != 0")
     uu = (t * t - 2 * delta) / t if variant == "crf" else p.get("uu", 0)
     theta = ShapeOperator.from_components(uu=uu, ll=ll, ln=ln, nn=nn)
-    crf_ok = _close(uu, (t * t - 2 * delta) / t)
+    crf_ok = bool(fc.is_zero(uu - (t * t - 2 * delta) / t))
     return theta, {"cauchy": True, "constrained_rf": crf_ok, "codazzi": False}
 
 
 def _unit(angle):
     return math.cos(float(angle)), math.sin(float(angle))
-
-
-def _close(a, b, tol: float = DEFAULT_TOL):
-    if fc._is_exact(a) and fc._is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol

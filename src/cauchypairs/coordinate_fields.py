@@ -15,6 +15,7 @@ from scipy.linalg import sqrtm
 from . import grid as fd
 from .errors import (
     DegenerateCoframe,
+    GridInvalid,
     MixedConditionViolated,
     WDerivativeVanishes,
     YZDependence,
@@ -39,7 +40,7 @@ def interior_max(grid: FieldGrid, values, include_boundary: bool = False) -> flo
 def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     """Exterior derivative of a covector grid: (d omega)_ij = d_i omega_j - d_j omega_i."""
     if grid.component_shape != (3,):
-        raise ValueError("fd_exterior_derivative expects a covector grid")
+        raise GridInvalid("fd_exterior_derivative expects a covector grid")
     return grid.like(fd.exterior_derivative(grid, grid.values))
 
 
@@ -87,7 +88,7 @@ def constraint_residual_fd(
     e = coframe.values
     th = theta.values
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
-        raise ValueError("coframe and theta grids must have 3x3 payloads")
+        raise GridInvalid("coframe and theta grids must have 3x3 payloads")
 
     det = np.linalg.det(e)
     bad = np.argwhere(np.abs(det) <= degeneracy_tol)
@@ -149,17 +150,17 @@ class UniversalCoverData:
 
     def __init__(self, u_grid: FieldGrid, hx, F, mixed_tol: float = 1e-8):
         if u_grid.component_shape != ():
-            raise ValueError("u_grid must be a scalar grid")
+            raise GridInvalid("u_grid must be a scalar grid")
         self.u_grid = u_grid
         x = u_grid.axis(0)
         hx_samples = np.array([np.asarray(hx(xi), dtype=float) for xi in x])
         if hx_samples.shape[1:] != (2, 2):
-            raise ValueError("hx must produce 2x2 matrices")
+            raise GridInvalid("hx must produce 2x2 matrices")
         if not np.allclose(hx_samples, np.swapaxes(hx_samples, 1, 2)):
-            raise ValueError("hx must be symmetric")
+            raise GridInvalid("hx must be symmetric")
         eig = np.linalg.eigvalsh(hx_samples)
         if np.any(eig <= 0):
-            raise ValueError("hx must be positive definite at every x sample")
+            raise GridInvalid("hx must be positive definite at every x sample")
         self.hx_samples = hx_samples
         self.F_samples = np.array([float(F(xi)) for xi in x])
         self.transverse = self._factorize(mixed_tol)

@@ -17,7 +17,7 @@ class DegenerateCase(CauchyPairsError):
         self.margin = margin
 
 
-class ParamOutOfRange(CauchyPairsError):
+class ParamOutOfRange(CauchyPairsError, ValueError):
     """Family parameters violate the constraints of the requested table row."""
 
 

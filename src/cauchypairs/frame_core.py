@@ -8,6 +8,7 @@ take an absolute tolerance (default 1e-9) which is ignored for exact inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -36,7 +37,46 @@ def is_zero(x, tol: float = DEFAULT_TOL) -> bool:
     return abs(x) <= tol
 
 
-class ShapeOperator:
+def _half(x):
+    """x / 2, kept exact for int input (int / 2 would round to a float)."""
+    return Fraction(x, 2) if isinstance(x, int) else x / 2
+
+
+def _symmetrized(m):
+    """3x3 tuple of m with each unequal off-diagonal pair replaced by its mean.
+
+    `(x + y) / 2`, not `_half`, so that float-mode int entries still average
+    to a float.
+    """
+    return tuple(
+        tuple(m[a][b] if m[a][b] == m[b][a] else (m[a][b] + m[b][a]) / 2 for b in AXES)
+        for a in AXES
+    )
+
+
+def _tensor(entry):
+    """Nested 3x3x3 tuple whose [i][j][k] component is entry(i, j, k)."""
+    return tuple([
+        tuple([(entry(i, j, U), entry(i, j, L), entry(i, j, N)) for j in AXES])
+        for i in AXES
+    ])
+
+
+def _max_abs(entry):
+    """Max over all index triples of |entry(i, j, k)|, as a float."""
+    return max(abs(float(entry(i, j, k))) for i in AXES for j in AXES for k in AXES)
+
+
+class _Frozen:
+    """Immutable value type: __init__ sets its slots through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ShapeOperator(_Frozen):
     """Symmetric 3x3 frame-component matrix of the shape operator.
 
     Entries may be int/Fraction (exact mode) or float.  NaN/inf entries and
@@ -57,29 +97,11 @@ class ShapeOperator:
             for b in AXES:
                 if rows[a][b] != rows[b][a]:
                     da = rows[a][b] - rows[b][a]
-                    if _is_exact(da) or abs(da) > 1e-12 * max(1.0, self._scale(rows)):
+                    scale = max(abs(float(x)) for r in rows for x in r)
+                    if _is_exact(da) or abs(da) > 1e-12 * max(1.0, scale):
                         raise CauchyPairsError("shape operator must be symmetric")
         # symmetrize away float round-off so invariants hold exactly
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(
-                tuple(
-                    rows[a][b]
-                    if rows[a][b] == rows[b][a]
-                    else (rows[a][b] + rows[b][a]) / 2
-                    for b in AXES
-                )
-                for a in AXES
-            ),
-        )
-
-    @staticmethod
-    def _scale(rows):
-        return max(abs(float(x)) for r in rows for x in r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeOperator is immutable")
+        object.__setattr__(self, "entries", _symmetrized(rows))
 
     @classmethod
     def from_components(cls, uu=0, ul=0, un=0, ll=0, ln=0, nn=0):
@@ -152,9 +174,6 @@ class ShapeOperator:
     def is_exact(self) -> bool:
         return all(_is_exact(x) for r in self.entries for x in r)
 
-    def as_float(self) -> "ShapeOperator":
-        return ShapeOperator([[float(x) for x in r] for r in self.entries])
-
     def square(self):
         """Frame components of theta o theta (matrix square)."""
         t = self.entries
@@ -167,7 +186,7 @@ class ShapeOperator:
         return self.entries[a]
 
 
-class StructureData:
+class StructureData(_Frozen):
     """Exterior-derivative coefficients of a left-invariant coframe.
 
     `d[k][i][j]` is antisymmetric in (i, j) and encodes
@@ -187,9 +206,6 @@ class StructureData:
                         raise CauchyPairsError("structure data must be finite")
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureData is immutable")
-
     def __getitem__(self, kij):
         k, i, j = kij
         return self.d[k][i][j]
@@ -200,88 +216,54 @@ class StructureData:
     def __repr__(self):
         return f"StructureData({[[list(r) for r in p] for p in self.d]})"
 
-    @classmethod
-    def zero(cls):
-        z = ((0,) * 3,) * 3
-        return cls((z, z, z))
-
     def bracket_coeffs(self):
         """Structure constants c^k_{ij} of the dual frame: [e_i, e_j] = c^k_{ij} e_k.
 
         These are minus the coframe coefficients: d e^k(e_i, e_j) = -e^k([e_i, e_j]).
         """
-        return tuple(
-            tuple(tuple(-self.d[k][i][j] for j in AXES) for i in AXES) for k in AXES
-        )
+        return _tensor(lambda k, i, j: -self.d[k][i][j])
 
     def d_squared(self):
         """Coefficients of d(d e^k) on e^u wedge e^l wedge e^n, for each k.
 
         Vanishing of all three is the Jacobi/integrability identity.
         """
-        eps = _levi_civita()
         out = []
         for k in AXES:
             acc = 0
             # d(sum_{i<j} d[k][i][j] e^i ^ e^j) = sum_{i<j} d[k][i][j] (de^i ^ e^j - e^i ^ de^j)
-            for i in AXES:
-                for j in AXES:
-                    if i >= j:
-                        continue
-                    c = self.d[k][i][j]
-                    if c == 0:
-                        continue
-                    acc += c * (_wedge_21(self.d[i], j, eps) - _wedge_12(i, self.d[j], eps))
+            for i, j in ((U, L), (U, N), (L, N)):
+                c = self.d[k][i][j]
+                if c != 0:
+                    acc += c * (_wedge(self.d[i], j) - _wedge(self.d[j], i))
             out.append(acc)
         return tuple(out)
 
-    def max_abs(self):
-        return max(abs(float(self.d[k][i][j])) for k in AXES for i in AXES for j in AXES)
+
+# the nonzero Levi-Civita symbols eps_{kpq} as (sign, p, q), for each k, in
+# ascending (p, q); eps is cyclic, so eps_{pqk} = eps_{kpq}
+_EPS = (
+    ((1, L, N), (-1, N, L)),
+    ((-1, U, N), (1, N, U)),
+    ((1, U, L), (-1, L, U)),
+)
 
 
-def _levi_civita():
-    eps = {}
-    for (i, j, k), s in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-    ):
-        eps[(i, j, k)] = s
-    return eps
-
-
-def _wedge_21(two_form, one_index, eps):
-    """Coefficient of e^0^e^1^e^2 in (2-form) wedge e^{one_index}."""
+def _wedge(two_form, k):
+    """Coefficient of e^u ^ e^l ^ e^n in e^k ^ (2-form), which equals (2-form) ^ e^k."""
     acc = 0
-    for p in AXES:
-        for q in AXES:
-            s = eps.get((p, q, one_index))
-            if s:
-                acc += s * two_form[p][q]
-    return acc / 2 if not _is_exact(acc) else Fraction(acc, 2) if isinstance(acc, int) else acc / 2
+    for s, p, q in _EPS[k]:
+        acc += s * two_form[p][q]
+    return _half(acc)
 
 
-def _wedge_12(one_index, two_form, eps):
-    """Coefficient of e^0^e^1^e^2 in e^{one_index} wedge (2-form)."""
-    acc = 0
-    for p in AXES:
-        for q in AXES:
-            s = eps.get((one_index, p, q))
-            if s:
-                acc += s * two_form[p][q]
-    return acc / 2 if not _is_exact(acc) else Fraction(acc, 2) if isinstance(acc, int) else acc / 2
-
-
-class Connection:
+class Connection(_Frozen):
     """Frame components gamma[c][b][a] of nabla_{e_b} e_a = sum_c gamma[c][b][a] e_c."""
 
     __slots__ = ("gamma",)
 
     def __init__(self, gamma):
-        g = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
-        object.__setattr__(self, "gamma", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Connection is immutable")
+        object.__setattr__(self, "gamma", tuple(tuple(tuple(r) for r in p) for p in gamma))
 
     def __getitem__(self, cba):
         c, b, a = cba
@@ -291,17 +273,11 @@ class Connection:
         return isinstance(other, Connection) and self.gamma == other.gamma
 
     def max_abs_diff(self, other):
-        return max(
-            abs(float(self.gamma[c][b][a] - other.gamma[c][b][a]))
-            for c in AXES for b in AXES for a in AXES
-        )
+        return _max_abs(lambda c, b, a: self.gamma[c][b][a] - other.gamma[c][b][a])
 
     def metric_compat_residual(self):
         """Max |gamma[c][b][a] + gamma[a][b][c]| (orthonormal-frame antisymmetry)."""
-        return max(
-            abs(float(self.gamma[c][b][a] + self.gamma[a][b][c]))
-            for c in AXES for b in AXES for a in AXES
-        )
+        return _max_abs(lambda c, b, a: self.gamma[c][b][a] + self.gamma[a][b][c])
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +287,9 @@ class Connection:
 
 def structure_from_theta(theta: ShapeOperator) -> StructureData:
     """Exterior system of a left-invariant Cauchy pair: d e_a = theta(e_a) ^ e_u."""
-    d = [[[0] * 3 for _ in AXES] for _ in AXES]
-    for a in AXES:
-        for b in (L, N):
-            d[a][b][U] = theta[a, b]
-            d[a][U][b] = -theta[a, b]
-    return StructureData(d)
+    return StructureData(
+        ((0, -l, -n), (l, 0, 0), (n, 0, 0)) for _, l, n in map(theta.row, AXES)
+    )
 
 
 def integrability_residual(theta: ShapeOperator):
@@ -355,15 +328,15 @@ def connection_cauchy(theta: ShapeOperator) -> Connection:
 
     nabla_{e_b} e_a = -delta_{au} theta(e_b) + theta(e_a, e_b) e_u.
     """
-    gamma = [[[0] * 3 for _ in AXES] for _ in AXES]
-    for b in AXES:
-        for a in AXES:
-            for c in AXES:
-                val = theta[a, b] if c == U else 0
-                if a == U:
-                    val = val - theta[b, c]
-                gamma[c][b][a] = val
-    return Connection(gamma)
+    t = theta.entries
+
+    def entry(c, b, a):
+        val = t[a][b] if c == U else 0
+        if a == U:
+            val = val - t[b][c]
+        return val
+
+    return Connection(_tensor(entry))
 
 
 def connection_koszul(d: StructureData, tol: float = DEFAULT_TOL) -> Connection:
@@ -377,15 +350,9 @@ def connection_koszul(d: StructureData, tol: float = DEFAULT_TOL) -> Connection:
     if not all(is_zero(j, tol) for j in jac):
         raise CauchyPairsError(f"structure data violates Jacobi identity: {jac}")
     c = d.bracket_coeffs()
-    gamma = [[[0] * 3 for _ in AXES] for _ in AXES]
-    for cc in AXES:
-        for b in AXES:
-            for a in AXES:
-                num = c[cc][b][a] - c[b][a][cc] + c[a][cc][b]
-                gamma[cc][b][a] = (
-                    Fraction(num, 2) if isinstance(num, int) else num / 2
-                )
-    return Connection(gamma)
+    return Connection(_tensor(
+        lambda cc, b, a: _half(c[cc][b][a] - c[b][a][cc] + c[a][cc][b])
+    ))
 
 
 def nabla_theta(theta: ShapeOperator):
@@ -396,40 +363,30 @@ def nabla_theta(theta: ShapeOperator):
     """
     t = theta.entries
     t2 = theta.square()
-    out = []
-    for a in AXES:
-        plane = []
-        for b in AXES:
-            row = []
-            for c in AXES:
-                val = -t[U][b] * t[a][c] - t[a][b] * t[U][c]
-                if c == U:
-                    val = val + t2[a][b]
-                if b == U:
-                    val = val + t2[a][c]
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+
+    def entry(a, b, c):
+        val = -t[U][b] * t[a][c] - t[a][b] * t[U][c]
+        if c == U:
+            val = val + t2[a][b]
+        if b == U:
+            val = val + t2[a][c]
+        return val
+
+    return _tensor(entry)
 
 
 def nabla_theta_oracle(theta: ShapeOperator):
     """Same tensor via the product rule with the Cauchy connection (components constant)."""
     gam = connection_cauchy(theta).gamma
     t = theta.entries
-    out = []
-    for a in AXES:
-        plane = []
-        for b in AXES:
-            row = []
-            for c in AXES:
-                val = 0
-                for m in AXES:
-                    val = val - gam[m][a][b] * t[m][c] - gam[m][a][c] * t[b][m]
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+
+    def entry(a, b, c):
+        val = 0
+        for m in AXES:
+            val = val - gam[m][a][b] * t[m][c] - gam[m][a][c] * t[b][m]
+        return val
+
+    return _tensor(entry)
 
 
 def divergence_theta(theta: ShapeOperator):
@@ -467,16 +424,7 @@ def ricci_frame(theta: ShapeOperator):
         for b in AXES
     ]
     asym = max(abs(float(raw[b][c] - raw[c][b])) for b in AXES for c in AXES)
-    ric = tuple(
-        tuple(
-            raw[b][c]
-            if raw[b][c] == raw[c][b]
-            else (raw[b][c] + raw[c][b]) / 2
-            for c in AXES
-        )
-        for b in AXES
-    )
-    return ric, asym
+    return _symmetrized(raw), asym
 
 
 def scalar_curvature(theta: ShapeOperator):
@@ -507,30 +455,25 @@ def codazzi_tensors(theta: ShapeOperator):
     C_a = e_u x (theta o theta)(e_a) - theta(e_u) x theta(e_a)
           - delta_{ua} theta o theta + theta_{ua} theta.
     """
-    t = theta.entries
-    t2 = theta.square()
-    out = []
-    for a in AXES:
-        plane = []
-        for b in AXES:
-            row = []
-            for c in AXES:
-                val = -t[U][b] * t[a][c] + t[U][a] * t[b][c]
-                if b == U:
-                    val = val + t2[a][c]
-                if a == U:
-                    val = val - t2[b][c]
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    return _tensor(functools.partial(_codazzi_entry, theta.entries, theta.square()))
+
+
+def _codazzi_entry(t, t2, a, b, c):
+    """(C_a)_{bc} from the entries t of theta and t2 of theta o theta."""
+    val = -t[U][b] * t[a][c] + t[U][a] * t[b][c]
+    if b == U:
+        val = val + t2[a][c]
+    if a == U:
+        val = val - t2[b][c]
+    return val
 
 
 def codazzi_predicate(theta: ShapeOperator, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all C_a vanish (to tolerance)."""
-    cs = codazzi_tensors(theta)
+    """True iff all C_a vanish (to tolerance); stops at the first entry that does not."""
+    t, t2 = theta.entries, theta.square()
     return all(
-        is_zero(cs[a][b][c], tol) for a in AXES for b in AXES for c in AXES
+        is_zero(_codazzi_entry(t, t2, a, b, c), tol)
+        for a in AXES for b in AXES for c in AXES
     )
 
 
@@ -540,17 +483,15 @@ def codazzi_predicate_conditions(theta: ShapeOperator, tol: float = DEFAULT_TOL)
     either theta_ul = theta_un = theta_ln = 0 with theta_ll^2 = theta_ll theta_uu
     and theta_nn^2 = theta_nn theta_uu, or theta(e_u) = T e_u with Delta = 0.
     """
+    if not (is_zero(theta.ul, tol) and is_zero(theta.un, tol)):
+        return False
     bullet1 = (
-        is_zero(theta.ul, tol)
-        and is_zero(theta.un, tol)
-        and is_zero(theta.ln, tol)
+        is_zero(theta.ln, tol)
         and is_zero(theta.ll ** 2 - theta.ll * theta.uu, tol)
         and is_zero(theta.nn ** 2 - theta.nn * theta.uu, tol)
     )
     bullet2 = (
-        is_zero(theta.ul, tol)
-        and is_zero(theta.un, tol)
-        and is_zero(theta.uu - theta.block_trace, tol)
+        is_zero(theta.uu - theta.block_trace, tol)
         and is_zero(theta.block_det, tol)
     )
     return bullet1 or bullet2
@@ -559,7 +500,4 @@ def codazzi_predicate_conditions(theta: ShapeOperator, tol: float = DEFAULT_TOL)
 def codazzi_antisymmetry_residual(theta: ShapeOperator):
     """Max |C_a(e_b, e_d) + C_b(e_a, e_d)| over all index triples."""
     cs = codazzi_tensors(theta)
-    return max(
-        abs(float(cs[a][b][d] + cs[b][a][d]))
-        for a in AXES for b in AXES for d in AXES
-    )
+    return _max_abs(lambda a, b, d: cs[a][b][d] + cs[b][a][d])

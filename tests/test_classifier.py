@@ -34,6 +34,10 @@ class TestGroupClass:
         with pytest.raises(ValueError):
             GroupClass(ABELIAN_R3, mu=0.5)
 
+    def test_mu_for_other_tags_is_typed(self):
+        with pytest.raises(ParamOutOfRange):
+            GroupClass(E11, mu=0.5)
+
 
 class TestClassify:
     def test_zero_theta_is_abelian(self):
@@ -60,6 +64,8 @@ class TestClassify:
         ({"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": Fraction(-7, 3)}, 1e-9),
         # an exact trace T = 3 within tol and no shear: no tau_2 (+) R change
         ({"ll": 2, "ln": 0.5, "nn": 1}, 1e308),
+        # T = 0, yet a shear just above tol makes the pair non-unimodular: no sign(T)
+        ({"ll": 1e-3, "nn": -1e-3, "ln": 1e-3, "ul": 2e-9}, 1e-9),
     ])
     def test_round_off_degeneracies_raise_typed_error(self, comps, tol):
         with pytest.raises(DegenerateCase):

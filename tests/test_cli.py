@@ -302,6 +302,7 @@ EXIT_CODE_TABLE = [
     ({"mode": "classify", "theta": {"ll": 1, "nn": -1, "ln": 1e8}}, [], 3),
     ({"mode": "classify",
       "theta": {"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": "-7/3"}}, [], 3),
+    ({"mode": "classify", "theta": {"ll": 1e-3, "nn": -1e-3, "ln": 1e-3, "ul": 2e-9}}, [], 3),
     (dict(THETA_CONFIG, mode="classify", tolerance=1e308), [], 3),
     (dict(FD_SMALL, metric={"kind": "milne", "a": 0, "b": 1}), [], 3),
     (dict(FD_SMALL, metric={"kind": "milne", "a": 1, "b": -1}), [], 3),

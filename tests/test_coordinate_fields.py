@@ -7,6 +7,7 @@ from cauchypairs import coordinate_fields as cf
 from cauchypairs.coordinate_fields import FieldGrid, UniversalCoverData
 from cauchypairs.errors import (
     DegenerateCoframe,
+    GridInvalid,
     GridTooSmall,
     WDerivativeVanishes,
     YZDependence,
@@ -136,6 +137,13 @@ class TestConstraintResidual:
         report = cf.constraint_residual_fd(e, wrong)
         assert report["max"] > 1e-2
 
+    def test_malformed_payloads_raise_grid_invalid(self):
+        e, th = warped_realization(9)
+        with pytest.raises(GridInvalid):
+            cf.constraint_residual_fd(e, th.like(th.values[..., 0]))
+        with pytest.raises(GridInvalid):
+            cf.fd_exterior_derivative(e)
+
     def test_singular_coframe_rejected(self):
         e, th = warped_realization(9)
         vals = e.values.copy()
@@ -155,6 +163,17 @@ class TestConstraintResidual:
 class TestUniversalCover:
     def scalar_grid(self, n=33, box=((0, 0.02),) * 3):
         return FieldGrid.from_function(box, n, lambda x, y, z: 0.0 * x)
+
+    @pytest.mark.parametrize("u_payload, hx", [
+        ((3,), np.eye(2)),
+        ((), np.eye(3)),
+        ((), np.array([[1.0, 2.0], [0.0, 1.0]])),
+        ((), -np.eye(2)),
+    ])
+    def test_malformed_input_raises_grid_invalid(self, u_payload, hx):
+        g = FieldGrid(BOX, np.zeros((5, 5, 5) + u_payload))
+        with pytest.raises(GridInvalid):
+            UniversalCoverData(g, hx=lambda x: hx, F=lambda x: 0.0)
 
     def test_requires_scalar_grid(self):
         g = FieldGrid(BOX, np.zeros((5, 5, 5, 3)))

@@ -1,5 +1,7 @@
 """Unit tests for the frame-component algebra of left-invariant Cauchy pairs."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -247,3 +249,96 @@ class TestProperties:
             assert fc.is_zero(
                 fc.constrained_ricci_flat_residual(theta), 1e-7
             )
+
+    @given(comps=st.tuples(*[st.one_of(
+        st.sampled_from([0, 0.0, -0.0, 1, 2.0, Fraction(1, 2)]),
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        finite_entry,
+    )] * 6), tol=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_codazzi_predicate_is_every_entry_zero(self, comps, tol):
+        theta = ShapeOperator.from_components(*comps)
+        entries = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(fc.codazzi_tensors(theta))
+        )
+        assert fc.codazzi_predicate(theta, tol) == all(fc.is_zero(x, tol) for x in entries)
+
+
+# Per-index loop forms of the closed formulas, evaluated in the library's
+# operation order: with +-0.0 entries the sign of a zero result depends on it
+# (-0.0 + 0 is 0.0, while x - 0 keeps the sign of x).
+TRIPLES = list(itertools.product(range(3), repeat=3))
+
+
+def loop_tensor(entry):
+    out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in TRIPLES:
+        out[i][j][k] = entry(i, j, k)
+    return out
+
+
+def loop_structure(t):
+    return loop_tensor(lambda a, b, c: t[a][b] if c == 0 and b != 0
+                       else -t[a][c] if b == 0 and c != 0 else 0)
+
+
+def loop_connection(t):
+    def entry(c, b, a):
+        val = t[a][b] if c == 0 else 0
+        return val - t[b][c] if a == 0 else val
+    return loop_tensor(entry)
+
+
+def loop_nabla_theta(t, t2):
+    def entry(a, b, c):
+        val = -t[0][b] * t[a][c] - t[a][b] * t[0][c]
+        val = val + t2[a][b] if c == 0 else val
+        return val + t2[a][c] if b == 0 else val
+    return loop_tensor(entry)
+
+
+def loop_codazzi(t, t2):
+    def entry(a, b, c):
+        val = -t[0][b] * t[a][c] + t[0][a] * t[b][c]
+        val = val + t2[a][c] if b == 0 else val
+        return val - t2[b][c] if a == 0 else val
+    return loop_tensor(entry)
+
+
+def loop_ricci(theta, t, t2):
+    nt = loop_nabla_theta(t, t2)
+    div = fc.divergence_theta(theta)
+    raw = [[t2[b][c] - theta.trace * t[b][c] + (-div[b] if c == 0 else 0)
+            + nt[0][b][c] - nt[b][0][c] for c in range(3)] for b in range(3)]
+    return [[raw[b][c] if raw[b][c] == raw[c][b] else (raw[b][c] + raw[c][b]) / 2
+             for c in range(3)] for b in range(3)]
+
+
+def flat(x):
+    return [v for item in x for v in flat(item)] if isinstance(x, (list, tuple)) else [x]
+
+
+def signed_zero_operators():
+    """Every +-0.0 pattern of the six components, alone and mixed with nonzeros."""
+    for signs in itertools.product((0.0, -0.0), repeat=6):
+        yield signs
+        yield tuple(x if k % 2 else (1.5, -2.0, 1)[k % 3] for k, x in enumerate(signs))
+        yield (0, 0) + signs[2:]
+
+
+def test_zero_signs_match_loop_forms():
+    for comps in signed_zero_operators():
+        theta = ShapeOperator.from_components(*comps)
+        t, t2 = theta.entries, theta.square()
+        pairs = [
+            ("structure_from_theta", fc.structure_from_theta(theta).d, loop_structure(t)),
+            ("connection_cauchy", fc.connection_cauchy(theta).gamma, loop_connection(t)),
+            ("nabla_theta", fc.nabla_theta(theta), loop_nabla_theta(t, t2)),
+            ("codazzi_tensors", fc.codazzi_tensors(theta), loop_codazzi(t, t2)),
+            ("ricci_frame", fc.ricci_frame(theta)[0], loop_ricci(theta, t, t2)),
+        ]
+        for name, got, want in pairs:
+            for x, y in zip(flat(got), flat(want), strict=True):
+                assert type(x) is type(y) and x == y, (name, comps)
+                assert math.copysign(1.0, x) == math.copysign(1.0, y), (name, comps)

@@ -59,7 +59,8 @@ class TestMetric4Grid:
     def test_degenerate_at_one_slice_rejected(self):
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
         vals[4, ..., 1, 1] = 0.0
-        with pytest.raises(SignatureViolation, match="at 125 nodes"):
+        with pytest.raises(SignatureViolation,
+                           match=r"at 125 nodes, first at index \(4, 0, 0, 0\)$"):
             Metric4Grid(BOX, vals)
 
     def test_symmetry_enforced(self):
