@@ -69,6 +69,24 @@ def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndar
     return fd.covariant_derivative(grid, christoffel3_fd(grid, h), omega)
 
 
+# Nodes per x-slab of `constraint_residual_fd`: its working set is ~0.9 kB per
+# slab node, so ~120 MB, whatever the grid size.  Grids of up to 33^3 nodes
+# are one slab.
+SLAB_NODES = 2**17
+
+
+def _slabs(shape):
+    """Output plane ranges [a, b) covering grid axis 0, about SLAB_NODES nodes
+    each.  Every slab has >= 4 planes, so its window [a - 1, b + 1) clipped to
+    the grid holds >= 5; a shorter last slab is folded into its neighbour."""
+    nx = shape[0]
+    step = max(4, SLAB_NODES // (shape[1] * shape[2]))
+    cuts = list(range(0, nx, step))
+    if len(cuts) > 1 and nx - cuts[-1] < 4:
+        cuts.pop()
+    return list(zip(cuts, cuts[1:] + [nx]))
+
+
 def constraint_residual_fd(
     coframe: FieldGrid,
     theta: FieldGrid,
@@ -84,50 +102,88 @@ def constraint_residual_fd(
     of the covariant forms nabla e_u + Theta - Theta(e_u) (x) e_u and
     nabla e_l - Theta(e_l) (x) e_u computed with finite-difference
     Christoffel symbols of the frame metric.
+
+    A node is degenerate where |det e| <= degeneracy_tol times the product of
+    the row norms |e_a| (Hadamard's bound), a test invariant under e -> c e.
+
+    Every term takes first derivatives only, so the report is evaluated one
+    x-slab at a time (`SLAB_NODES`), each on its planes plus a one-plane
+    halo, and the slab maxima are bit-identical to a whole-grid evaluation.
     """
     e = coframe.values
     th = theta.values
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
+    if theta.shape != coframe.shape:
+        raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
 
-    det = np.linalg.det(e)
-    bad = np.argwhere(np.abs(det) <= degeneracy_tol)
+    def singular(rows):
+        scale = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+        return np.abs(np.linalg.det(rows)) <= degeneracy_tol * scale
+
+    slabs = _slabs(coframe.shape)
+    bad = np.concatenate([np.argwhere(singular(e[a:b])) + (a, 0, 0) for a, b in slabs])
     if bad.size:
+        nodes = [tuple(map(int, b)) for b in bad[:10]]
         raise DegenerateCoframe(
-            f"coframe singular at {len(bad)} nodes", nodes=[tuple(b) for b in bad[:10]]
+            f"coframe singular at {len(bad)} nodes, first at index {nodes[0]}", nodes=nodes
         )
 
-    # Theta(e_a) = sum_b theta_ab e_b, coordinate components
-    theta_e = np.einsum("...ab,...bi->...ai", th, e)
-    eu = e[..., 0, :]
+    # the x collar is cut once, in global indices; the y and z collars per slab
+    nx = coframe.shape[0]
+    lo, hi = (0, nx) if include_boundary else (2, nx - 2)
+    parts = []
+    for a, b in slabs:
+        start, stop = max(a - 1, 0), min(b + 1, nx)
+        out = slice(max(a, lo) - start, min(b, hi) - start)
+        parts.append(_slab_residuals(coframe.window(start, stop), th[start:stop], out,
+                                     include_boundary))
+    slab_max = {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
-    report = {}
-    names = ("u", "l", "n")
-    worst = 0.0
-    for a in range(3):
-        de = fd_exterior_derivative(coframe.like(e[..., a, :])).values
-        res = de - fd.wedge(theta_e[..., a, :], eu)
-        val = interior_max(coframe, res, include_boundary)
-        report[f"exterior_{names[a]}"] = val
-        worst = max(worst, val)
-    report["exterior_max"] = worst
-
-    d_theta_eu = fd_exterior_derivative(coframe.like(theta_e[..., 0, :])).values
-    report["theta_eu_closed"] = interior_max(coframe, d_theta_eu, include_boundary)
-
-    h = metric_from_coframe(coframe)
-    theta_coord = np.einsum("...ab,...ai,...bj->...ij", th, e, e)
-    nab_u = covariant_derivative_covector(coframe, h, eu)
-    res_u = nab_u + theta_coord - theta_e[..., 0, :, None] * eu[..., None, :]
-    report["covariant_u"] = interior_max(coframe, res_u, include_boundary)
-    nab_l = covariant_derivative_covector(coframe, h, e[..., 1, :])
-    res_l = nab_l - theta_e[..., 1, :, None] * eu[..., None, :]
-    report["covariant_l"] = interior_max(coframe, res_l, include_boundary)
+    report = {key: slab_max[key] for key in ("exterior_u", "exterior_l", "exterior_n")}
+    report["exterior_max"] = max(0.0, *report.values())
+    for key in ("theta_eu_closed", "covariant_u", "covariant_l"):
+        report[key] = slab_max[key]
     report["max"] = max(
         report["exterior_max"],
         report["theta_eu_closed"],
         report["covariant_u"],
         report["covariant_l"],
+    )
+    return report
+
+
+def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
+    """The residual maxima of `constraint_residual_fd` over the planes `out`
+    of one x-window, each taken without the y and z collars."""
+    e = window.values
+
+    def norm(res):
+        # x moved behind (y, z), so the collar of `fd.interior_max` cuts y and z only
+        return fd.interior_max(np.moveaxis(res[out], 0, 2), 2, include_boundary)
+
+    # Theta(e_a) = sum_b theta_ab e_b, coordinate components
+    theta_e = np.einsum("...ab,...bi->...ai", th, e)
+    eu = e[..., 0, :]
+
+    # each residual is built inside its norm() call, so no term of an earlier
+    # one is alive while a Christoffel set is built
+    report = {}
+    for a, name in enumerate(("u", "l", "n")):
+        report[f"exterior_{name}"] = norm(
+            fd_exterior_derivative(window.like(e[..., a, :])).values
+            - fd.wedge(theta_e[..., a, :], eu)
+        )
+    report["theta_eu_closed"] = norm(fd_exterior_derivative(window.like(theta_e[..., 0, :])).values)
+    h = metric_from_coframe(window)
+    report["covariant_u"] = norm(
+        covariant_derivative_covector(window, h, eu)
+        + np.einsum("...ab,...ai,...bj->...ij", th, e, e)
+        - theta_e[..., 0, :, None] * eu[..., None, :]
+    )
+    report["covariant_l"] = norm(
+        covariant_derivative_covector(window, h, e[..., 1, :])
+        - theta_e[..., 1, :, None] * eu[..., None, :]
     )
     return report
 

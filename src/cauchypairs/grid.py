@@ -47,6 +47,7 @@ class Grid:
             raise GridInvalid("field values must be finite")
         self.box = box
         self.values = values
+        self.spacing = tuple((b - a) / (n - 1) for (a, b), n in zip(box, self.shape))
 
     @property
     def shape(self):
@@ -55,10 +56,6 @@ class Grid:
     @property
     def component_shape(self):
         return self.values.shape[self.ndim:]
-
-    @property
-    def spacing(self):
-        return tuple((b - a) / (n - 1) for (a, b), n in zip(self.box, self.shape))
 
     def axis(self, i):
         a, b = self.box[i]
@@ -80,8 +77,25 @@ class Grid:
         return cls(box, vals)
 
     def like(self, values):
-        """A grid of the same type over the same box carrying `values`."""
-        return type(self)(self.box, values)
+        """A grid of the same type on the same nodes (box, shape and spacing)
+        carrying `values`."""
+        new = type(self)(self.box, values)
+        if new.shape != self.shape:
+            raise GridInvalid(f"values on grid {new.shape} do not fit grid {self.shape}")
+        new.spacing = self.spacing
+        return new
+
+    def window(self, start, stop):
+        """The planes [start, stop) of grid axis 0 as a grid of the same type.
+
+        The window keeps this grid's spacing bit for bit: a spacing recomputed
+        from the window's end coordinates can differ in the last bit, and so
+        would every derivative.  Like any grid it needs >= 5 planes.
+        """
+        x = self.axis(0)
+        sub = type(self)(((x[start], x[stop - 1]),) + self.box[1:], self.values[start:stop])
+        sub.spacing = self.spacing
+        return sub
 
     def grad(self, values, axis):
         """d/dx_axis of an array whose leading axes are this grid's."""

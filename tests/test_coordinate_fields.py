@@ -1,5 +1,7 @@
 """Tests for sampled-field calculus and the universal-cover construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,8 +150,59 @@ class TestConstraintResidual:
         e, th = warped_realization(9)
         vals = e.values.copy()
         vals[3, 3, 3] = 0.0
-        with pytest.raises(DegenerateCoframe):
+        with pytest.raises(DegenerateCoframe, match=r"at 1 nodes, first at index \(3, 3, 3\)") as err:
             cf.constraint_residual_fd(e.like(vals), th)
+        assert err.value.nodes == [(3, 3, 3)]
+        assert all(type(i) is int for i in err.value.nodes[0])
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_degeneracy_test_is_scale_invariant(self, c):
+        e, th = warped_realization(9)
+        report = cf.constraint_residual_fd(e.like(c * e.values), th)
+        assert np.isfinite(report["max"])
+        vals = c * e.values
+        vals[3, 3, 3, 1] = 0.0
+        with pytest.raises(DegenerateCoframe) as err:
+            cf.constraint_residual_fd(e.like(vals), th)
+        assert err.value.nodes == [(3, 3, 3)]
+
+    def test_mismatched_theta_grid_rejected(self):
+        e, _ = warped_realization(9)
+        _, th = warped_realization(11)
+        with pytest.raises(GridInvalid):
+            cf.constraint_residual_fd(e, th)
+
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    @pytest.mark.parametrize("n", [9, 17, 23])
+    def test_slabs_match_one_slab(self, monkeypatch, n, include_boundary):
+        e, th = warped_realization(n)
+        xx, _, _ = e.meshgrid()
+        off = th.values * 1.5 + np.cos(40 * xx)[..., None, None]
+        cases = [(e, th), (e, th.like(off))]
+        monkeypatch.setattr(cf, "SLAB_NODES", n**3)
+        assert cf._slabs(e.shape) == [(0, n)]
+        whole = [cf.constraint_residual_fd(*c, include_boundary=include_boundary) for c in cases]
+        # 4-plane slabs: the first window holds the minimum of 5 planes, and
+        # the 1- or 3-plane remainder is folded into the last slab
+        monkeypatch.setattr(cf, "SLAB_NODES", 1)
+        slabs = cf._slabs(e.shape)
+        assert slabs[0] == (0, 4) and len(slabs) == (n - 1) // 4
+        assert slabs[-1][1] - slabs[-1][0] in (5, 7)
+        for (coframe, theta), ref in zip(cases, whole):
+            report = cf.constraint_residual_fd(coframe, theta, include_boundary=include_boundary)
+            assert list(report) == list(ref)
+            assert report == ref
+        assert min(whole[1].values()) > 0
+
+    def test_residual_memory_is_bounded_by_the_slab(self):
+        e, th = warped_realization(65)
+        tracemalloc.start()
+        try:
+            cf.constraint_residual_fd(e, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 170 * 2**20
 
     def test_metric_from_coframe(self):
         e, _ = warped_realization(9, mu=0.5)

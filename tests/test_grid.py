@@ -9,7 +9,7 @@ import pytest
 from cauchypairs import coordinate_fields as cf
 from cauchypairs import grid as fd
 from cauchypairs.coordinate_fields import FieldGrid
-from cauchypairs.errors import CauchyPairsError, GridInvalid
+from cauchypairs.errors import CauchyPairsError, GridInvalid, GridTooSmall
 from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
@@ -166,3 +166,36 @@ class TestSliceKernels:
         v[4, 4, 2] = 1.0
         assert fd.interior_max(v, 2) == 1.0
         assert fd.interior_max(v, 2, include_boundary=True) == 5.0
+
+
+class TestWindow:
+    """Planes [start, stop) of axis 0 keep the parent grid's spacing bit for
+    bit, so first derivatives away from the window's own ends are unchanged."""
+
+    BOX = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
+
+    def test_spacing_kept_where_recomputing_it_differs(self):
+        g = FieldGrid(self.BOX, np.zeros((9, 5, 6)))
+        x = g.axis(0)
+        assert (x[6] - x[0]) / 6 != g.spacing[0]
+        w = g.window(0, 7)
+        assert w.spacing == g.spacing and w.shape == (7, 5, 6)
+        assert w.like(np.ones(w.shape)).spacing == g.spacing
+
+    def test_derivatives_match_the_whole_grid(self):
+        g = FieldGrid.from_function(self.BOX, (17, 5, 6), lambda x, y, z: np.sin(40 * x) * y)
+        full = [g.grad(g.values, i) for i in range(3)]
+        for start, stop in ((0, 7), (3, 10), (9, 17)):
+            w = g.window(start, stop)
+            inner = slice(1 if start else 0, stop - start - (stop < 17))
+            for i in range(3):
+                np.testing.assert_array_equal(w.grad(w.values, i)[inner],
+                                              full[i][start:stop][inner])
+
+    def test_window_needs_five_planes(self):
+        with pytest.raises(GridTooSmall):
+            FieldGrid(self.BOX, np.zeros((9, 5, 5))).window(2, 6)
+
+    def test_like_rejects_another_grid_shape(self):
+        with pytest.raises(GridInvalid):
+            FieldGrid(self.BOX, np.zeros((9, 5, 5))).like(np.zeros((7, 5, 5)))
