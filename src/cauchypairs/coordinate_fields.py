@@ -14,7 +14,6 @@ from scipy.linalg import sqrtm
 
 from . import grid as fd
 from .errors import (
-    DegenerateCoframe,
     GridInvalid,
     MixedConditionViolated,
     WDerivativeVanishes,
@@ -117,17 +116,8 @@ def constraint_residual_fd(
     if theta.shape != coframe.shape:
         raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
 
-    def singular(rows):
-        scale = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
-        return np.abs(np.linalg.det(rows)) <= degeneracy_tol * scale
-
     slabs = _slabs(coframe.shape)
-    bad = np.concatenate([np.argwhere(singular(e[a:b])) + (a, 0, 0) for a, b in slabs])
-    if bad.size:
-        nodes = [tuple(map(int, b)) for b in bad[:10]]
-        raise DegenerateCoframe(
-            f"coframe singular at {len(bad)} nodes, first at index {nodes[0]}", nodes=nodes
-        )
+    fd.require_regular(e, degeneracy_tol, slabs)
 
     # the x collar is cut once, in global indices; the y and z collars per slab
     nx = coframe.shape[0]

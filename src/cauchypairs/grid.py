@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import GridInvalid, GridTooSmall
+from .errors import DegenerateCoframe, GridInvalid, GridTooSmall
 
 MAGIC = b"CPGRID1\n"
 
@@ -156,7 +156,12 @@ def partials(grid: Grid, values, axes=None) -> np.ndarray:
     """d_i values for i in `axes`, stacked on a new axis after the grid axes."""
     if axes is None:
         axes = range(grid.ndim)
-    return np.stack([grid.grad(values, i) for i in axes], axis=grid.ndim)
+    axes = tuple(axes)
+    k = grid.ndim
+    out = np.empty(values.shape[:k] + (len(axes),) + values.shape[k:])
+    for slot, i in enumerate(axes):
+        out[(slice(None),) * k + (slot,)] = grid.grad(values, i)
+    return out
 
 
 def exterior_derivative(grid: Grid, omega, axes=None) -> np.ndarray:
@@ -170,6 +175,7 @@ def christoffel(grid: Grid, metric, axes=None) -> np.ndarray:
     dg = partials(grid, metric, axes)  # dg[..., i, j, l] = d_i g_jl
     ginv = np.linalg.inv(metric)
     sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    del dg  # freed before the einsum, whose temporaries set the peak
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, sym)
 
 
@@ -182,6 +188,26 @@ def covariant_derivative(grid: Grid, gamma, omega, axes=None) -> np.ndarray:
 def wedge(alpha, beta) -> np.ndarray:
     """(alpha ^ beta)_ij for covector arrays with a trailing component axis."""
     return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
+
+
+def require_regular(rows, tol: float, slabs=None) -> None:
+    """Raise DegenerateCoframe where the frame rows (..., frame, component)
+    are dependent: |det| <= tol times the product of the row norms (Hadamard's
+    bound), a test invariant under rows -> c rows.  `slabs`, plane ranges
+    [a, b) of grid axis 0, bound the temporaries; one slab by default."""
+    bad = []
+    for a, b in slabs or [(0, rows.shape[0])]:
+        part = rows[a:b]
+        scale = np.prod(np.linalg.norm(part, axis=-1), axis=-1)
+        idx = np.argwhere(np.abs(np.linalg.det(part)) <= tol * scale)
+        idx[:, 0] += a
+        bad.append(idx)
+    bad = np.concatenate(bad)
+    if bad.size:
+        nodes = [tuple(map(int, b)) for b in bad[:10]]
+        raise DegenerateCoframe(
+            f"coframe singular at {len(bad)} nodes, first at index {nodes[0]}", nodes=nodes
+        )
 
 
 def interior_max(values, naxes: int, include_boundary: bool = False) -> float:

@@ -204,6 +204,21 @@ class TestConstraintResidual:
             tracemalloc.stop()
         assert peak < 170 * 2**20
 
+    def test_christoffel_peak_memory_per_node(self):
+        # the stacked partials are freed before the contraction: ~506 B per
+        # node (ginv, the symmetrised partials and the output) against 720 B
+        # with them alive
+        n = 33
+        e, _ = warped_realization(n)
+        h = cf.metric_from_coframe(e)
+        tracemalloc.start()
+        try:
+            cf.christoffel3_fd(e, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * n**3
+
     def test_metric_from_coframe(self):
         e, _ = warped_realization(9, mu=0.5)
         h = cf.metric_from_coframe(e)

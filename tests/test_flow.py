@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cauchypairs import flow, spacetime_verifier as sv
+from cauchypairs import flow, grid as fd, spacetime_verifier as sv
 from cauchypairs.errors import (
     DegenerateCoframe,
     IntervalContainsSingularity,
@@ -103,6 +103,21 @@ class TestDiagonalSolution:
         with pytest.raises(DegenerateCoframe):
             flow.comoving_residual(sol)
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_degeneracy_test_is_scale_invariant(self, c):
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = c * sol.coframe.values
+        report = flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+        assert np.isfinite(report["max"])
+        vals[3, 4, 2, 1, 1] = 0.0
+        with pytest.raises(DegenerateCoframe,
+                           match=r"at 1 nodes, first at index \(3, 4, 2, 1\)$") as err:
+            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+        assert err.value.nodes == [(3, 4, 2, 1)]
+        assert all(type(i) is int for i in err.value.nodes[0])
+
     def test_simpson_primitive_close_to_exact(self):
         common = dict(
             case="B_zero", a=lambda x: np.exp(x), b=0.0,
@@ -176,6 +191,47 @@ class TestPPWave:
         assert sv.interior_max4(off_null) < 1e-6
 
 
+def walker_metric(n, shear):
+    """2 dx+ dx- + f(x+, y1) (dy1^2 + dy2^2) with x+ = X0 + shear X2 on the
+    coordinates (X0, x-, y1 = X2, y2).  d/dx- is parallel and null, its dual
+    dx+ = dX0 + shear dX2; the y1-dependent transverse block curves the
+    orthogonal complement, and a nonzero shear gives its spanning set a
+    non-unit component."""
+    def gfun(x0, xm, y1, y2):
+        xp = x0 + shear * y1
+        f = np.exp(0.7 * xp * y1 + 0.3 * y1**2) * (1.2 + 0.4 * np.sin(xp))
+        out = np.zeros(x0.shape + (4, 4))
+        out[..., 0, 1] = out[..., 1, 0] = 1.0
+        out[..., 1, 2] = out[..., 2, 1] = shear
+        out[..., 2, 2] = out[..., 3, 3] = f
+        return out
+
+    return Metric4Grid.from_metric_function(((0, 0.5),) * 4, n, gfun)
+
+
+def plane_wave_reference(g, null_axis=1):
+    """(perp_riemann, nabla_riemann) by the unoptimised formulas: one
+    5-operand einsum for the projection, and the full nabla Riem contracted
+    with the spanning set afterwards."""
+    u_cov = g.values[..., :, null_axis]
+    riem = np.einsum("...mk,...knps->...mnps", g.values, sv.riemann4_fd(g))
+    big = int(np.argmax([np.abs(u_cov[..., m]).max() for m in range(4)]))
+    perp = np.zeros(g.shape + (3, 4))
+    for a, m in enumerate(m for m in range(4) if m != big):
+        perp[..., a, m] = 1.0
+        perp[..., a, big] = -u_cov[..., m] / u_cov[..., big]
+    proj = np.einsum("...mnps,...am,...bn,...cp,...ds->...abcd",
+                     riem, perp, perp, perp, perp)
+    gamma = sv.christoffel_fd(g)
+    nab = fd.partials(g, riem)
+    nab = nab - np.einsum("...qlm,...qnps->...lmnps", gamma, riem)
+    nab = nab - np.einsum("...qln,...mqps->...lmnps", gamma, riem)
+    nab = nab - np.einsum("...qlp,...mnqs->...lmnps", gamma, riem)
+    nab = nab - np.einsum("...qls,...mnpq->...lmnps", gamma, riem)
+    directional = np.einsum("...lmnps,...al->...amnps", nab, perp)
+    return sv.interior_max4(proj), sv.interior_max4(directional)
+
+
 class TestPlaneWaveCheck:
     def test_log_solution_is_plane_wave(self):
         data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
@@ -197,3 +253,14 @@ class TestPlaneWaveCheck:
         g = Metric4Grid.from_metric_function(((0, 0.5),) * 4, 9, gfun)
         with pytest.raises(NullDirectionNotParallel):
             flow.plane_wave_check(g, null_axis=1, tol=1e-6)
+
+    @pytest.mark.parametrize("shear", [0.0, 0.6])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_projection_matches_full_derivative_reference(self, n, shear):
+        g = walker_metric(n, shear)
+        report = flow.plane_wave_check(g, tol=1e-6)
+        perp_riemann, nabla_riemann = plane_wave_reference(g)
+        assert perp_riemann > 0.1 and nabla_riemann > 0.1
+        assert abs(report["perp_riemann"] - perp_riemann) <= 1e-10 * perp_riemann
+        assert abs(report["nabla_riemann"] - nabla_riemann) <= 1e-10 * nabla_riemann
+        assert not report["passed"]

@@ -100,6 +100,28 @@ class TestCurvature:
         contracted = np.einsum("...knks->...ns", riem)
         assert np.abs(ric - contracted).max() < 1e-8
 
+    def test_ricci_is_trace_of_riemann_on_a_generic_metric(self):
+        # every metric entry varies, so each Gamma.Gamma product carries
+        # many nonzero terms.  The FD Ricci has an O(h^2) antisymmetric part
+        # (from d_i Gamma^m_mj), so the trace is taken over the slots that
+        # match ricci4_fd's index order, Ric_ij = R^m_jmi.
+        def gfun(t, x, y, z):
+            out = np.zeros(t.shape + (4, 4))
+            out[..., 0, 0] = -(1 + 0.3 * np.sin(x + y))
+            out[..., 1, 1] = 1 + 0.2 * t * z
+            out[..., 2, 2] = np.exp(0.4 * x * t)
+            out[..., 3, 3] = 1 + y**2
+            out[..., 1, 2] = out[..., 2, 1] = 0.1 * np.cos(t + z)
+            out[..., 0, 3] = out[..., 3, 0] = 0.05 * x * y
+            return out
+
+        g = Metric4Grid.from_metric_function(((0, 0.5),) * 4, 7, gfun)
+        ric = sv.ricci4_fd(g)
+        trace = np.einsum("...mjmi->...ij", sv.riemann4_fd(g))
+        scale = np.abs(ric).max()
+        assert scale > 0.5
+        assert np.abs(ric - trace).max() <= 1e-12 * scale
+
     def test_covariant_derivative_flat_is_partial(self):
         g = minkowski(n=9)
         tt, xx, _, _ = g.meshgrid()
