@@ -22,11 +22,9 @@ from . import grid as fd
 from . import frame_core as fc
 from . import spacetime_verifier as sv
 from .errors import CauchyPairsError, ConfigInvalid
-from .frame_core import DEFAULT_TOL, ShapeOperator
+from .frame_core import DEFAULT_TOL, THETA_MAX, ShapeOperator
 
 THETA_KEYS = ("uu", "ul", "un", "ll", "ln", "nn")
-# bound on |Theta| entries: the degree-3 residuals then stay inside binary64
-THETA_MAX = 1e100
 
 
 def _fail(msg: str):

@@ -68,9 +68,9 @@ def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndar
     return fd.covariant_derivative(grid, christoffel3_fd(grid, h), omega)
 
 
-# Nodes per x-slab of `constraint_residual_fd`: its working set is ~0.9 kB per
-# slab node, so ~120 MB, whatever the grid size.  Grids of up to 33^3 nodes
-# are one slab.
+# Nodes per x-slab of `constraint_residual_fd`: its traced working set is
+# ~649 B per window node (the slab's planes and its one-plane halo), so
+# ~90 MiB, whatever the grid size.  Grids of up to 33^3 nodes are one slab.
 SLAB_NODES = 2**17
 
 

@@ -75,10 +75,13 @@ def comoving_residual(
     theta = -0.5 * grid.grad(h, 0)
     # Theta_t(e_a)_i = theta_ij hinv^jk (e_a)_k, with the first slot metric-raised
     theta_e = e @ np.swapaxes(theta @ hinv, -1, -2)
+    del h, hinv, theta  # only theta_e is used below
 
     report = {}
-    ev = grid.grad(e, 0) + theta_e
+    ev = grid.grad(e, 0)
+    ev += theta_e
     report["evolution"] = interior_max4(ev, include_boundary)
+    del ev
 
     eu = e[..., 0, :]
     worst = 0.0
@@ -355,20 +358,23 @@ def plane_wave_check(
 
     # nabla_{v_a} R_{mnps} = v_a^l d_l R_{mnps} - Gamma^q_{am} R_{qnps}
     # - Gamma^q_{an} R_{mqps} - Gamma^q_{ap} R_{mnqs} - Gamma^q_{as} R_{mnpq}
-    # with Gamma^q_{ax} = v_a^l Gamma^q_{lx}: perp is applied to the derivative
-    # slot first, so the four Gamma terms act on (..., 3, 4, 4, 4, 4) arrays
-    # and the full nabla Riem is never formed
-    gamma = sv.christoffel_fd(g)
-    gam_perp = np.einsum("...al,...qlx->...axq", perp, gamma)  # [a, x, q]
-    gam_perp_b = gam_perp[..., :, None, :, :]
-    directional = perp @ fd.partials(g, riem).reshape(shape + (4, 256))
-    directional = directional.reshape(shape + (3,) + (4,) * 4)
-    directional -= (gam_perp @ riem.reshape(shape + (1, 4, 64))).reshape(directional.shape)
-    directional -= (gam_perp_b @ riem.reshape(shape + (1, 4, 4, 16))).reshape(directional.shape)
-    directional -= (gam_perp_b @ riem.reshape(shape + (1, 16, 4, 4))).reshape(directional.shape)
-    directional -= (riem.reshape(shape + (1, 64, 4))
-                    @ np.swapaxes(gam_perp, -1, -2)).reshape(directional.shape)
-    nabla_riemann = interior_max4(directional, include_boundary)
+    # with Gamma^q_{ax} = v_a^l Gamma^q_{lx}, one spanning vector at a time:
+    # v_a = e_{m_a} + c_a e_big gives v_a^l d_l R = d_{m_a} R + c_a d_big R, so
+    # three Riem-sized arrays (R, d_big R, the current term) and one gradient's
+    # temporaries set the peak; neither the 4^5 partials nor nabla Riem is formed
+    gam_perp = np.einsum("...al,...qlx->...axq", perp, sv.christoffel_fd(g))  # [a, x, q]
+    d_big = g.grad(riem, big)
+    nabla_riemann = 0.0
+    for a, m in enumerate(m for m in range(4) if m != big):
+        gam_a = gam_perp[..., a, :, :]
+        term = g.grad(riem, m)
+        term += perp[..., a, big, None, None, None, None] * d_big
+        term -= (gam_a @ riem.reshape(shape + (4, 64))).reshape(term.shape)
+        term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (4, 4, 16))).reshape(term.shape)
+        term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (16, 4, 4))).reshape(term.shape)
+        term -= (riem.reshape(shape + (64, 4)) @ np.swapaxes(gam_a, -1, -2)).reshape(term.shape)
+        nabla_riemann = max(nabla_riemann, interior_max4(term, include_boundary))
+        del term  # freed before the next gradient is built
 
     return {
         "nabla_null": u_res,

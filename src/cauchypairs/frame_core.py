@@ -18,6 +18,8 @@ U, L, N = 0, 1, 2
 AXES = (U, L, N)
 
 DEFAULT_TOL = 1e-9
+# bound on |Theta| float entries: the degree-3 residuals then stay inside binary64
+THETA_MAX = 1e100
 
 
 def _is_exact(x) -> bool:
@@ -79,8 +81,9 @@ class _Frozen:
 class ShapeOperator(_Frozen):
     """Symmetric 3x3 frame-component matrix of the shape operator.
 
-    Entries may be int/Fraction (exact mode) or float.  NaN/inf entries and
-    asymmetric input are rejected at construction.
+    Entries may be int/Fraction (exact mode) or float.  NaN/inf entries, float
+    entries above THETA_MAX in magnitude and asymmetric input are rejected at
+    construction.
     """
 
     __slots__ = ("entries",)
@@ -91,8 +94,10 @@ class ShapeOperator(_Frozen):
             raise CauchyPairsError("shape operator must be 3x3")
         for r in rows:
             for x in r:
-                if not _finite(x):
-                    raise CauchyPairsError("shape operator entries must be finite")
+                if not (_is_exact(x) or abs(x) <= THETA_MAX):
+                    raise CauchyPairsError(
+                        f"shape operator entries must be finite, with float "
+                        f"magnitude <= {THETA_MAX:g}")
         for a in AXES:
             for b in AXES:
                 if rows[a][b] != rows[b][a]:

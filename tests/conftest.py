@@ -1,4 +1,7 @@
-"""Shared samplers for admissible shape operators across the test suite."""
+"""Shared samplers for admissible shape operators across the test suite,
+and a traced-memory probe for the per-node memory tests."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn):
+    """The peak of the memory `fn()` allocates through Python, in bytes
+    (tracemalloc; arrays that exist before the call are not counted)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _nonzero(rng, lo=0.2, hi=3.0):

@@ -1,7 +1,5 @@
 """Tests for sampled-field calculus and the universal-cover construction."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,8 @@ from cauchypairs.errors import (
     WDerivativeVanishes,
     YZDependence,
 )
+
+from conftest import traced_peak
 
 BOX = ((0.0, 0.1), (0.0, 0.1), (0.0, 0.1))
 
@@ -196,13 +196,7 @@ class TestConstraintResidual:
 
     def test_residual_memory_is_bounded_by_the_slab(self):
         e, th = warped_realization(65)
-        tracemalloc.start()
-        try:
-            cf.constraint_residual_fd(e, th)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 170 * 2**20
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 170 * 2**20
 
     def test_christoffel_peak_memory_per_node(self):
         # the stacked partials are freed before the contraction: ~506 B per
@@ -211,13 +205,7 @@ class TestConstraintResidual:
         n = 33
         e, _ = warped_realization(n)
         h = cf.metric_from_coframe(e)
-        tracemalloc.start()
-        try:
-            cf.christoffel3_fd(e, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 600 * n**3
+        assert traced_peak(lambda: cf.christoffel3_fd(e, h)) < 600 * n**3
 
     def test_metric_from_coframe(self):
         e, _ = warped_realization(9, mu=0.5)

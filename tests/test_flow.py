@@ -13,6 +13,8 @@ from cauchypairs.errors import (
 from cauchypairs.flow import DiagonalFamily, FlowSolution, PPWaveData
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
 
+from conftest import traced_peak
+
 SMALL_BOX = ((0, 0.02), (0, 0.02), (0, 0.02))
 
 
@@ -83,6 +85,15 @@ class TestDiagonalSolution:
                                          ((0, 0.05),) * 3, n)
             res[n] = flow.comoving_residual(sol)["max"]
         assert res[33] < res[17] / 3
+
+    def test_comoving_residual_peak_memory_per_node(self):
+        # h, its inverse and Theta_t are freed once Theta_t(e_a) is built,
+        # and d_t e + Theta_t(e) once reduced: ~360 B per node against
+        # ~650 B with them alive
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
+        assert traced_peak(lambda: flow.comoving_residual(sol)) < 600 * 17**4
 
     def test_non_solution_detected(self):
         # e^{t + 2x} is not a function of the characteristic variable zeta
@@ -254,7 +265,18 @@ class TestPlaneWaveCheck:
         with pytest.raises(NullDirectionNotParallel):
             flow.plane_wave_check(g, null_axis=1, tol=1e-6)
 
-    @pytest.mark.parametrize("shear", [0.0, 0.6])
+    def test_peak_memory_per_node(self):
+        # nabla Riem is reduced one spanning vector at a time: ~9.5 kB per
+        # node against ~18 kB with the 4^5 partials and the (3, 4^4)
+        # directional derivative alive
+        data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
+        shape = (33, 5, 5, 5)
+        g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), shape)
+        assert traced_peak(lambda: flow.plane_wave_check(g, tol=1e-5)) < 12e3 * np.prod(shape)
+
+    # shear 1.5 > 1 moves the eliminated coordinate to y1 (the null covector
+    # is dX0 + 1.5 dX2), between the kept axes
+    @pytest.mark.parametrize("shear", [0.0, 0.6, 1.5])
     @pytest.mark.parametrize("n", [5, 7])
     def test_projection_matches_full_derivative_reference(self, n, shear):
         g = walker_metric(n, shear)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchypairs import frame_core as fc
+from cauchypairs import classifier, frame_core as fc
 from cauchypairs.errors import CauchyPairsError
 from cauchypairs.frame_core import ShapeOperator, StructureData
 
@@ -44,6 +44,20 @@ class TestShapeOperator:
             ShapeOperator.from_components(uu=float("nan"))
         with pytest.raises(CauchyPairsError):
             ShapeOperator.from_components(ul=float("inf"))
+
+    def test_rejects_float_entries_beyond_theta_max(self):
+        # at the bound the degree-2 and degree-3 quantities stay in binary64
+        at_bound = ShapeOperator.from_components(ll=fc.THETA_MAX)
+        assert math.isfinite(fc.ricci_frame(at_bound)[0][1][1])
+        fc.codazzi_predicate_conditions(at_bound)
+        classifier.classify(at_bound)
+        # beyond it ricci_frame and codazzi_predicate_conditions would
+        # overflow and classify would meet a singular matrix, so the operator
+        # cannot be built; exact entries have no bound
+        for big in (1e200, -1e101):
+            with pytest.raises(CauchyPairsError, match="magnitude"):
+                ShapeOperator.from_components(ll=big)
+        assert ShapeOperator.from_components(ll=10**200).ll == 10**200
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(CauchyPairsError):
