@@ -153,7 +153,7 @@ def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
         return fd.interior_max(np.moveaxis(res[out], 0, 2), 2, include_boundary)
 
     # Theta(e_a) = sum_b theta_ab e_b, coordinate components
-    theta_e = np.einsum("...ab,...bi->...ai", th, e)
+    theta_e = th @ e
     eu = e[..., 0, :]
 
     # each residual is built inside its norm() call, so no term of an earlier
@@ -168,7 +168,7 @@ def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
     h = metric_from_coframe(window)
     report["covariant_u"] = norm(
         covariant_derivative_covector(window, h, eu)
-        + np.einsum("...ab,...ai,...bj->...ij", th, e, e)
+        + np.swapaxes(e, -1, -2) @ theta_e  # theta_ab (e_a)_i (e_b)_j
         - theta_e[..., 0, :, None] * eu[..., None, :]
     )
     report["covariant_l"] = norm(

@@ -71,7 +71,7 @@ def comoving_residual(
     fd.require_regular(e, degeneracy_tol)
 
     h = sol.spatial_metric()
-    hinv = np.linalg.inv(h)
+    hinv = fd.inverse(h)
     theta = -0.5 * grid.grad(h, 0)
     # Theta_t(e_a)_i = theta_ij hinv^jk (e_a)_k, with the first slot metric-raised
     theta_e = e @ np.swapaxes(theta @ hinv, -1, -2)

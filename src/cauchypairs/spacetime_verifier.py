@@ -59,7 +59,7 @@ class Metric4Grid(Grid4):
         return cls(base.box, base.values, **kw)
 
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.values)
+        return fd.inverse(self.values)
 
 
 def christoffel_fd(g: Metric4Grid) -> np.ndarray:
@@ -177,7 +177,7 @@ def parallel_pair_residual(
         raise PairAlgebraViolated("l must be a purely spatial representative")
 
     lam, h, theta = gh_decomposition(g)
-    hinv = np.linalg.inv(h)
+    hinv = fd.inverse(h)
     u0 = pair.u[..., 0] / lam
     if np.any(np.abs(u0) < 1e-14):
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")
@@ -214,7 +214,7 @@ def general_flow_residual(
     """
     if np.any(lam == 0):
         raise LambdaVanishes("lambda vanishes on the grid")
-    hinv = np.linalg.inv(h)
+    hinv = fd.inverse(h)
     theta = -grid.grad(h, 0) / (2 * lam[..., None, None])
 
     def sharp(cov):

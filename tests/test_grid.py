@@ -199,3 +199,97 @@ class TestWindow:
     def test_like_rejects_another_grid_shape(self):
         with pytest.raises(GridInvalid):
             FieldGrid(self.BOX, np.zeros((9, 5, 5))).like(np.zeros((7, 5, 5)))
+
+
+def spd_batch(rng, shape, n=3):
+    """Dense symmetric positive definite n x n blocks over `shape`."""
+    a = rng.standard_normal(shape + (n, n))
+    return a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(n)
+
+
+class TestClosedForms:
+    """The 3x3 closed-form inverse and determinant: accurate on dense blocks,
+    exact under power-of-two rescaling, and never inf or NaN."""
+
+    def test_inverse_of_dense_spd_blocks(self, rng):
+        m = spd_batch(rng, (7, 6, 5))
+        residual = m @ fd.inverse(m) - np.eye(3)
+        assert np.abs(residual).max() <= 1e-12
+
+    # at |k| = 600 the unscaled closed form would overflow or underflow
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_power_of_two_rescaling_is_exact(self, rng, k):
+        m = spd_batch(rng, (50,))
+        np.testing.assert_array_equal(fd.inverse(2.0**k * m), fd.inverse(m) / 2.0**k)
+        if abs(k) <= 300:
+            np.testing.assert_array_equal(fd.det(2.0**k * m), fd.det(m) * 2.0 ** (3 * k))
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]),
+        np.full((3, 3), np.inf),
+    ])
+    def test_singular_node_raises(self, rng, bad):
+        m = spd_batch(rng, (4, 5))
+        m[2, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            fd.inverse(m)
+
+    def test_unrepresentable_inverse_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            fd.inverse(np.eye(3) * 1e-310)
+
+    def test_det_matches_lapack(self, rng):
+        m = spd_batch(rng, (40, 30))
+        ref = np.linalg.det(m)
+        assert np.all(np.abs(fd.det(m) - ref) <= 1e-13 * np.abs(ref))
+
+    def test_4x4_blocks_go_through_lapack(self, rng, monkeypatch):
+        calls = []
+        lapack = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or lapack(m))
+        g = spd_batch(rng, (5, 6), 4)
+        g[..., 0, 0] -= 2 * np.abs(g).sum(axis=(-2, -1))  # one negative eigenvalue
+        eig = np.linalg.eigvalsh(g)
+        assert np.all((eig[..., 0] < 0) & (eig[..., 1] > 0))
+        np.testing.assert_array_equal(fd.inverse(g), lapack(g))
+        fd.inverse(spd_batch(rng, (5, 6)))
+        assert calls == [(5, 6, 4, 4)]
+
+
+class TestDenseChristoffel:
+    """The batched matmul contraction of `christoffel` against an einsum
+    reference on dense, non-diagonal metrics, where the two sum in different
+    orders; the sparse fixture coframes cannot tell them apart."""
+
+    @staticmethod
+    def reference(grid, metric):
+        dg = fd.partials(grid, metric)
+        sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+        return 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(metric), sym)
+
+    @staticmethod
+    def dense_metric(grid, n, sign):
+        mesh = grid.meshgrid()
+        a = np.empty(grid.shape + (n, n))
+        for i in range(n):
+            for j in range(n):
+                phase = sum((i + c + 1) * (j + 2) * x for c, x in enumerate(mesh))
+                a[..., i, j] = np.sin(phase + i * j) / n
+        g = a @ np.swapaxes(a, -1, -2) + np.eye(n)
+        g[..., 0, 0] *= sign
+        return g
+
+    @pytest.mark.parametrize("cls, box, n, sign", [
+        (FieldGrid, BOX3, 3, 1.0),
+        (Grid4, BOX4, 4, -1.0),
+    ])
+    def test_matches_einsum_reference(self, cls, box, n, sign):
+        grid = cls.from_function(box, 7, lambda *x: 0.0 * x[0])
+        metric = self.dense_metric(grid, n, sign)
+        if sign < 0:
+            Metric4Grid(box, metric)  # the signature is Lorentzian
+        gam = fd.christoffel(grid, metric)
+        ref = self.reference(grid, metric)
+        assert np.all(ref != 0.0)
+        assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
