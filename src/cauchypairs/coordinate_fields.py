@@ -128,24 +128,13 @@ def constraint_residual_fd(
         out = slice(max(a, lo) - start, min(b, hi) - start)
         parts.append(_slab_residuals(coframe.window(start, stop), th[start:stop], out,
                                      include_boundary))
-    slab_max = {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
-
-    report = {key: slab_max[key] for key in ("exterior_u", "exterior_l", "exterior_n")}
-    report["exterior_max"] = max(0.0, *report.values())
-    for key in ("theta_eu_closed", "covariant_u", "covariant_l"):
-        report[key] = slab_max[key]
-    report["max"] = max(
-        report["exterior_max"],
-        report["theta_eu_closed"],
-        report["covariant_u"],
-        report["covariant_l"],
-    )
-    return report
+    # NaN propagates through np.max, so a NaN in any slab reaches the report
+    return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
 def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
-    """The residual maxima of `constraint_residual_fd` over the planes `out`
-    of one x-window, each taken without the y and z collars."""
+    """The report of `constraint_residual_fd` over the planes `out` of one
+    x-window, each maximum taken without the y and z collars."""
     e = window.values
 
     def norm(res):
@@ -158,13 +147,7 @@ def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
 
     # each residual is built inside its norm() call, so no term of an earlier
     # one is alive while a Christoffel set is built
-    report = {}
-    for a, name in enumerate(("u", "l", "n")):
-        report[f"exterior_{name}"] = norm(
-            fd_exterior_derivative(window.like(e[..., a, :])).values
-            - fd.wedge(theta_e[..., a, :], eu)
-        )
-    report["theta_eu_closed"] = norm(fd_exterior_derivative(window.like(theta_e[..., 0, :])).values)
+    report = fd.exterior_system(window, e, theta_e, norm)
     h = metric_from_coframe(window)
     report["covariant_u"] = norm(
         covariant_derivative_covector(window, h, eu)
@@ -175,6 +158,7 @@ def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
         covariant_derivative_covector(window, h, e[..., 1, :])
         - theta_e[..., 1, :, None] * eu[..., None, :]
     )
+    report["max"] = float(np.max(list(report.values())))
     return report
 
 

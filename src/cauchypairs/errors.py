@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import numpy as np
+
 
 class CauchyPairsError(Exception):
     """Base class for all toolkit errors."""
@@ -35,6 +37,10 @@ class DegenerateCoframe(CauchyPairsError):
     def __init__(self, message, nodes=None):
         super().__init__(message)
         self.nodes = nodes or []
+
+
+class SingularMatrix(CauchyPairsError, np.linalg.LinAlgError):
+    """A batched matrix inverse is singular or not representable at some node."""
 
 
 class MixedConditionViolated(CauchyPairsError):

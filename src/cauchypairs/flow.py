@@ -7,7 +7,6 @@ coordinates (x+, x-, y1, y2), and the plane-wave criterion for the latter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +38,6 @@ class FlowSolution:
 
     def spatial_metric(self) -> np.ndarray:
         return fd.coframe_metric(self.coframe.values)
-
-    def theta(self) -> np.ndarray:
-        return -0.5 * self.coframe.grad(self.spatial_metric(), 0)
 
     def metric4(self, check_signature: bool = False) -> Metric4Grid:
         """The comoving development metric -dt (x) dt + h_t on the same grid."""
@@ -83,28 +79,13 @@ def comoving_residual(
     report["evolution"] = interior_max4(ev, include_boundary)
     del ev
 
-    eu = e[..., 0, :]
-    worst = 0.0
-    for a, name in enumerate(("u", "l", "n")):
-        de = fd.exterior_derivative(grid, e[..., a, :], SPATIAL_AXES)
-        res = de - fd.wedge(theta_e[..., a, :], eu)
-        val = interior_max4(res, include_boundary)
-        report[f"exterior_{name}"] = val
-        worst = max(worst, val)
-    report["exterior_max"] = worst
-
-    report["theta_eu_closed"] = interior_max4(
-        fd.exterior_derivative(grid, theta_e[..., 0, :], SPATIAL_AXES), include_boundary
-    )
+    report.update(fd.exterior_system(
+        grid, e, theta_e, lambda res: interior_max4(res, include_boundary), SPATIAL_AXES
+    ))
     report["theta_eu_static"] = interior_max4(
         grid.grad(theta_e[..., 0, :], 0), include_boundary
     )
-    report["max"] = max(
-        report["evolution"],
-        report["exterior_max"],
-        report["theta_eu_closed"],
-        report["theta_eu_static"],
-    )
+    report["max"] = float(np.max(list(report.values())))  # NaN propagates
     return report
 
 

@@ -255,6 +255,6 @@ def general_flow_residual(
     du0 = fd.partials(grid, u0, SPATIAL_AXES)
     report["derived_du0"] = interior_max4(du0 + theta_of(u_perp), include_boundary)
 
-    report["max"] = max(report.values())
+    report["max"] = float(np.max(list(report.values())))  # NaN propagates
     return report
 

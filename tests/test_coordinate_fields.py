@@ -6,6 +6,7 @@ import pytest
 from cauchypairs import coordinate_fields as cf
 from cauchypairs.coordinate_fields import FieldGrid, UniversalCoverData
 from cauchypairs.errors import (
+    CauchyPairsError,
     DegenerateCoframe,
     GridInvalid,
     GridTooSmall,
@@ -167,6 +168,29 @@ class TestConstraintResidual:
         with pytest.raises(DegenerateCoframe) as err:
             cf.constraint_residual_fd(e.like(vals), th)
         assert err.value.nodes == [(3, 3, 3)]
+
+    # past 1e+-154 the squared row norms over- or underflow; the Hadamard test
+    # still passes the regular rows, and the metric inverse fails typed
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e155, 1e200])
+    def test_regular_coframe_past_the_norm_range(self, c):
+        e, th = warped_realization(9)
+        with np.errstate(all="ignore"), pytest.raises(CauchyPairsError) as err:
+            cf.constraint_residual_fd(e.like(c * e.values), th)
+        assert not isinstance(err.value, DegenerateCoframe)
+        vals = c * e.values
+        vals[3, 3, 3, 1] = 0.0
+        with pytest.raises(DegenerateCoframe) as err:
+            cf.constraint_residual_fd(e.like(vals), th)
+        assert err.value.nodes == [(3, 3, 3)]
+
+    def test_nan_reaches_the_max(self):
+        # at 1e154 the Christoffel product overflows to NaN in both covariant
+        # residuals while the exterior residuals stay finite
+        e, th = warped_realization(9)
+        with np.errstate(all="ignore"):
+            report = cf.constraint_residual_fd(e.like(1e154 * e.values), th)
+        assert np.isnan(report["covariant_u"]) and np.isfinite(report["exterior_max"])
+        assert np.isnan(report["max"])
 
     def test_mismatched_theta_grid_rejected(self):
         e, _ = warped_realization(9)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cauchypairs import coordinate_fields as cf
+from cauchypairs import flow
 from cauchypairs import grid as fd
 from cauchypairs.coordinate_fields import FieldGrid
-from cauchypairs.errors import CauchyPairsError, GridInvalid, GridTooSmall
+from cauchypairs.errors import CauchyPairsError, GridInvalid, GridTooSmall, SingularMatrix
 from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
@@ -142,7 +143,8 @@ class TestSliceKernels:
         e[..., 2, 2] = np.exp(-yy)
         e[..., 2, 0] = 0.2 * zz
         omega = np.stack([np.sin(xx + yy), xx * zz**2, np.cos(zz) * yy], axis=-1)
-        return g3, cf.metric_from_coframe(g3.like(e)), omega
+        coframe = g3.like(e)
+        return coframe, cf.metric_from_coframe(coframe), omega
 
     def test_christoffel_and_covariant_derivative_per_slice(self):
         g3, h, omega = self.fields()
@@ -159,6 +161,18 @@ class TestSliceKernels:
             np.testing.assert_array_equal(gamma4[t], gamma3)
             np.testing.assert_array_equal(nab4[t], nab3)
             np.testing.assert_array_equal(d4[t], d3)
+
+    def test_comoving_exterior_system_matches_the_3d_constraint(self):
+        # a t-independent stack has Theta_t = 0 exactly at the one interior
+        # t-plane of 5, the only one left once the collar is cut
+        coframe, _, _ = self.fields()
+        e = coframe.values
+        sol = flow.FlowSolution((0.0, 1.0), Grid4(BOX4, np.broadcast_to(e, (5,) + e.shape)))
+        r4 = flow.comoving_residual(sol)
+        r3 = cf.constraint_residual_fd(coframe, coframe.like(np.zeros(e.shape)))
+        keys = ("exterior_u", "exterior_l", "exterior_n", "exterior_max", "theta_eu_closed")
+        assert [r4[k].hex() for k in keys] == [r3[k].hex() for k in keys]
+        assert min(r3[k] for k in keys[:3]) > 0
 
     def test_collar_over_grid_axes_only(self):
         v = np.zeros((9, 9, 3))
@@ -234,6 +248,13 @@ class TestClosedForms:
         m[2, 3] = bad
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             fd.inverse(m)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_singular_matrix_is_typed(self, n):
+        with pytest.raises(SingularMatrix) as err:
+            fd.inverse(np.zeros((2, n, n)))
+        assert isinstance(err.value, CauchyPairsError)
+        assert isinstance(err.value, np.linalg.LinAlgError)
 
     def test_unrepresentable_inverse_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
