@@ -9,8 +9,6 @@ are those of `cauchypairs.grid`, shared with the 4D modules.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import sqrtm
 
 from . import grid as fd
 from .errors import (
@@ -167,6 +165,13 @@ def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def spd_sqrt(m) -> np.ndarray:
+    """The symmetric positive definite square root of each trailing SPD
+    block of `m`, v diag(sqrt(w)) v^T from its eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
 class UniversalCoverData:
     """Ingredients of the metric e^{2u} dx (x) dx + h_x on R^3.
 
@@ -199,7 +204,7 @@ class UniversalCoverData:
         """Rows (e_l, e_n) of a square-root factorization satisfying the
         mixed condition; symmetric SPD root, then a rotation repair."""
         x = self.u_grid.axis(0)
-        root = np.array([np.real(sqrtm(m)) for m in self.hx_samples])
+        root = spd_sqrt(self.hx_samples)
         defect = self._mixed_defect(x, root)
         scale = max(1.0, float(np.abs(root).max()))
         # the defect is measured with second-order finite differences, so it
@@ -210,7 +215,7 @@ class UniversalCoverData:
         if np.abs(defect).max() > threshold:
             # rotating the rows by phi(x) shifts the defect by +/- 2 phi'(x)
             # depending on orientation; keep the better of the two signs
-            phi = 0.5 * cumulative_trapezoid(defect, x, initial=0.0)
+            phi = 0.5 * fd.cumulative_trapezoid(defect, x)
             candidates = []
             for sign in (1.0, -1.0):
                 c, s = np.cos(sign * phi), np.sin(sign * phi)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import grid as fd
 from . import spacetime_verifier as sv
@@ -138,7 +137,7 @@ def _diag_profiles(fam: DiagonalFamily, grid: Grid4):
         if fam.a_primitive is not None:
             prim = np.array([float(fam.a_primitive(xi)) for xi in x])
         else:
-            prim = cumulative_simpson(a_x, x=x, initial=0.0)
+            prim = fd.cumulative_simpson(a_x, x)
             h = grid.spacing[1]
             d4 = np.gradient(np.gradient(np.gradient(np.gradient(
                 a_x, h), h), h), h)
@@ -342,14 +341,18 @@ def plane_wave_check(
     # with Gamma^q_{ax} = v_a^l Gamma^q_{lx}, one spanning vector at a time:
     # v_a = e_{m_a} + c_a e_big gives v_a^l d_l R = d_{m_a} R + c_a d_big R, so
     # three Riem-sized arrays (R, d_big R, the current term) and one gradient's
-    # temporaries set the peak; neither the 4^5 partials nor nabla Riem is formed
+    # temporaries set the peak; neither the 4^5 partials nor nabla Riem is formed.
+    # Where every c_a is zero (-0.0 on a pp-wave's null covector) d_big R is
+    # neither built nor added: wherever it is finite, adding c_a d_big R = +-0
+    # changes no magnitude
     gam_perp = np.einsum("...al,...qlx->...axq", perp, sv.christoffel_fd(g))  # [a, x, q]
-    d_big = g.grad(riem, big)
+    d_big = g.grad(riem, big) if np.any(perp[..., big]) else None
     nabla_riemann = 0.0
     for a, m in enumerate(m for m in range(4) if m != big):
         gam_a = gam_perp[..., a, :, :]
         term = g.grad(riem, m)
-        term += perp[..., a, big, None, None, None, None] * d_big
+        if d_big is not None:
+            term += perp[..., a, big, None, None, None, None] * d_big
         term -= (gam_a @ riem.reshape(shape + (4, 64))).reshape(term.shape)
         term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (4, 4, 16))).reshape(term.shape)
         term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (16, 4, 4))).reshape(term.shape)

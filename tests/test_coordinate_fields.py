@@ -242,6 +242,44 @@ class TestConstraintResidual:
         assert np.allclose(h[..., 0, 1], 0.0)
 
 
+def rotating_hx(x):
+    """A transverse metric whose eigenframe turns with x."""
+    c, s = np.cos(0.3 * x), np.sin(0.3 * x)
+    r = np.array([[c, -s], [s, c]])
+    return r @ np.diag([np.exp(2 * x), np.exp(-x)]) @ r.T
+
+
+class TestSpdSqrt:
+    """The batched eigendecomposition root against scipy's sqrtm, which
+    serves only as the oracle."""
+
+    @staticmethod
+    def sqrtm(blocks):
+        linalg = pytest.importorskip("scipy.linalg")
+        return np.array([np.real(linalg.sqrtm(m)) for m in blocks])
+
+    @staticmethod
+    def relative(root, ref):
+        def frobenius(m):
+            return np.sqrt((m**2).sum(axis=(-2, -1)))
+        return (frobenius(root - ref) / frobenius(ref)).max()
+
+    def test_bit_identical_on_conformal_blocks(self):
+        # the universal fixture's transverse metric e^{2x} I
+        blocks = np.exp(2 * np.linspace(0, 0.02, 33))[:, None, None] * np.eye(2)
+        assert cf.spd_sqrt(blocks).tobytes() == self.sqrtm(blocks).tobytes()
+
+    def test_random_spd_batch(self, rng):
+        a = rng.standard_normal((2000, 2, 2))
+        blocks = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(2)
+        assert self.relative(cf.spd_sqrt(blocks), self.sqrtm(blocks)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [33, 65])
+    def test_rotating_family(self, n):
+        blocks = np.array([rotating_hx(x) for x in np.linspace(0, 0.1, n)])
+        assert self.relative(cf.spd_sqrt(blocks), self.sqrtm(blocks)) <= 1e-15
+
+
 class TestUniversalCover:
     def scalar_grid(self, n=33, box=((0, 0.02),) * 3):
         return FieldGrid.from_function(box, n, lambda x, y, z: 0.0 * x)
@@ -286,16 +324,11 @@ class TestUniversalCover:
         assert report["max"] < 1e-6
 
     def test_rotating_family_repair_converges(self):
-        def hx(x):
-            c, s = np.cos(0.3 * x), np.sin(0.3 * x)
-            r = np.array([[c, -s], [s, c]])
-            return r @ np.diag([np.exp(2 * x), np.exp(-x)]) @ r.T
-
         residuals = {}
         for n in (33, 65):
             g = FieldGrid.from_function(((0, 0.1),) * 3, (n, 5, 5),
                                         lambda x, y, z: 0.0 * x)
-            data = UniversalCoverData(g, hx=hx, F=lambda x: 0.0)
+            data = UniversalCoverData(g, hx=rotating_hx, F=lambda x: 0.0)
             theta = cf.build_universal_theta(data)
             report = cf.constraint_residual_fd(data.coframe_grid(), theta)
             residuals[n] = report["max"]

@@ -274,6 +274,23 @@ class TestPlaneWaveCheck:
         g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), shape)
         assert traced_peak(lambda: flow.plane_wave_check(g, tol=1e-5)) < 12e3 * np.prod(shape)
 
+    @pytest.mark.parametrize("shear, derivative_axes", [(0.0, [1, 2, 3]), (0.6, [0, 1, 2, 3])])
+    def test_eliminated_axis_derivative_only_where_needed(self, monkeypatch, shear,
+                                                          derivative_axes):
+        # a pp-wave's spanning vectors have no component along the eliminated
+        # axis (-0.0), so Riem is differentiated along the other three only
+        calls = []
+        grad = Metric4Grid.grad
+
+        def counting_grad(self, values, axis):
+            if values.ndim == 8:  # the Riemann tensor on the 4 grid axes
+                calls.append(axis)
+            return grad(self, values, axis)
+
+        monkeypatch.setattr(Metric4Grid, "grad", counting_grad)
+        flow.plane_wave_check(walker_metric(5, shear), tol=1e-6)
+        assert sorted(calls) == derivative_axes
+
     # shear 1.5 > 1 moves the eliminated coordinate to y1 (the null covector
     # is dX0 + 1.5 dX2), between the kept axes
     @pytest.mark.parametrize("shear", [0.0, 0.6, 1.5])

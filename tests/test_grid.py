@@ -314,3 +314,34 @@ class TestDenseChristoffel:
         ref = self.reference(grid, metric)
         assert np.all(ref != 0.0)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestQuadrature:
+    """The trapezoid and Simpson primitives are scipy's, bit for bit; scipy
+    serves only as the oracle."""
+
+    @staticmethod
+    def nodes(n, uniform, rng):
+        if uniform:
+            return np.linspace(-0.3, 0.7, n)
+        return np.sort(rng.uniform(-0.3, 0.7, n))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 17, 34])
+    def test_match_scipy_bit_for_bit(self, rng, n, uniform):
+        integrate = pytest.importorskip("scipy.integrate")
+        x = self.nodes(n, uniform, rng)
+        for y in (rng.standard_normal(n), np.exp(x), -np.zeros(n)):
+            ref = integrate.cumulative_trapezoid(y, x, initial=0.0)
+            assert fd.cumulative_trapezoid(y, x).tobytes() == ref.tobytes()
+            ref = integrate.cumulative_simpson(y, x=x, initial=0.0)
+            assert fd.cumulative_simpson(y, x).tobytes() == ref.tobytes()
+
+    def test_simpson_is_exact_on_quadratics(self, rng):
+        x = self.nodes(9, False, rng)
+        prim = fd.cumulative_simpson(3 * x**2 - x + 2, x)
+
+        def exact(s):
+            return s**3 - s**2 / 2 + 2 * s
+
+        np.testing.assert_allclose(prim, exact(x) - exact(x[0]), rtol=0, atol=1e-14)
