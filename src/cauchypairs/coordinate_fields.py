@@ -38,7 +38,8 @@ def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     """Exterior derivative of a covector grid: (d omega)_ij = d_i omega_j - d_j omega_i."""
     if grid.component_shape != (3,):
         raise GridInvalid("fd_exterior_derivative expects a covector grid")
-    return grid.like(fd.exterior_derivative(grid, grid.values))
+    d = fd.exterior_derivative(grid, fd.to_planes(grid.values, grid.ndim))
+    return grid.like(fd.from_planes(d, grid.ndim))
 
 
 def fd_dd_residual(grid: FieldGrid, include_boundary: bool = False) -> float:
@@ -52,24 +53,30 @@ def fd_dd_residual(grid: FieldGrid, include_boundary: bool = False) -> float:
 
 
 def metric_from_coframe(coframe: FieldGrid) -> np.ndarray:
-    """h_ij = sum_a (e_a)_i (e_a)_j for a coframe grid of shape (..., 3 frames, 3)."""
-    return fd.coframe_metric(coframe.values)
+    """h_ij = sum_a (e_a)_i (e_a)_j of a coframe grid (..., 3 frames, 3), as
+    component planes (i, j, x, y, z)."""
+    return fd.coframe_metric(fd.to_planes(coframe.values, coframe.ndim))
 
 
-def christoffel3_fd(grid: FieldGrid, h: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij of a 3-metric grid by central differences."""
-    return fd.christoffel(grid, h)
+def christoffel3_fd(grid: FieldGrid, h: np.ndarray, own=slice(None)) -> np.ndarray:
+    """Christoffel symbols Gamma^k_ij of a 3-metric by central differences.
+    `h` and the result are component planes, (i, j, x, y, z) and
+    (k, i, j, x, y, z); the result covers the x-planes `own` of the grid."""
+    return fd.plane_christoffel(grid, h, own=own)
 
 
 def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """(nabla omega)_{ij} = d_i omega_j - Gamma^k_ij omega_k for a covector grid."""
-    return fd.covariant_derivative(grid, christoffel3_fd(grid, h), omega)
+    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a covector, with
+    `h`, `omega` and the result as component planes."""
+    return fd.plane_covariant_derivative(christoffel3_fd(grid, h),
+                                         fd.plane_partials(grid, omega), omega)
 
 
 # Nodes per x-slab of `constraint_residual_fd`: its traced working set is
-# ~649 B per window node (the slab's planes and its one-plane halo), so
-# ~90 MiB, whatever the grid size.  Grids of up to 33^3 nodes are one slab.
-SLAB_NODES = 2**17
+# ~890 B per node of a slab's own planes, ~780 B per window node (own planes
+# and one-plane halo) at n = 65, so 53 MiB at n = 65 and 71 MiB at n = 129
+# (four-plane slabs).  Grids of up to 33^3 nodes are one slab.
+SLAB_NODES = 2**16
 
 
 def _slabs(shape):
@@ -107,15 +114,13 @@ def constraint_residual_fd(
     x-slab at a time (`SLAB_NODES`), each on its planes plus a one-plane
     halo, and the slab maxima are bit-identical to a whole-grid evaluation.
     """
-    e = coframe.values
-    th = theta.values
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
     if theta.shape != coframe.shape:
         raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
 
     slabs = _slabs(coframe.shape)
-    fd.require_regular(e, degeneracy_tol, slabs)
+    fd.require_regular(coframe.values, degeneracy_tol, slabs)
 
     # the x collar is cut once, in global indices; the y and z collars per slab
     nx = coframe.shape[0]
@@ -123,39 +128,52 @@ def constraint_residual_fd(
     parts = []
     for a, b in slabs:
         start, stop = max(a - 1, 0), min(b + 1, nx)
-        out = slice(max(a, lo) - start, min(b, hi) - start)
-        parts.append(_slab_residuals(coframe.window(start, stop), th[start:stop], out,
-                                     include_boundary))
+        own = slice(a - start, b - start)
+        out = slice(max(a, lo) - a, min(b, hi) - a)
+        parts.append(_slab_residuals(coframe.window(start, stop), theta.values[start:stop],
+                                     own, out, include_boundary))
     # NaN propagates through np.max, so a NaN in any slab reaches the report
     return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
-def _slab_residuals(window: FieldGrid, th, out, include_boundary) -> dict:
-    """The report of `constraint_residual_fd` over the planes `out` of one
-    x-window, each maximum taken without the y and z collars."""
-    e = window.values
+def _slab_residuals(window: FieldGrid, th, own, out, include_boundary) -> dict:
+    """The report of `constraint_residual_fd` over the planes `out` of the
+    slab's own planes `own` of one x-window, each maximum taken without the
+    y and z collars.  The halo planes carry only what an x-derivative reads:
+    e, Theta(e_u) and h.  Every other term lives on the slab's own planes."""
+    yz = slice(None) if include_boundary else slice(2, -2)
 
     def norm(res):
-        # x moved behind (y, z), so the collar of `fd.interior_max` cuts y and z only
-        return fd.interior_max(np.moveaxis(res[out], 0, 2), 2, include_boundary)
+        return float(np.abs(res[..., out, yz, yz]).max())
 
-    # Theta(e_a) = sum_b theta_ab e_b, coordinate components
-    theta_e = th @ e
-    eu = e[..., 0, :]
+    e = fd.to_planes(window.values, 3)  # e[a, j] = (e_a)_j on the window
+    e_own = e[:, :, own]
+    eu = e_own[0]
+    # Theta(e_a) = sum_b theta_ab e_b in coordinate components
+    theta_e = fd.plane_matmul(fd.to_planes(th[own], 3), e_own)
 
-    # each residual is built inside its norm() call, so no term of an earlier
-    # one is alive while a Christoffel set is built
-    report = fd.exterior_system(window, e, theta_e, norm)
-    h = metric_from_coframe(window)
-    report["covariant_u"] = norm(
-        covariant_derivative_covector(window, h, eu)
-        + np.swapaxes(e, -1, -2) @ theta_e  # theta_ab (e_a)_i (e_b)_j
-        - theta_e[..., 0, :, None] * eu[..., None, :]
+    # the covariant forms come first, while only the partials of e_u and e_l
+    # are alive; each Christoffel set is built inside its norm() call, so no
+    # term of an earlier one is alive while the next is built
+    h = fd.coframe_metric(e)
+    de_u, de_l = (fd.plane_partials(window, e[a], own=own) for a in (0, 1))  # d_i (e_a)_j
+    covariant_u = norm(
+        fd.plane_covariant_derivative(christoffel3_fd(window, h, own), de_u, eu)
+        + fd.plane_matmul(np.swapaxes(e_own, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
+        - theta_e[0][:, None] * eu[None, :]
     )
-    report["covariant_l"] = norm(
-        covariant_derivative_covector(window, h, e[..., 1, :])
-        - theta_e[..., 1, :, None] * eu[..., None, :]
+    covariant_l = norm(
+        fd.plane_covariant_derivative(christoffel3_fd(window, h, own), de_l, e_own[1])
+        - theta_e[1][:, None] * eu[None, :]
     )
+    del h
+
+    # Theta(e_u) feeds a derivative, so it spans the window
+    theta_eu = fd.plane_matmul(fd.to_planes(th[..., :1, :], 3), e)[0]
+    report = fd.exterior_system((de_u, de_l, fd.plane_partials(window, e[2], own=own)), eu,
+                                theta_e, fd.plane_partials(window, theta_eu, own=own), norm)
+    report["covariant_u"] = covariant_u
+    report["covariant_l"] = covariant_l
     report["max"] = float(np.max(list(report.values())))
     return report
 

@@ -36,7 +36,9 @@ class FlowSolution:
     meta: dict = field(default_factory=dict)
 
     def spatial_metric(self) -> np.ndarray:
-        return fd.coframe_metric(self.coframe.values)
+        """h_ij = sum_a (e_a)_i (e_a)_j, grid-major."""
+        e = fd.to_planes(self.coframe.values, self.coframe.ndim)
+        return fd.from_planes(fd.coframe_metric(e), self.coframe.ndim)
 
     def metric4(self, check_signature: bool = False) -> Metric4Grid:
         """The comoving development metric -dt (x) dt + h_t on the same grid."""
@@ -62,28 +64,35 @@ def comoving_residual(
     the row norms |e_a| (Hadamard's bound), a test invariant under e -> c e.
     """
     grid = sol.coframe
-    e = grid.values
-    fd.require_regular(e, degeneracy_tol)
+    fd.require_regular(grid.values, degeneracy_tol)
+    e = fd.to_planes(grid.values, grid.ndim)  # e[a, i] = (e_a)_i
 
-    h = sol.spatial_metric()
-    hinv = fd.inverse(h)
-    theta = -0.5 * grid.grad(h, 0)
+    def norm(res):
+        return interior_max4(fd.from_planes(res, grid.ndim), include_boundary)
+
+    h = fd.coframe_metric(e)
+    hinv = fd.plane_inverse(h)
+    theta = grid.plane_grad(h, 0)
+    theta *= -0.5
+    del h
     # Theta_t(e_a)_i = theta_ij hinv^jk (e_a)_k, with the first slot metric-raised
-    theta_e = e @ np.swapaxes(theta @ hinv, -1, -2)
-    del h, hinv, theta  # only theta_e is used below
+    raised = fd.plane_matmul(theta, hinv)
+    del hinv, theta  # only theta_e is used below
+    theta_e = fd.plane_matmul(e, np.swapaxes(raised, 0, 1))
+    del raised
 
     report = {}
-    ev = grid.grad(e, 0)
+    ev = grid.plane_grad(e, 0)
     ev += theta_e
-    report["evolution"] = interior_max4(ev, include_boundary)
+    report["evolution"] = norm(ev)
     del ev
 
+    # the partials of one frame row at a time
+    de = (fd.plane_partials(grid, e[a], SPATIAL_AXES) for a in range(3))
     report.update(fd.exterior_system(
-        grid, e, theta_e, lambda res: interior_max4(res, include_boundary), SPATIAL_AXES
+        de, e[0], theta_e, fd.plane_partials(grid, theta_e[0], SPATIAL_AXES), norm
     ))
-    report["theta_eu_static"] = interior_max4(
-        grid.grad(theta_e[..., 0, :], 0), include_boundary
-    )
+    report["theta_eu_static"] = norm(grid.plane_grad(theta_e[0], 0))
     report["max"] = float(np.max(list(report.values())))  # NaN propagates
     return report
 

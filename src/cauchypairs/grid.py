@@ -1,10 +1,23 @@
 """Uniform N-axis box grids and the finite-difference kernels on them.
 
-Field components occupy the array axes after the grid axes.  Derivatives are
-second-order central differences with second-order one-sided stencils at the
-boundary; residual norms exclude a 2-node boundary collar unless asked
-otherwise.  The kernels act over a tuple of grid axes, all by default; axes
-(1, 2, 3) of a (t, x, y, z) grid give the spatial operators on every t-slice.
+Two array layouts are in use.  A grid's `values` are grid-major: the grid
+axes come first and the field components after them, (*grid, *components).
+The 3x3 pipelines (the 3D constraint residual and the comoving and general
+flow residuals) run on component planes instead: the component axes first
+and the grid axes last, (*components, *grid), so that every component is one
+contiguous block and a per-node contraction is a few whole-array
+multiply-adds.  Each such pipeline converts its fields once at entry
+(`to_planes`); `from_planes` gives a grid-major view back.  The 4x4 metric
+path (`partials`, `christoffel`, `covariant_derivative`) stays grid-major
+with batched matmul contractions; on planes a 4x4 Christoffel set was no
+faster at 5^4 to 9^4 nodes and its values moved by rounding.  So the payload
+shape picks the route, as it picks the closed-form or the LAPACK inverse.
+
+Derivatives are second-order central differences with second-order one-sided
+stencils at the boundary; residual norms exclude a 2-node boundary collar
+unless asked otherwise.  The kernels act over a tuple of grid axes, all by
+default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial operators on
+every t-slice.
 """
 
 from __future__ import annotations
@@ -102,6 +115,12 @@ class Grid:
         """d/dx_axis of an array whose leading axes are this grid's."""
         return np.gradient(values, self.spacing[axis], axis=axis, edge_order=2)
 
+    def plane_grad(self, planes, axis):
+        """d/dx_axis of component planes, whose trailing axes are this grid's."""
+        out = np.empty(planes.shape)
+        _difference(planes, self.spacing[axis], axis - self.ndim, out)
+        return out
+
     # -- serialization ------------------------------------------------------
 
     def to_binary(self) -> bytes:
@@ -165,14 +184,9 @@ def partials(grid: Grid, values, axes=None) -> np.ndarray:
     return out
 
 
-def exterior_derivative(grid: Grid, omega, axes=None) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i of a covector field."""
-    partial = partials(grid, omega, axes)
-    return partial - np.swapaxes(partial, grid.ndim, grid.ndim + 1)
-
-
 def christoffel(grid: Grid, metric, axes=None) -> np.ndarray:
-    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a metric field."""
+    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a grid-major
+    metric field: the 4x4 route (`plane_christoffel` is the 3x3 one)."""
     dg = partials(grid, metric, axes)  # dg[..., i, j, l] = d_i g_jl
     sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     del dg  # freed before the inverse and the product, whose temporaries set the peak
@@ -184,32 +198,195 @@ def christoffel(grid: Grid, metric, axes=None) -> np.ndarray:
 
 
 def covariant_derivative(grid: Grid, gamma, omega, axes=None) -> np.ndarray:
-    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a covector field."""
+    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a grid-major
+    covector field."""
     partial = partials(grid, omega, axes)
     return partial - np.einsum("...kij,...k->...ij", gamma, omega)
 
 
-def wedge(alpha, beta) -> np.ndarray:
-    """(alpha ^ beta)_ij for covector arrays with a trailing component axis."""
-    return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
+# -- component planes ---------------------------------------------------------
 
 
-def exterior_system(grid: Grid, e, theta_e, norm, axes=None) -> dict:
+def to_planes(values, ndim: int) -> np.ndarray:
+    """The component planes of grid-major `values` with `ndim` leading grid
+    axes: shape (*components, *grid), as one contiguous copy."""
+    values = np.asarray(values, dtype=float)
+    k = values.ndim - ndim
+    return np.ascontiguousarray(np.moveaxis(values, range(ndim), range(k, k + ndim)))
+
+
+def from_planes(planes, ndim: int) -> np.ndarray:
+    """The grid-major view of component planes with `ndim` trailing grid axes."""
+    k = planes.ndim - ndim
+    return np.moveaxis(planes, range(k, k + ndim), range(ndim))
+
+
+def _on(planes, ndim, own):
+    """The planes `own` (a slice) of grid axis 0 of component planes."""
+    return planes[(Ellipsis, own) + (slice(None),) * (ndim - 1)]
+
+
+def plane_partials(grid: Grid, planes, axes=None, own=slice(None)) -> np.ndarray:
+    """d_i planes for i in `axes` (all grid axes by default), stacked on a new
+    leading axis, on the planes `own` of grid axis 0 only.  A derivative
+    along axis 0 reads the neighbouring planes too; the others read only the
+    planes they return."""
+    if axes is None:
+        axes = range(grid.ndim)
+    axes = tuple(axes)
+    k = grid.ndim
+    sub = _on(planes, k, own)
+    lo, hi, _ = own.indices(planes.shape[-k])
+    out = np.empty((len(axes),) + sub.shape)
+    for slot, i in enumerate(axes):
+        if i == 0:
+            _difference(planes, grid.spacing[0], -k, out[slot], lo, hi)
+        else:
+            _difference(sub, grid.spacing[i], i - k, out[slot])
+    return out
+
+
+def _difference(f, h, axis, out, lo=0, hi=None):
+    """The entries [lo, hi) along `axis` of np.gradient(f, h, axis=axis,
+    edge_order=2), bit for bit, written to `out`: second-order central
+    differences, one-sided at the ends of the axis.  Unlike np.gradient it
+    makes no temporaries and takes only the entries asked for."""
+    n = f.shape[axis]
+    hi = n if hi is None else hi
+
+    def at(a, b):
+        return (slice(None),) * (axis % f.ndim) + (slice(a, b),)
+
+    c0, c1 = max(lo, 1), min(hi, n - 1)
+    mid = out[at(c0 - lo, c1 - lo)]
+    np.subtract(f[at(c0 + 1, c1 + 1)], f[at(c0 - 1, c1 - 1)], out=mid)
+    mid /= 2.0 * h
+    if lo == 0:
+        end = out[at(0, 1)]
+        np.multiply(-1.5 / h, f[at(0, 1)], out=end)
+        end += 2.0 / h * f[at(1, 2)]
+        end += -0.5 / h * f[at(2, 3)]
+    if hi == n:
+        end = out[at(n - 1 - lo, n - lo)]
+        np.multiply(0.5 / h, f[at(n - 3, n - 2)], out=end)
+        end += -2.0 / h * f[at(n - 2, n - 1)]
+        end += 1.5 / h * f[at(n - 1, n)]
+
+
+def plane_matmul(a, b, out=None) -> np.ndarray:
+    """c_ij = sum_k a_ik b_kj of (m, n) and (n, p) component planes, summed in
+    k order."""
+    m, n, p = a.shape[0], a.shape[1], b.shape[1]
+    if out is None:
+        out = np.empty((m, p) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
+    for i in range(m):
+        # the row c_i. over every j at once
+        np.multiply(a[i, 0], b[0], out=out[i])
+        for k in range(1, n):
+            out[i] += a[i, k] * b[k]
+    return out
+
+
+def plane_matvec(m, v) -> np.ndarray:
+    """w_i = sum_j m_ij v_j of (n, n) and (n,) component planes."""
+    return plane_matmul(m, v[:, None])[:, 0]
+
+
+def plane_dot(a, b) -> np.ndarray:
+    """sum_i a_i b_i of two (n,) component planes."""
+    return plane_matmul(a[None], b[:, None])[0, 0]
+
+
+def exterior_derivative(grid: Grid, omega, axes=None) -> np.ndarray:
+    """(d omega)_ij = d_i omega_j - d_j omega_i of covector component planes
+    along the grid axes `axes`."""
+    partial = plane_partials(grid, omega, axes)
+    return partial - np.swapaxes(partial, 0, 1)
+
+
+# the components ij, i < j, that fix a 2-form
+_UPPER = ((0, 1), (0, 2), (1, 2))
+
+
+def _two_form(partial, wedge_of=None) -> np.ndarray:
+    """The planes ij, i < j (in `_UPPER` order), of d omega - alpha ^ beta,
+    from the partials partial[i, j] = d_i omega_j and `wedge_of` = (alpha,
+    beta), or of d omega alone; the other planes are their exact negatives
+    or 0."""
+    out = np.empty((len(_UPPER),) + partial.shape[2:])
+    for s, (i, j) in enumerate(_UPPER):
+        np.subtract(partial[i, j], partial[j, i], out=out[s])
+    if wedge_of is not None:
+        alpha, beta = wedge_of
+        w = np.empty(out.shape[1:])
+        for s, (i, j) in enumerate(_UPPER):
+            np.multiply(alpha[i], beta[j], out=w)
+            w -= alpha[j] * beta[i]
+            out[s] -= w
+    return out
+
+
+def coframe_metric(e) -> np.ndarray:
+    """h_ij = sum_a (e_a)_i (e_a)_j of coframe planes (frame, component, *grid)."""
+    return plane_matmul(np.swapaxes(e, 0, 1), e)
+
+
+def plane_christoffel(grid: Grid, metric, axes=None, own=slice(None)) -> np.ndarray:
+    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
+    3x3 metric given as component planes, returned as planes (k, i, j, *grid)
+    on the planes `own` of grid axis 0.  Only the six components g_jl, j <= l,
+    are differentiated, and each symbol is formed once for i <= j."""
+    n = len(metric)
+    upper = [(j, l) for j in range(n) for l in range(j, n)]
+    slot = {}
+    for s, (j, l) in enumerate(upper):
+        slot[j, l] = slot[l, j] = s
+    dg = plane_partials(grid, metric[tuple(zip(*upper))], axes, own)  # d_i g_jl
+    half_ginv = plane_inverse(_on(metric, grid.ndim, own))
+    half_ginv *= 0.5  # exact, so (g/2) s rounds as (g s)/2 short of underflow
+    gam = np.empty((n, n, n) + half_ginv.shape[2:])
+    sym = np.empty((n,) + half_ginv.shape[2:])
+    tmp = np.empty(gam.shape[:1] + sym.shape[1:])
+    for i in range(n):
+        for j in range(i, n):
+            for l in range(n):
+                np.add(dg[i, slot[j, l]], dg[j, slot[i, l]], out=sym[l])
+                sym[l] -= dg[l, slot[i, j]]
+            # the column Gamma^k_ij over every k at once
+            acc = gam[:, i, j]
+            np.multiply(half_ginv[:, 0], sym[0], out=acc)
+            for l in range(1, n):
+                acc += np.multiply(half_ginv[:, l], sym[l], out=tmp)
+            if j != i:
+                gam[:, j, i] = acc
+    return gam
+
+
+def plane_covariant_derivative(gamma, partial, omega) -> np.ndarray:
+    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of covector planes,
+    from the partials partial[i, j] = d_i omega_j and the planes of Gamma."""
+    acc = gamma[0] * omega[0]
+    for k in range(1, len(omega)):
+        acc += gamma[k] * omega[k]
+    return np.subtract(partial, acc, out=acc)
+
+
+def exterior_system(de, e_u, theta_e, d_theta_eu, norm) -> dict:
     """Residuals of the exterior system d e_a = Theta(e_a) ^ e_u (a = u, l, n)
     and of the closedness of Theta(e_u), each reduced by `norm`: the keys
     exterior_u, exterior_l, exterior_n, exterior_max and theta_eu_closed.
-    `e` holds the coframe rows and `theta_e` the rows Theta(e_a), both of
-    shape (..., frame, component), in components along the grid axes `axes`
-    (all by default).  Each residual is reduced as soon as it is built, so
-    at most one is alive."""
-    eu = e[..., 0, :]
+    All arguments are component planes: `de` yields the partials
+    d_i (e_a)_j, (i, j, *grid), of each frame row a in turn (an array or a
+    generator); `theta_e` holds the rows Theta(e_a), and `d_theta_eu` the
+    partials of Theta(e_u).  Each residual is reduced as soon as it is
+    built, over its planes ij, i < j: the others are their exact negatives
+    or 0."""
     report = {
-        f"exterior_{name}": norm(exterior_derivative(grid, e[..., a, :], axes)
-                                 - wedge(theta_e[..., a, :], eu))
-        for a, name in enumerate("uln")
+        f"exterior_{name}": norm(_two_form(d_ea, (theta_ea, e_u)))
+        for name, d_ea, theta_ea in zip("uln", de, theta_e)
     }
     report["exterior_max"] = float(np.max(list(report.values())))  # NaN propagates
-    report["theta_eu_closed"] = norm(exterior_derivative(grid, theta_e[..., 0, :], axes))
+    report["theta_eu_closed"] = norm(_two_form(d_theta_eu))
     return report
 
 
@@ -261,18 +438,17 @@ def require_regular(rows, tol: float, slabs=None) -> None:
     slab by default."""
     bad = []
     for a, b in slabs or [(0, rows.shape[0])]:
-        part = rows[a:b]
-        # an elementwise maximum over the components; numpy's max along the
-        # short last axis took 0.95 ms where this takes 0.04 ms at 7225 nodes
-        top = functools.reduce(np.maximum, (np.abs(part[..., j]) for j in range(3)))
-        part = np.ldexp(part, -np.frexp(top)[1][..., None])
+        part = to_planes(rows[a:b], rows.ndim - 2)  # part[r, j] = (e_r)_j
+        # every row's largest |entry|, an elementwise maximum over the components
+        top = functools.reduce(np.maximum, (np.abs(part[:, j]) for j in range(3)))
+        part = np.ldexp(part, -np.frexp(top)[1][:, None], out=part)
         del top
         # the product of the row norms, one row at a time
-        norms = functools.reduce(np.multiply, (np.linalg.norm(part[..., r, :], axis=-1)
+        norms = functools.reduce(np.multiply, (np.sqrt(plane_dot(part[r], part[r]))
                                                for r in range(3)))
         # every row's largest |entry|, so every block's, is now in [0.5, 1):
         # the closed form needs no scaling of its own
-        idx = np.argwhere(np.abs(_det3(part, None)) <= tol * norms)
+        idx = np.argwhere(np.abs(_det3(part)) <= tol * norms)
         idx[:, 0] += a
         bad.append(idx)
     bad = np.concatenate(bad)
@@ -291,50 +467,65 @@ def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
     return float(v.max())
 
 
-def coframe_metric(e) -> np.ndarray:
-    """h_ij = sum_a (e_a)_i (e_a)_j for coframe rows of shape (..., frame, component)."""
-    return np.swapaxes(e, -1, -2) @ e
+# The 3x3 blocks below are inverted and reduced in closed form, on component
+# planes m[r, c]; a grid-major block array is read through a planes view, so
+# there is one closed form.  Each block is first divided by 2**k, the power
+# of two of its largest |entry|, in one `ldexp` over the nine planes.  That
+# is exact: the result is bit for bit that of the unscaled closed form
+# wherever that form neither over- nor underflows, and no finite block makes
+# it do so.  The scaled copy takes nine floats per node while an inverse is
+# built, below the peak of the Christoffel set that calls it.
 
 
-# The 3x3 blocks below are inverted and reduced in closed form.  Each entry is
-# divided by 2**k as it is used, 2**k the power of two of its block's largest
-# |entry|.  That is exact: the result is bit for bit that of the unscaled
-# closed form wherever that form neither over- nor underflows, and no finite
-# block makes it do so.  Scaling entry by entry keeps the temporaries at one
-# float per node, where a scaled copy of the blocks would take nine.  A
-# scale nk of None leaves the entries as they are.
+def _block_planes(m):
+    """The planes view (3, 3, *batch) of grid-major trailing 3x3 blocks."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
 
 
 def _neg_exponents3(m):
-    """-k per trailing 3x3 block, 2**k <= max |entry| < 2**(k + 1)."""
+    """-k per 3x3 block of planes m, 2**k <= max |entry| < 2**(k + 1)."""
     # an elementwise maximum over the nine entries; numpy's max over the two
     # short trailing axes took 0.37 ms where this takes 0.09 ms at 7225 nodes
-    top = functools.reduce(np.maximum, (np.abs(m[..., i, j]) for i in range(3) for j in range(3)))
+    top = functools.reduce(np.maximum, (np.abs(m[i, j]) for i in range(3) for j in range(3)))
     return -np.frexp(top)[1]
 
 
-def _entry(m, nk, r, c):
-    """Entry (r, c) of each trailing 3x3 block, divided by 2**k = 2**-nk."""
-    return m[..., r, c] if nk is None else np.ldexp(m[..., r, c], nk)
-
-
-def _cofactor3(m, nk, i, j):
-    """Cofactor C_ij of each trailing 3x3 block, its entries divided by
-    2**k = 2**-nk; the cyclic index form carries the sign (-1)**(i + j)."""
+def _cofactor3(m, i, j, out=None):
+    """Cofactor C_ij of each 3x3 block of planes m; the cyclic index form
+    carries the sign (-1)**(i + j)."""
     def e(r, c):
-        return _entry(m, nk, (i + r) % 3, (j + c) % 3)
-    return e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)
+        return m[(i + r) % 3, (j + c) % 3]
+    out = np.multiply(e(1, 1), e(2, 2), out=out)
+    out -= e(1, 2) * e(2, 1)
+    return out
 
 
-def _det3(m, nk, row0=None):
-    """Determinant of each trailing 3x3 block, its entries divided by
-    2**k = 2**-nk, expanded along the first row with its cofactors `row0`
-    (computed here if not given)."""
+def _det3(m, row0=None):
+    """Determinant of each 3x3 block of planes m, expanded along the first
+    row with its cofactors `row0` (computed here if not given)."""
     if row0 is None:
-        row0 = [_cofactor3(m, nk, 0, j) for j in range(3)]
+        row0 = [_cofactor3(m, 0, j) for j in range(3)]
     c0, c1, c2 = row0
-    return (_entry(m, nk, 0, 0) * c0 + _entry(m, nk, 0, 1) * c1
-            + _entry(m, nk, 0, 2) * c2)
+    return m[0, 0] * c0 + m[0, 1] * c1 + m[0, 2] * c2
+
+
+def _inverse3(m, adj):
+    """The inverse of each 3x3 block of planes m, written to the planes `adj`
+    (may be inf or NaN where a block is singular)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nk = _neg_exponents3(m)
+        m = np.ldexp(m, nk)
+        for i in range(3):
+            for j in range(3):
+                _cofactor3(m, i, j, out=adj[j, i, ...])
+        adj /= _det3(m, (adj[0, 0], adj[1, 0], adj[2, 0]))
+        np.ldexp(adj, nk, out=adj)
+
+
+def _finite(inv):
+    if not np.isfinite(inv).all():
+        raise SingularMatrix("Singular matrix")
+    return inv
 
 
 def det(m) -> np.ndarray:
@@ -342,8 +533,9 @@ def det(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (3, 3):
         return np.linalg.det(m)
+    m = _block_planes(m)
     nk = _neg_exponents3(m)
-    return np.ldexp(_det3(m, nk), -3 * nk)
+    return np.ldexp(_det3(np.ldexp(m, nk)), -3 * nk)
 
 
 def inverse(m) -> np.ndarray:
@@ -360,14 +552,14 @@ def inverse(m) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise SingularMatrix("Singular matrix") from None
     else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nk = _neg_exponents3(m)
-            adj = np.empty(m.shape)
-            for i in range(3):
-                for j in range(3):
-                    adj[..., j, i] = _cofactor3(m, nk, i, j)
-            adj /= _det3(m, nk, (adj[..., 0, 0], adj[..., 1, 0], adj[..., 2, 0]))[..., None, None]
-            inv = np.ldexp(adj, nk[..., None, None], out=adj)
-    if not np.isfinite(inv).all():
-        raise SingularMatrix("Singular matrix")
-    return inv
+        inv = np.empty(m.shape)
+        _inverse3(_block_planes(m), _block_planes(inv))
+    return _finite(inv)
+
+
+def plane_inverse(m) -> np.ndarray:
+    """Inverses of the 3x3 blocks of component planes (3, 3, *grid), as
+    planes; raises SingularMatrix as `inverse` does."""
+    inv = np.empty(m.shape)
+    _inverse3(m, inv)
+    return _finite(inv)

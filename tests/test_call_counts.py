@@ -1,0 +1,77 @@
+"""The call counts that the benchmark's smoke test pins, counted in tier 1.
+
+Each counted function is wrapped in every package module that binds it, as
+`bench/spans.py` traces it, so a refactor that changes a pinned count fails
+here rather than only in the minutes-long benchmark smoke test."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from cauchypairs import cli, coordinate_fields as cf, flow, spacetime_verifier as sv
+
+from test_coordinate_fields import warped_realization
+
+PACKAGE = "cauchypairs"
+
+
+@pytest.fixture
+def counter(monkeypatch):
+    """counter(module, name) wraps module.name in every package namespace
+    that binds it and returns the list its calls append to."""
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for modname, ns in list(sys.modules.items()):
+            if modname == PACKAGE or modname.startswith(PACKAGE + "."):
+                for attr, value in list(vars(ns).items()):
+                    if value is original:
+                        monkeypatch.setattr(ns, attr, counted)
+        return calls
+    return install
+
+
+def test_two_christoffel_sets_per_single_slab_residual(counter):
+    e, th = warped_realization(17)
+    assert len(cf._slabs(e.shape)) == 1
+    calls = counter(cf, "christoffel3_fd")
+    cf.constraint_residual_fd(e, th)
+    assert len(calls) == 2
+
+
+def test_four_christoffel_sets_per_flow_pp_metric(counter, monkeypatch):
+    config = {"mode": "flow-pp",
+              "pp": {"a_l": 0.1, "b_l": -1.5, "a_n": -0.2, "b_n": 1.2, "c": 0.3},
+              "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": [5, 5, 5, 5]}
+    metrics = []
+    init = sv.Metric4Grid.__init__
+    monkeypatch.setattr(sv.Metric4Grid, "__init__",
+                        lambda self, *a, **kw: metrics.append(1) or init(self, *a, **kw))
+    calls = counter(sv, "christoffel_fd")
+    cli.run(config)
+    assert len(metrics) == 1
+    assert len(calls) == 4
+
+
+def test_two_diagonal_solutions_per_flow_diag_run(counter):
+    config = {"mode": "flow-diag",
+              "family": {"case": "B_nonzero", "a": 1.5, "b": 0.5,
+                         "Ll": {"kind": "exp_affine", "w1": 1.0, "w2": 1.0, "rate": 1.0},
+                         "Ln": {"kind": "const", "value": 2.0}},
+              "interval": [0.0, 0.01], "box": [[0.0, 0.01]] * 3, "n": [9, 9, 5, 5]}
+    calls = counter(flow, "diagonal_solution")
+    cli.run(config)
+    assert len(calls) == 2
+
+
+def test_counter_sees_calls_through_every_binding(counter):
+    calls = counter(sv, "interior_max4")
+    flow.interior_max4(np.zeros((5, 5, 5, 5)))  # bound by name in flow
+    sv.interior_max4(np.zeros((5, 5, 5, 5)))
+    assert len(calls) == 2

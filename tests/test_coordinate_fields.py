@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cauchypairs import coordinate_fields as cf
+from cauchypairs import grid as fd
 from cauchypairs.coordinate_fields import FieldGrid, UniversalCoverData
 from cauchypairs.errors import (
     CauchyPairsError,
@@ -103,8 +104,8 @@ class TestChristoffel:
         #                                       - d_k phi delta_ij with phi = x
         g = FieldGrid.from_function(BOX, 33, lambda x, y, z: 0.0 * x)
         xx, _, _ = g.meshgrid()
-        h = np.exp(2 * xx)[..., None, None] * np.eye(3)
-        gamma = cf.christoffel3_fd(g, h)
+        h = fd.to_planes(np.exp(2 * xx)[..., None, None] * np.eye(3), 3)
+        gamma = fd.from_planes(cf.christoffel3_fd(g, h), 3)
         dphi = np.array([1.0, 0.0, 0.0])
         expected = (
             np.einsum("i,kj->kij", dphi, np.eye(3))
@@ -116,12 +117,12 @@ class TestChristoffel:
     def test_flat_metric_covariant_derivative_is_partial(self):
         g = FieldGrid.from_function(BOX, 9, lambda x, y, z: 0.0 * x)
         xx, yy, _ = g.meshgrid()
-        h = np.broadcast_to(np.eye(3), g.shape + (3, 3)).copy()
-        om = np.stack([yy, xx, 0 * xx], axis=-1)
+        h = fd.to_planes(np.broadcast_to(np.eye(3), g.shape + (3, 3)), 3)
+        om = np.stack([yy, xx, 0 * xx])
         nab = cf.covariant_derivative_covector(g, h, om)
-        assert np.allclose(nab[..., 0, 1], 1.0)
-        assert np.allclose(nab[..., 1, 0], 1.0)
-        assert np.allclose(nab[..., 2, :], 0.0)
+        assert np.allclose(nab[0, 1], 1.0)
+        assert np.allclose(nab[1, 0], 1.0)
+        assert np.allclose(nab[2, :], 0.0)
 
 
 class TestConstraintResidual:
@@ -237,9 +238,87 @@ class TestConstraintResidual:
         e, _ = warped_realization(9, mu=0.5)
         h = cf.metric_from_coframe(e)
         _, _, zz = FieldGrid.from_function(BOX, 9, lambda x, y, z: 0.0 * x).meshgrid()
-        assert np.allclose(h[..., 0, 0], np.exp(-2 * 0.5 * zz))
-        assert np.allclose(h[..., 2, 2], 1.0)
-        assert np.allclose(h[..., 0, 1], 0.0)
+        assert np.allclose(h[0, 0], np.exp(-2 * 0.5 * zz))
+        assert np.allclose(h[2, 2], 1.0)
+        assert np.allclose(h[0, 1], 0.0)
+
+
+def sheared_realization(n, mu=0.5, box=BOX):
+    """The warped realization pulled back by x -> A x with a dense A: every
+    coframe entry is nonzero, and Theta keeps its frame components."""
+    a = np.array([[1.0, 0.3, -0.2], [0.25, 1.0, 0.4], [-0.15, 0.35, 1.0]])
+    grid = FieldGrid.from_function(box, n, lambda x, y, z: 0.0 * x)
+    mesh = np.stack(grid.meshgrid(), axis=-1)
+    z = mesh @ a[2]
+    rows = np.zeros(grid.shape + (3, 3))
+    rows[..., 0, 2] = 1.0
+    rows[..., 1, 0] = np.exp(-mu * z)
+    rows[..., 2, 1] = np.exp(-z)
+    th = np.zeros(grid.shape + (3, 3))
+    th[..., 0, 0], th[..., 1, 1], th[..., 2, 2] = 1.0, mu, 1.0
+    return grid.like(rows @ a), grid.like(th)
+
+
+def grid_major_residual(coframe, theta, include_boundary=False):
+    """`constraint_residual_fd` as one grid-major whole-grid evaluation with
+    the batched-matmul Christoffel route: the layout and the contractions
+    that the component-plane slabs replaced, kept as their oracle."""
+    e, grid = coframe.values, coframe
+    theta_e = theta.values @ e
+    eu = e[..., 0, :]
+
+    def norm(res):
+        return fd.interior_max(res, 3, include_boundary)
+
+    def d(omega):
+        partial = fd.partials(grid, omega)
+        return partial - np.swapaxes(partial, -1, -2)
+
+    def wedge(alpha, beta):
+        return alpha[..., :, None] * beta[..., None, :] - alpha[..., None, :] * beta[..., :, None]
+
+    report = {f"exterior_{name}": norm(d(e[..., a, :]) - wedge(theta_e[..., a, :], eu))
+              for a, name in enumerate("uln")}
+    report["exterior_max"] = max(report.values())
+    report["theta_eu_closed"] = norm(d(theta_e[..., 0, :]))
+    gamma = fd.christoffel(grid, np.swapaxes(e, -1, -2) @ e)
+    report["covariant_u"] = norm(fd.covariant_derivative(grid, gamma, eu)
+                                 + np.swapaxes(e, -1, -2) @ theta_e
+                                 - theta_e[..., 0, :, None] * eu[..., None, :])
+    report["covariant_l"] = norm(fd.covariant_derivative(grid, gamma, e[..., 1, :])
+                                 - theta_e[..., 1, :, None] * eu[..., None, :])
+    report["max"] = max(report.values())
+    return report
+
+
+class TestComponentPlanes:
+    """The component-plane slabs against the grid-major oracle on a dense
+    sheared coframe with an off-solution Theta, where the two layouts sum in
+    different orders.  A rounding difference in h or Theta(e_u) reaches the
+    report through a difference quotient, multiplied by ~1/h, so the box has
+    side 1 and every key is O(1)."""
+
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_matches_the_grid_major_route(self, n, include_boundary):
+        e, th = sheared_realization(n, box=((0.0, 1.0),) * 3)
+        xx, yy, _ = e.meshgrid()
+        bump = np.array([[0.0, 1.0, -0.5], [1.0, 0.3, 0.2], [-0.5, 0.2, 0.7]])
+        theta = th.like(1.5 * th.values + np.sin(3 * xx + yy)[..., None, None] * bump)
+        assert np.all(e.values != 0.0)
+        report = cf.constraint_residual_fd(e, theta, include_boundary=include_boundary)
+        ref = grid_major_residual(e, theta, include_boundary)
+        assert list(report) == list(ref)
+        assert min(ref.values()) > 0.5
+        for key in ref:
+            assert abs(report[key] - ref[key]) <= 1e-14 * ref[key], key
+
+    def test_planes_round_trip(self, rng):
+        values = rng.standard_normal((5, 6, 7, 3, 2))
+        planes = fd.to_planes(values, 3)
+        assert planes.shape == (3, 2, 5, 6, 7) and planes.flags.c_contiguous
+        np.testing.assert_array_equal(planes[1, 0], values[..., 1, 0])
+        np.testing.assert_array_equal(fd.from_planes(planes, 3), values)
 
 
 def rotating_hx(x):

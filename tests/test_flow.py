@@ -22,6 +22,60 @@ def const_profile(s, y):
     return 1.0 + 0.0 * s
 
 
+def grid_major_comoving(sol, include_boundary=False):
+    """`flow.comoving_residual` in the grid-major layout with batched matmul
+    contractions and LAPACK's inverse: the route that the component planes
+    replaced, kept as their oracle."""
+    grid, e = sol.coframe, sol.coframe.values
+    h = np.swapaxes(e, -1, -2) @ e
+    theta = -0.5 * grid.grad(h, 0)
+    theta_e = e @ np.swapaxes(theta @ np.linalg.inv(h), -1, -2)
+
+    def norm(res):
+        return fd.interior_max(res, 4, include_boundary)
+
+    def d(omega):
+        partial = fd.partials(grid, omega, sv.SPATIAL_AXES)
+        return partial - np.swapaxes(partial, -1, -2)
+
+    eu = e[..., 0, :]
+    report = {"evolution": norm(grid.grad(e, 0) + theta_e)}
+    for a, name in enumerate("uln"):
+        alpha = theta_e[..., a, :]
+        wedge = alpha[..., :, None] * eu[..., None, :] - alpha[..., None, :] * eu[..., :, None]
+        report[f"exterior_{name}"] = norm(d(e[..., a, :]) - wedge)
+    report["exterior_max"] = max(report[f"exterior_{name}"] for name in "uln")
+    report["theta_eu_closed"] = norm(d(theta_e[..., 0, :]))
+    report["theta_eu_static"] = norm(grid.grad(theta_e[..., 0, :], 0))
+    report["max"] = max(report.values())
+    return report
+
+
+class TestComponentPlanes:
+    """`comoving_residual` on component planes against the grid-major oracle
+    on a dense coframe family; the box has side 1, so every key is O(1) and
+    the difference quotients amplify rounding differences little."""
+
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    @pytest.mark.parametrize("shape", [(9, 9, 9, 9), (7, 9, 6, 5)])
+    def test_matches_the_grid_major_route(self, shape, include_boundary):
+        grid = Grid4(((0.0, 1.0),) * 4, np.zeros(shape))
+        tt, xx, yy, zz = grid.meshgrid()
+        e = np.empty(grid.shape + (3, 3))
+        for a in range(3):
+            for j in range(3):
+                e[..., a, j] = (a == j) + 0.3 * np.sin((a + 1) * tt + (j + 1) * xx
+                                                       - a * yy + (a + j) * zz + a * j + 0.5 * j + 0.37)
+        sol = FlowSolution((0.0, 1.0), grid.like(e))
+        assert np.all(e != 0.0)
+        report = flow.comoving_residual(sol, include_boundary=include_boundary)
+        ref = grid_major_comoving(sol, include_boundary)
+        assert set(report) == set(ref)
+        assert min(ref.values()) > 0.1
+        for key in ref:
+            assert abs(report[key] - ref[key]) <= 1e-14 * ref[key], key
+
+
 class TestDiagonalFamilyValidation:
     def test_unknown_case(self):
         with pytest.raises(ParamOutOfRange):

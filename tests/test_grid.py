@@ -148,19 +148,22 @@ class TestSliceKernels:
 
     def test_christoffel_and_covariant_derivative_per_slice(self):
         g3, h, omega = self.fields()
+        om = fd.to_planes(omega, 3)
         nt = 5
-        g4 = Grid4(BOX4, np.broadcast_to(h, (nt,) + h.shape))
-        om4 = np.broadcast_to(omega, (nt,) + omega.shape)
-        gamma4 = fd.christoffel(g4, g4.values, SPATIAL_AXES)
-        nab4 = fd.covariant_derivative(g4, gamma4, om4, SPATIAL_AXES)
+        g4 = Grid4(BOX4, np.zeros((nt,) + g3.shape))
+        h4 = np.broadcast_to(h[:, :, None], h.shape[:2] + (nt,) + h.shape[2:])
+        om4 = np.broadcast_to(om[:, None], om.shape[:1] + (nt,) + om.shape[1:])
+        gamma4 = fd.plane_christoffel(g4, h4, SPATIAL_AXES)
+        nab4 = fd.plane_covariant_derivative(
+            gamma4, fd.plane_partials(g4, om4, SPATIAL_AXES), om4)
         d4 = fd.exterior_derivative(g4, om4, SPATIAL_AXES)
         gamma3 = cf.christoffel3_fd(g3, h)
-        nab3 = cf.covariant_derivative_covector(g3, h, omega)
-        d3 = cf.fd_exterior_derivative(g3.like(omega)).values
+        nab3 = cf.covariant_derivative_covector(g3, h, om)
+        d3 = fd.to_planes(cf.fd_exterior_derivative(g3.like(omega)).values, 3)
         for t in range(nt):
-            np.testing.assert_array_equal(gamma4[t], gamma3)
-            np.testing.assert_array_equal(nab4[t], nab3)
-            np.testing.assert_array_equal(d4[t], d3)
+            np.testing.assert_array_equal(gamma4[..., t, :, :, :], gamma3)
+            np.testing.assert_array_equal(nab4[..., t, :, :, :], nab3)
+            np.testing.assert_array_equal(d4[..., t, :, :, :], d3)
 
     def test_comoving_exterior_system_matches_the_3d_constraint(self):
         # a t-independent stack has Theta_t = 0 exactly at the one interior
@@ -180,6 +183,25 @@ class TestSliceKernels:
         v[4, 4, 2] = 1.0
         assert fd.interior_max(v, 2) == 1.0
         assert fd.interior_max(v, 2, include_boundary=True) == 5.0
+
+
+class TestPlaneStencil:
+    """The component-plane derivative is np.gradient's second-order stencil,
+    bit for bit, on every grid axis and on any range of axis-0 planes."""
+
+    @pytest.mark.parametrize("shape, ndim", [((9, 17, 6, 7), 3), ((2, 3, 5, 6, 5, 7), 4)])
+    def test_matches_np_gradient(self, rng, shape, ndim):
+        planes = rng.standard_normal(shape) * np.exp(5 * rng.standard_normal(shape))
+        box = ((0.0, 0.37),) * ndim
+        grid = (FieldGrid if ndim == 3 else Grid4)(box, np.zeros(shape[-ndim:]))
+        for axis in range(ndim):
+            ref = np.gradient(planes, grid.spacing[axis], axis=axis - ndim, edge_order=2)
+            assert grid.plane_grad(planes, axis).tobytes() == ref.tobytes()
+        nx = shape[-ndim]
+        whole = fd.plane_partials(grid, planes)
+        for own in (slice(0, 3), slice(1, nx - 1), slice(2, nx), slice(0, nx)):
+            part = fd.plane_partials(grid, planes, own=own)
+            np.testing.assert_array_equal(part, whole[(Ellipsis, own) + (slice(None),) * (ndim - 1)])
 
 
 class TestWindow:
@@ -265,6 +287,13 @@ class TestClosedForms:
         ref = np.linalg.det(m)
         assert np.all(np.abs(fd.det(m) - ref) <= 1e-13 * np.abs(ref))
 
+    def test_planes_and_grid_major_blocks_share_the_closed_form(self, rng):
+        m = spd_batch(rng, (6, 5, 7))
+        planes = fd.to_planes(m, 3)
+        np.testing.assert_array_equal(fd.from_planes(fd.plane_inverse(planes), 3), fd.inverse(m))
+        with pytest.raises(SingularMatrix):
+            fd.plane_inverse(np.zeros((3, 3, 5, 5)))
+
     def test_4x4_blocks_go_through_lapack(self, rng, monkeypatch):
         calls = []
         lapack = np.linalg.inv
@@ -314,6 +343,21 @@ class TestDenseChristoffel:
         ref = self.reference(grid, metric)
         assert np.all(ref != 0.0)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_planes_route_matches_einsum_reference(self):
+        grid = FieldGrid.from_function(BOX3, 7, lambda *x: 0.0 * x[0])
+        metric = self.dense_metric(grid, 3, 1.0)
+        gam = fd.from_planes(fd.plane_christoffel(grid, fd.to_planes(metric, 3)), 3)
+        ref = self.reference(grid, metric)
+        assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_planes_route_on_a_range_of_planes(self):
+        grid = FieldGrid.from_function(BOX3, (9, 6, 7), lambda *x: 0.0 * x[0])
+        metric = fd.to_planes(self.dense_metric(grid, 3, 1.0), 3)
+        whole = fd.plane_christoffel(grid, metric)
+        for own in (slice(0, 4), slice(1, 8), slice(5, 9)):
+            np.testing.assert_array_equal(fd.plane_christoffel(grid, metric, own=own),
+                                          whole[:, :, :, own])
 
 
 class TestQuadrature:
