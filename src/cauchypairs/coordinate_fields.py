@@ -42,22 +42,6 @@ def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     return grid.like(fd.from_planes(d, grid.ndim))
 
 
-def fd_dd_residual(grid: FieldGrid, include_boundary: bool = False) -> float:
-    """Max-norm of the d(d omega) defect of the discrete operator (O(h^2))."""
-    d = fd_exterior_derivative(grid).values
-    # coefficient of dx^dy^dz in d of the 2-form: cyclic sum of partials
-    acc = np.zeros(grid.shape)
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        acc += grid.grad(d[..., j, k], i)
-    return interior_max(grid, acc, include_boundary)
-
-
-def metric_from_coframe(coframe: FieldGrid) -> np.ndarray:
-    """h_ij = sum_a (e_a)_i (e_a)_j of a coframe grid (..., 3 frames, 3), as
-    component planes (i, j, x, y, z)."""
-    return fd.coframe_metric(fd.to_planes(coframe.values, coframe.ndim))
-
-
 def christoffel3_fd(grid: FieldGrid, h: np.ndarray, own=slice(None)) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of a 3-metric by central differences.
     `h` and the result are component planes, (i, j, x, y, z) and

@@ -11,11 +11,13 @@ multiply-adds.  Each such pipeline converts its fields once at entry
 path (`partials`, `christoffel`, `covariant_derivative`) stays grid-major
 with batched matmul contractions; on planes a 4x4 Christoffel set was no
 faster at 5^4 to 9^4 nodes and its values moved by rounding.  So the payload
-shape picks the route, as it picks the closed-form or the LAPACK inverse.
+shape picks the route: 3x3 blocks are inverted in closed form on planes
+(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).
 
-Derivatives are second-order central differences with second-order one-sided
-stencils at the boundary; residual norms exclude a 2-node boundary collar
-unless asked otherwise.  The kernels act over a tuple of grid axes, all by
+Every derivative, on either layout, comes from one stencil, `_difference`:
+second-order central differences with second-order one-sided stencils at
+the boundary.  Residual norms exclude a 2-node boundary collar unless asked
+otherwise.  The kernels act over a tuple of grid axes, all by
 default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial operators on
 every t-slice.
 """
@@ -23,7 +25,6 @@ every t-slice.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import struct
 
@@ -112,14 +113,16 @@ class Grid:
         return sub
 
     def grad(self, values, axis):
-        """d/dx_axis of an array whose leading axes are this grid's."""
-        return np.gradient(values, self.spacing[axis], axis=axis, edge_order=2)
+        """d/dx_axis of an array whose leading axes are this grid's; a negative
+        axis counts from the end, as in numpy, and so names a trailing grid
+        axis of component planes."""
+        out = np.empty(values.shape)
+        _difference(values, self.spacing[axis], axis, out)
+        return out
 
     def plane_grad(self, planes, axis):
         """d/dx_axis of component planes, whose trailing axes are this grid's."""
-        out = np.empty(planes.shape)
-        _difference(planes, self.spacing[axis], axis - self.ndim, out)
-        return out
+        return self.grad(planes, axis - self.ndim)
 
     # -- serialization ------------------------------------------------------
 
@@ -154,23 +157,6 @@ class Grid:
         box = tuple(zip(bounds[0::2], bounds[1::2]))
         return cls(box, values.copy())
 
-    def to_text(self) -> str:
-        """Structured text (JSON) form, intended for small grids."""
-        return json.dumps(
-            {
-                "box": [list(ab) for ab in self.box],
-                "shape": list(self.shape),
-                "component_shape": list(self.component_shape),
-                "values": self.values.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_text(cls, text: str):
-        doc = json.loads(text)
-        return cls(doc["box"], np.array(doc["values"], dtype=float))
-
 
 def partials(grid: Grid, values, axes=None) -> np.ndarray:
     """d_i values for i in `axes`, stacked on a new axis after the grid axes."""
@@ -180,7 +166,7 @@ def partials(grid: Grid, values, axes=None) -> np.ndarray:
     k = grid.ndim
     out = np.empty(values.shape[:k] + (len(axes),) + values.shape[k:])
     for slot, i in enumerate(axes):
-        out[(slice(None),) * k + (slot,)] = grid.grad(values, i)
+        _difference(values, grid.spacing[i], i, out[(slice(None),) * k + (slot,)])
     return out
 
 
@@ -247,10 +233,11 @@ def plane_partials(grid: Grid, planes, axes=None, own=slice(None)) -> np.ndarray
 
 
 def _difference(f, h, axis, out, lo=0, hi=None):
-    """The entries [lo, hi) along `axis` of np.gradient(f, h, axis=axis,
-    edge_order=2), bit for bit, written to `out`: second-order central
-    differences, one-sided at the ends of the axis.  Unlike np.gradient it
-    makes no temporaries and takes only the entries asked for."""
+    """The entries [lo, hi) along `axis` of d f / dx, x spaced by h, written
+    to `out`: second-order central differences, one-sided at the ends of the
+    axis; numpy's `gradient(f, h, axis=axis, edge_order=2)` bit for bit, but
+    with no temporaries and only the entries asked for.  The one difference
+    stencil of every grid kernel."""
     n = f.shape[axis]
     hi = n if hi is None else hi
 
@@ -467,19 +454,13 @@ def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
     return float(v.max())
 
 
-# The 3x3 blocks below are inverted and reduced in closed form, on component
-# planes m[r, c]; a grid-major block array is read through a planes view, so
-# there is one closed form.  Each block is first divided by 2**k, the power
-# of two of its largest |entry|, in one `ldexp` over the nine planes.  That
-# is exact: the result is bit for bit that of the unscaled closed form
-# wherever that form neither over- nor underflows, and no finite block makes
-# it do so.  The scaled copy takes nine floats per node while an inverse is
-# built, below the peak of the Christoffel set that calls it.
-
-
-def _block_planes(m):
-    """The planes view (3, 3, *batch) of grid-major trailing 3x3 blocks."""
-    return np.moveaxis(m, (-2, -1), (0, 1))
+# The 3x3 blocks of component planes m[r, c] are inverted and reduced in
+# closed form.  Each block is first divided by 2**k, the power of two of its
+# largest |entry|, in one `ldexp` over the nine planes.  That is exact: the
+# result is bit for bit that of the unscaled closed form wherever that form
+# neither over- nor underflows, and no finite block makes it do so.  The
+# scaled copy takes nine floats per node while an inverse is built, below the
+# peak of the Christoffel set that calls it.
 
 
 def _neg_exponents3(m):
@@ -528,38 +509,26 @@ def _finite(inv):
     return inv
 
 
-def det(m) -> np.ndarray:
-    """Determinants of the trailing square blocks of `m`."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        return np.linalg.det(m)
-    m = _block_planes(m)
-    nk = _neg_exponents3(m)
-    return np.ldexp(_det3(np.ldexp(m, nk)), -3 * nk)
-
-
 def inverse(m) -> np.ndarray:
-    """Inverses of the trailing square blocks of `m`.  Raises SingularMatrix
-    (a LinAlgError) where a block is singular or its inverse is not
-    representable; never returns inf or NaN."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        # a 4x4 closed form measured only 1.5-2x faster at 5^4-9^4 nodes, and
-        # moved the narrow-box pp-wave nabla_riemann by 3.25e-13, nearly its
-        # whole 1-ulp floor of 3.3e-13
-        try:
-            inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            raise SingularMatrix("Singular matrix") from None
-    else:
-        inv = np.empty(m.shape)
-        _inverse3(_block_planes(m), _block_planes(inv))
+    """Inverses of the trailing square blocks of grid-major `m`, by LAPACK
+    (`plane_inverse` is the 3x3 closed form on planes).  Raises
+    SingularMatrix (a LinAlgError) where a block is singular or its inverse
+    is not representable; never returns inf or NaN."""
+    # a 4x4 closed form measured only 1.5-2x faster at 5^4-9^4 nodes, and
+    # moved the narrow-box pp-wave nabla_riemann by 3.25e-13, nearly its
+    # whole 1-ulp floor of 3.3e-13
+    try:
+        inv = np.linalg.inv(np.asarray(m, dtype=float))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("Singular matrix") from None
     return _finite(inv)
 
 
 def plane_inverse(m) -> np.ndarray:
     """Inverses of the 3x3 blocks of component planes (3, 3, *grid), as
-    planes; raises SingularMatrix as `inverse` does."""
+    planes, in closed form.  Raises SingularMatrix (a LinAlgError) where a
+    block is singular or its inverse is not representable; never returns
+    inf or NaN."""
     inv = np.empty(m.shape)
     _inverse3(m, inv)
     return _finite(inv)

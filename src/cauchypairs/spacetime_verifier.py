@@ -122,12 +122,9 @@ class ParabolicPairData:
         uu = np.einsum("...ij,...i,...j->...", ginv, u, u)
         ll = np.einsum("...ij,...i,...j->...", ginv, l, l)
         ul = np.einsum("...ij,...i,...j->...", ginv, u, l)
-        worst = max(
-            float(np.abs(uu).max()),
-            float(np.abs(ll - 1).max()),
-            float(np.abs(ul).max()),
-        )
-        if worst > tol:
+        # NaN propagates: g^-1(u, u) overflowing to inf - inf must fail
+        worst = float(np.max([np.abs(uu).max(), np.abs(ll - 1).max(), np.abs(ul).max()]))
+        if not worst <= tol:
             raise PairAlgebraViolated(
                 f"null/unit/orthogonality algebra residual {worst} exceeds {tol}"
             )
@@ -177,7 +174,9 @@ def parallel_pair_residual(
         raise PairAlgebraViolated("l must be a purely spatial representative")
 
     lam, h, theta = gh_decomposition(g)
-    hinv = fd.inverse(h)
+    # the 3x3 closed form on planes, read back as one grid-major copy: einsum
+    # on the strided planes view sums in another order
+    hinv = np.ascontiguousarray(fd.from_planes(fd.plane_inverse(fd.to_planes(h, 4)), 4))
     u0 = pair.u[..., 0] / lam
     if np.any(np.abs(u0) < 1e-14):
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")

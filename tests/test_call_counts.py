@@ -45,16 +45,18 @@ def test_two_christoffel_sets_per_single_slab_residual(counter):
     assert len(calls) == 2
 
 
+FLOW_PP = {"mode": "flow-pp",
+           "pp": {"a_l": 0.1, "b_l": -1.5, "a_n": -0.2, "b_n": 1.2, "c": 0.3},
+           "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": [5, 5, 5, 5]}
+
+
 def test_four_christoffel_sets_per_flow_pp_metric(counter, monkeypatch):
-    config = {"mode": "flow-pp",
-              "pp": {"a_l": 0.1, "b_l": -1.5, "a_n": -0.2, "b_n": 1.2, "c": 0.3},
-              "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": [5, 5, 5, 5]}
     metrics = []
     init = sv.Metric4Grid.__init__
     monkeypatch.setattr(sv.Metric4Grid, "__init__",
                         lambda self, *a, **kw: metrics.append(1) or init(self, *a, **kw))
     calls = counter(sv, "christoffel_fd")
-    cli.run(config)
+    cli.run(FLOW_PP)
     assert len(metrics) == 1
     assert len(calls) == 4
 
@@ -68,6 +70,21 @@ def test_two_diagonal_solutions_per_flow_diag_run(counter):
     calls = counter(flow, "diagonal_solution")
     cli.run(config)
     assert len(calls) == 2
+
+
+def test_no_numpy_gradient_on_the_grid(monkeypatch):
+    """Every grid derivative takes its quotients from `grid._difference`; a
+    second stencil on the grid would show here as numpy.gradient calls."""
+    calls = []
+    gradient = np.gradient
+    monkeypatch.setattr(np, "gradient", lambda *a, **kw: calls.append(1) or gradient(*a, **kw))
+    cli.run(FLOW_PP)
+    cli.run({"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 0.5},
+             "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": 5})
+    assert calls == []
+    # the 1-D profile derivatives on coordinate arrays keep numpy's stencil
+    flow.pp_ricci_residual(flow.PPWaveData(fl=np.sin, fn=np.cos), np.linspace(0, 1, 9))
+    assert len(calls) == 4
 
 
 def test_counter_sees_calls_through_every_binding(counter):

@@ -306,6 +306,8 @@ EXIT_CODE_TABLE = [
     (dict(THETA_CONFIG, mode="classify", tolerance=1e308), [], 3),
     (dict(FD_SMALL, metric={"kind": "milne", "a": 0, "b": 1}), [], 3),
     (dict(FD_SMALL, metric={"kind": "milne", "a": 1, "b": -1}), [], 3),
+    # g^-1(u, u) = 1e400 overflows to inf - inf = NaN, which must not pass
+    (dict(FD_SMALL, pair={"u": [1e200, 1e200, 1e200, 0]}), [], 3),
 ]
 
 

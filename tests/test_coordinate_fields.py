@@ -66,12 +66,6 @@ class TestFieldGrid:
         with pytest.raises(ValueError):
             FieldGrid.from_binary(b"not a grid")
 
-    def test_text_round_trip(self, rng):
-        g = FieldGrid(BOX, rng.standard_normal((5, 5, 5, 3)))
-        back = FieldGrid.from_text(g.to_text())
-        assert back.box == g.box
-        assert np.allclose(back.values, g.values)
-
 
 class TestExteriorCalculus:
     def test_d_of_affine_covector_exact(self):
@@ -87,7 +81,11 @@ class TestExteriorCalculus:
         g = FieldGrid.from_function(BOX, 17, lambda x, y, z: 0.0 * x)
         xx, yy, zz = g.meshgrid()
         om = np.stack([np.sin(3 * yy + zz), np.cos(2 * xx), xx * yy], axis=-1)
-        assert cf.fd_dd_residual(g.like(om)) < 1e-10
+        d = cf.fd_exterior_derivative(g.like(om)).values
+        # the dx^dy^dz coefficient of d(d omega): a cyclic sum of partials,
+        # O(h^2) for the discrete operator
+        dd = sum(g.grad(d[..., j, k], i) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        assert cf.interior_max(g, dd) < 1e-10
 
     def test_interior_max_excludes_collar(self):
         g = FieldGrid.from_function(BOX, 9, lambda x, y, z: 0.0 * x)
@@ -231,12 +229,12 @@ class TestConstraintResidual:
         # against 720 B with them alive
         n = 33
         e, _ = warped_realization(n)
-        h = cf.metric_from_coframe(e)
+        h = fd.coframe_metric(fd.to_planes(e.values, 3))
         assert traced_peak(lambda: cf.christoffel3_fd(e, h)) < 600 * n**3
 
-    def test_metric_from_coframe(self):
+    def test_coframe_metric(self):
         e, _ = warped_realization(9, mu=0.5)
-        h = cf.metric_from_coframe(e)
+        h = fd.coframe_metric(fd.to_planes(e.values, 3))
         _, _, zz = FieldGrid.from_function(BOX, 9, lambda x, y, z: 0.0 * x).meshgrid()
         assert np.allclose(h[0, 0], np.exp(-2 * 0.5 * zz))
         assert np.allclose(h[2, 2], 1.0)

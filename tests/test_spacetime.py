@@ -180,6 +180,17 @@ class TestParabolicPair:
         with pytest.raises(GridInvalid):
             sv.ParabolicPairData(g, u[..., :3], l)  # not a 4-covector grid
 
+    def test_overflowing_algebra_is_rejected(self):
+        # g^-1(u, u) = 1e400 overflows to inf - inf = NaN, the first of the
+        # three residuals; a NaN must fail the check, not pass it
+        g = minkowski(n=5)
+        u = np.zeros(g.shape + (4,))
+        u[..., :3] = 1e200
+        l = np.zeros(g.shape + (4,))
+        l[..., 2] = 1.0
+        with pytest.raises(PairAlgebraViolated):
+            sv.ParabolicPairData(g, u, l)
+
     def test_minkowski_pair_parallel(self):
         g = minkowski(n=9)
         u = np.zeros(g.shape + (4,))
