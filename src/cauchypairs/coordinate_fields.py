@@ -42,10 +42,11 @@ def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     return grid.like(fd.from_planes(d, grid.ndim))
 
 
-def christoffel3_fd(grid: FieldGrid, h: np.ndarray, own=slice(None)) -> np.ndarray:
+def christoffel3_fd(grid: FieldGrid, h: np.ndarray, own=None) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of a 3-metric by central differences.
     `h` and the result are component planes, (i, j, x, y, z) and
-    (k, i, j, x, y, z); the result covers the x-planes `own` of the grid."""
+    (k, i, j, x, y, z); the result covers the box `own`, one slice per grid
+    axis (every node by default)."""
     return fd.plane_christoffel(grid, h, own=own)
 
 
@@ -57,9 +58,10 @@ def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndar
 
 
 # Nodes per x-slab of `constraint_residual_fd`: its traced working set is
-# ~890 B per node of a slab's own planes, ~780 B per window node (own planes
-# and one-plane halo) at n = 65, so 53 MiB at n = 65 and 71 MiB at n = 129
-# (four-plane slabs).  Grids of up to 33^3 nodes are one slab.
+# ~800 B per node of a slab's own planes at n = 65 and ~710 B at n = 129
+# (four-plane slabs), so 48 and 57 MiB; e and h take 144 B per window node
+# (own planes and one-plane halo), every other term lives on the nodes the
+# norms read.  Grids of up to 33^3 nodes are one slab.
 SLAB_NODES = 2**16
 
 
@@ -97,6 +99,10 @@ def constraint_residual_fd(
     Every term takes first derivatives only, so the report is evaluated one
     x-slab at a time (`SLAB_NODES`), each on its planes plus a one-plane
     halo, and the slab maxima are bit-identical to a whole-grid evaluation.
+    Each term is built only on the nodes its norm reads, without the 2-node
+    collar unless `include_boundary`, and on the one-node shell that their
+    central differences read.  Every node still passes the degeneracy test
+    and the `SingularMatrix` test of the inverse of h = e^T e.
     """
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
@@ -106,56 +112,65 @@ def constraint_residual_fd(
     slabs = _slabs(coframe.shape)
     fd.require_regular(coframe.values, degeneracy_tol, slabs)
 
-    # the x collar is cut once, in global indices; the y and z collars per slab
+    # each slab's output box in its window: its own planes less the x collar
+    # (cut in global indices), and the y and z collars
     nx = coframe.shape[0]
     lo, hi = (0, nx) if include_boundary else (2, nx - 2)
+    yz = slice(None) if include_boundary else slice(2, -2)
     parts = []
     for a, b in slabs:
         start, stop = max(a - 1, 0), min(b + 1, nx)
-        own = slice(a - start, b - start)
-        out = slice(max(a, lo) - a, min(b, hi) - a)
+        box = (slice(max(a, lo) - start, min(b, hi) - start), yz, yz)
         parts.append(_slab_residuals(coframe.window(start, stop), theta.values[start:stop],
-                                     own, out, include_boundary))
+                                     slice(a - start, b - start), box))
     # NaN propagates through np.max, so a NaN in any slab reaches the report
     return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
-def _slab_residuals(window: FieldGrid, th, own, out, include_boundary) -> dict:
-    """The report of `constraint_residual_fd` over the planes `out` of the
-    slab's own planes `own` of one x-window, each maximum taken without the
-    y and z collars.  The halo planes carry only what an x-derivative reads:
-    e, Theta(e_u) and h.  Every other term lives on the slab's own planes."""
-    yz = slice(None) if include_boundary else slice(2, -2)
+def _slab_residuals(window: FieldGrid, th, own, box) -> dict:
+    """The report of `constraint_residual_fd` over the nodes `box` (one slice
+    per axis of the x-window) within the slab's own planes `own`.  Every
+    term lives on the box; only e, h and Theta(e_u), whose partials are
+    taken, reach into the one-node shell around it (`grid.grow`).  h spans
+    the window, so that its inverse is tested on every node of the own
+    planes."""
 
     def norm(res):
-        return float(np.abs(res[..., out, yz, yz]).max())
+        return float(np.abs(res).max())
 
     e = fd.to_planes(window.values, 3)  # e[a, j] = (e_a)_j on the window
-    e_own = e[:, :, own]
-    eu = e_own[0]
+    h = fd.coframe_metric(e)
+    # each Christoffel set inverts h on the box, raising SingularMatrix where
+    # an inverse is not representable; the rest of the own planes is tested here
+    rest = np.zeros(h.shape[2:], dtype=bool)
+    rest[own] = True
+    rest[box] = False
+    fd.plane_inverse(h[:, :, rest])
+    e_box = e[(Ellipsis,) + box]
+    eu = e_box[0]
     # Theta(e_a) = sum_b theta_ab e_b in coordinate components
-    theta_e = fd.plane_matmul(fd.to_planes(th[own], 3), e_own)
+    theta_e = fd.plane_matmul(fd.to_planes(th[box], 3), e_box)
 
     # the covariant forms come first, while only the partials of e_u and e_l
     # are alive; each Christoffel set is built inside its norm() call, so no
     # term of an earlier one is alive while the next is built
-    h = fd.coframe_metric(e)
-    de_u, de_l = (fd.plane_partials(window, e[a], own=own) for a in (0, 1))  # d_i (e_a)_j
+    de_u, de_l = (fd.plane_partials(window, e[a], own=box) for a in (0, 1))  # d_i (e_a)_j
     covariant_u = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(window, h, own), de_u, eu)
-        + fd.plane_matmul(np.swapaxes(e_own, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
+        fd.plane_covariant_derivative(christoffel3_fd(window, h, box), de_u, eu)
+        + fd.plane_matmul(np.swapaxes(e_box, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
         - theta_e[0][:, None] * eu[None, :]
     )
     covariant_l = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(window, h, own), de_l, e_own[1])
+        fd.plane_covariant_derivative(christoffel3_fd(window, h, box), de_l, e_box[1])
         - theta_e[1][:, None] * eu[None, :]
     )
     del h
 
-    # Theta(e_u) feeds a derivative, so it spans the window
-    theta_eu = fd.plane_matmul(fd.to_planes(th[..., :1, :], 3), e)[0]
-    report = fd.exterior_system((de_u, de_l, fd.plane_partials(window, e[2], own=own)), eu,
-                                theta_e, fd.plane_partials(window, theta_eu, own=own), norm)
+    # Theta(e_u) feeds a derivative, so it spans the box and its shell
+    shell, inner = fd.grow(box, window.shape)
+    theta_eu = fd.plane_matmul(fd.to_planes(th[shell][..., :1, :], 3), e[(Ellipsis,) + shell])[0]
+    report = fd.exterior_system((de_u, de_l, fd.plane_partials(window, e[2], own=box)), eu,
+                                theta_e, fd.plane_partials(window, theta_eu, own=inner), norm)
     report["covariant_u"] = covariant_u
     report["covariant_l"] = covariant_l
     report["max"] = float(np.max(list(report.values())))

@@ -62,37 +62,45 @@ def comoving_residual(
 
     A node is degenerate where |det e| <= degeneracy_tol times the product of
     the row norms |e_a| (Hadamard's bound), a test invariant under e -> c e.
+    Each term is built only on the nodes its norm reads (without the 2-node
+    collar unless `include_boundary`) and, where its partials are taken, on
+    the one-node shell around them; every node still passes the degeneracy
+    test and the `SingularMatrix` test of the inverse of h.
     """
     grid = sol.coframe
     fd.require_regular(grid.values, degeneracy_tol)
     e = fd.to_planes(grid.values, grid.ndim)  # e[a, i] = (e_a)_i
+    box = (slice(None) if include_boundary else slice(2, -2),) * grid.ndim
+    shell, inner = fd.grow(box, grid.shape)
 
     def norm(res):
-        return interior_max4(fd.from_planes(res, grid.ndim), include_boundary)
+        return float(np.abs(res).max())  # NaN propagates
 
     h = fd.coframe_metric(e)
-    hinv = fd.plane_inverse(h)
-    theta = grid.plane_grad(h, 0)
+    hinv = fd.plane_inverse(h)[(Ellipsis,) + shell]  # tested on every node
+    theta = fd.plane_partials(grid, h, (0,), shell)[0]
     theta *= -0.5
     del h
-    # Theta_t(e_a)_i = theta_ij hinv^jk (e_a)_k, with the first slot metric-raised
+    # Theta_t(e_a)_i = theta_ij hinv^jk (e_a)_k, with the first slot metric-raised,
+    # on the box and its shell: its partials are taken
     raised = fd.plane_matmul(theta, hinv)
     del hinv, theta  # only theta_e is used below
-    theta_e = fd.plane_matmul(e, np.swapaxes(raised, 0, 1))
+    theta_e = fd.plane_matmul(e[(Ellipsis,) + shell], np.swapaxes(raised, 0, 1))
     del raised
 
     report = {}
-    ev = grid.plane_grad(e, 0)
-    ev += theta_e
+    ev = fd.plane_partials(grid, e, (0,), box)[0]
+    ev += theta_e[(Ellipsis,) + inner]
     report["evolution"] = norm(ev)
     del ev
 
     # the partials of one frame row at a time
-    de = (fd.plane_partials(grid, e[a], SPATIAL_AXES) for a in range(3))
+    de = (fd.plane_partials(grid, e[a], SPATIAL_AXES, box) for a in range(3))
     report.update(fd.exterior_system(
-        de, e[0], theta_e, fd.plane_partials(grid, theta_e[0], SPATIAL_AXES), norm
+        de, e[(0, Ellipsis) + box], theta_e[(Ellipsis,) + inner],
+        fd.plane_partials(grid, theta_e[0], SPATIAL_AXES, inner), norm
     ))
-    report["theta_eu_static"] = norm(grid.plane_grad(theta_e[0], 0))
+    report["theta_eu_static"] = norm(fd.plane_partials(grid, theta_e[0], (0,), inner)[0])
     report["max"] = float(np.max(list(report.values())))  # NaN propagates
     return report
 
@@ -356,7 +364,7 @@ def plane_wave_check(
     # changes no magnitude
     gam_perp = np.einsum("...al,...qlx->...axq", perp, sv.christoffel_fd(g))  # [a, x, q]
     d_big = g.grad(riem, big) if np.any(perp[..., big]) else None
-    nabla_riemann = 0.0
+    nabla_riemann = []
     for a, m in enumerate(m for m in range(4) if m != big):
         gam_a = gam_perp[..., a, :, :]
         term = g.grad(riem, m)
@@ -366,8 +374,9 @@ def plane_wave_check(
         term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (4, 4, 16))).reshape(term.shape)
         term -= (gam_a[..., None, :, :] @ riem.reshape(shape + (16, 4, 4))).reshape(term.shape)
         term -= (riem.reshape(shape + (64, 4)) @ np.swapaxes(gam_a, -1, -2)).reshape(term.shape)
-        nabla_riemann = max(nabla_riemann, interior_max4(term, include_boundary))
+        nabla_riemann.append(interior_max4(term, include_boundary))
         del term  # freed before the next gradient is built
+    nabla_riemann = float(np.max(nabla_riemann))  # NaN propagates
 
     return {
         "nabla_null": u_res,

@@ -207,28 +207,41 @@ def from_planes(planes, ndim: int) -> np.ndarray:
     return np.moveaxis(planes, range(k, k + ndim), range(ndim))
 
 
-def _on(planes, ndim, own):
-    """The planes `own` (a slice) of grid axis 0 of component planes."""
-    return planes[(Ellipsis, own) + (slice(None),) * (ndim - 1)]
+def _on(planes, own):
+    """The box `own` (one slice per grid axis, every node if None) of
+    component planes."""
+    return planes[(Ellipsis,) + tuple(own or ())]
 
 
-def plane_partials(grid: Grid, planes, axes=None, own=slice(None)) -> np.ndarray:
+def grow(box, shape):
+    """The nodes that the partials on `box` (one slice per grid axis of a
+    grid of `shape`) read, as a box grown by one node on each side and
+    clipped to the grid (by enough to hold a one-sided stencil's three nodes
+    at an end), and `box` again in the indices of that grown box.  A field
+    needed only for its partials on `box` is built on the first and
+    differentiated on the second."""
+    outer, inner = [], []
+    for s, n in zip(box, shape):
+        lo, hi, _ = s.indices(n)
+        a, b = max(min(lo - 1, n - 3), 0), min(max(hi + 1, 3), n)
+        outer.append(slice(a, b))
+        inner.append(slice(lo - a, hi - a))
+    return tuple(outer), tuple(inner)
+
+
+def plane_partials(grid: Grid, planes, axes=None, own=None) -> np.ndarray:
     """d_i planes for i in `axes` (all grid axes by default), stacked on a new
-    leading axis, on the planes `own` of grid axis 0 only.  A derivative
-    along axis 0 reads the neighbouring planes too; the others read only the
-    planes they return."""
-    if axes is None:
-        axes = range(grid.ndim)
-    axes = tuple(axes)
+    leading axis, on the box `own`: one slice per grid axis, every node by
+    default.  The derivative along axis i reads the box and its neighbours
+    along axis i only (`grow`)."""
     k = grid.ndim
-    sub = _on(planes, k, own)
-    lo, hi, _ = own.indices(planes.shape[-k])
-    out = np.empty((len(axes),) + sub.shape)
+    axes = tuple(range(k) if axes is None else axes)
+    own = (slice(None),) * k if own is None else tuple(own)
+    out = np.empty((len(axes),) + _on(planes, own).shape)
     for slot, i in enumerate(axes):
-        if i == 0:
-            _difference(planes, grid.spacing[0], -k, out[slot], lo, hi)
-        else:
-            _difference(sub, grid.spacing[i], i - k, out[slot])
+        lo, hi, _ = own[i].indices(planes.shape[i - k])
+        line = planes[(Ellipsis,) + own[:i] + (slice(None),) + own[i + 1:]]
+        _difference(line, grid.spacing[i], i - k, out[slot], lo, hi)
     return out
 
 
@@ -318,18 +331,20 @@ def coframe_metric(e) -> np.ndarray:
     return plane_matmul(np.swapaxes(e, 0, 1), e)
 
 
-def plane_christoffel(grid: Grid, metric, axes=None, own=slice(None)) -> np.ndarray:
+def plane_christoffel(grid: Grid, metric, axes=None, own=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
     3x3 metric given as component planes, returned as planes (k, i, j, *grid)
-    on the planes `own` of grid axis 0.  Only the six components g_jl, j <= l,
-    are differentiated, and each symbol is formed once for i <= j."""
+    on the box `own` (as in `plane_partials`); the metric is inverted, and
+    tested by `plane_inverse`, on that box only.  Only the six components
+    g_jl, j <= l, are differentiated, and each symbol is formed once for
+    i <= j."""
     n = len(metric)
     upper = [(j, l) for j in range(n) for l in range(j, n)]
     slot = {}
     for s, (j, l) in enumerate(upper):
         slot[j, l] = slot[l, j] = s
-    dg = plane_partials(grid, metric[tuple(zip(*upper))], axes, own)  # d_i g_jl
-    half_ginv = plane_inverse(_on(metric, grid.ndim, own))
+    dg = [plane_partials(grid, metric[j, l], axes, own) for j, l in upper]  # dg[s][i] = d_i g_jl
+    half_ginv = plane_inverse(_on(metric, own))
     half_ginv *= 0.5  # exact, so (g/2) s rounds as (g s)/2 short of underflow
     gam = np.empty((n, n, n) + half_ginv.shape[2:])
     sym = np.empty((n,) + half_ginv.shape[2:])
@@ -337,8 +352,8 @@ def plane_christoffel(grid: Grid, metric, axes=None, own=slice(None)) -> np.ndar
     for i in range(n):
         for j in range(i, n):
             for l in range(n):
-                np.add(dg[i, slot[j, l]], dg[j, slot[i, l]], out=sym[l])
-                sym[l] -= dg[l, slot[i, j]]
+                np.add(dg[slot[j, l]][i], dg[slot[i, l]][j], out=sym[l])
+                sym[l] -= dg[slot[i, j]][l]
             # the column Gamma^k_ij over every k at once
             acc = gam[:, i, j]
             np.multiply(half_ginv[:, 0], sym[0], out=acc)

@@ -45,6 +45,23 @@ def test_two_christoffel_sets_per_single_slab_residual(counter):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("include_boundary,side", [(False, 13), (True, 17)])
+def test_christoffel_sets_cover_the_output_box(monkeypatch, include_boundary, side):
+    # each set is built only on the nodes the report's norm reads
+    e, th = warped_realization(17)
+    shapes = []
+    christoffel = cf.christoffel3_fd
+
+    def recorded(*args, **kwargs):
+        gamma = christoffel(*args, **kwargs)
+        shapes.append(gamma.shape)
+        return gamma
+
+    monkeypatch.setattr(cf, "christoffel3_fd", recorded)
+    cf.constraint_residual_fd(e, th, include_boundary=include_boundary)
+    assert shapes == [(3, 3, 3) + (side,) * 3] * 2
+
+
 FLOW_PP = {"mode": "flow-pp",
            "pp": {"a_l": 0.1, "b_l": -1.5, "a_n": -0.2, "b_n": 1.2, "c": 0.3},
            "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": [5, 5, 5, 5]}

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,6 +180,33 @@ class TestFlowModes:
         })
         assert report["passed"]
         assert max(report["result"]["ode_residual_max"]) == 0.0
+
+    @staticmethod
+    def stub_fd_checks(monkeypatch):
+        """Let the FD Ricci and plane-wave checks of flow-pp pass, so that its
+        ODE residuals alone decide the verdict."""
+        monkeypatch.setattr(cli.sv, "ricci4_fd", lambda g: np.zeros(g.shape + (4, 4)))
+        monkeypatch.setattr(cli.flow, "plane_wave_check", lambda g, tol: {"passed": True})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_flow_pp_nan_ode_residual_fails(self, monkeypatch):
+        # b_n = 1.0 is an x+ node, where the r_n profile divides by zero: its
+        # ODE residual is NaN, after the finite r_l one
+        self.stub_fd_checks(monkeypatch)
+        report = cli.run({
+            "mode": "flow-pp", "pp": {"a_l": 0.1, "b_l": -1.5, "b_n": 1.0, "c": 0.3},
+            "box": [[1.0, 1.002], [0, 1], [0, 1], [0, 1]], "n": [9, 5, 5, 5],
+        })
+        r_l, r_n = report["result"]["ode_residual_max"]
+        assert r_l == 0.0 and np.isnan(r_n)
+        assert not report["passed"]
+
+    def test_ppwave_fixture_nan_ode_residual_fails(self, monkeypatch):
+        self.stub_fd_checks(monkeypatch)
+        assert cli.run({"mode": "reproduce", "fixture": "ppwave"})["passed"]
+        monkeypatch.setattr(cli.flow, "pp_ricci_residual",
+                            lambda data, x: (np.zeros(len(x)), np.full(len(x), np.nan)))
+        assert not cli.run({"mode": "reproduce", "fixture": "ppwave"})["passed"]
 
     def test_verify_spacetime_minkowski(self):
         report = cli.run({

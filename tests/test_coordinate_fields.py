@@ -11,6 +11,7 @@ from cauchypairs.errors import (
     DegenerateCoframe,
     GridInvalid,
     GridTooSmall,
+    SingularMatrix,
     WDerivativeVanishes,
     YZDependence,
 )
@@ -218,6 +219,57 @@ class TestConstraintResidual:
             assert list(report) == list(ref)
             assert report == ref
         assert min(whole[1].values()) > 0
+
+    @staticmethod
+    def off_solution(n):
+        """The warped realization with a Theta that varies over the box, so
+        that every reported residual is nonzero."""
+        e, th = warped_realization(n)
+        xx, yy, zz = e.meshgrid()
+        wave = np.cos(40 * xx + 9 * yy - 13 * zz)[..., None, None]
+        return e, th.like(th.values * 1.5 + wave * np.arange(1, 10).reshape(3, 3))
+
+    @pytest.mark.parametrize("slab_nodes", [None, 1])
+    def test_outer_faces_do_not_reach_the_report(self, monkeypatch, slab_nodes):
+        # every term takes first derivatives only, so without the 2-node
+        # collar the report reads no node with an index 0 or n - 1
+        n = 17
+        if slab_nodes:
+            monkeypatch.setattr(cf, "SLAB_NODES", slab_nodes)
+        e, th = self.off_solution(n)
+        ref = cf.constraint_residual_fd(e, th)
+        face = np.zeros(e.shape, dtype=bool)
+        for axis in range(3):
+            face[(slice(None),) * axis + (0,)] = face[(slice(None),) * axis + (-1,)] = True
+        shear = np.array([[2.0, 0.3, -0.2], [0.25, 1.5, 0.4], [-0.15, 0.35, 3.0]])
+        e_vals, th_vals = e.values.copy(), th.values.copy()
+        e_vals[face] = e_vals[face] @ shear
+        th_vals[face] = -7.0 * th_vals[face] + 0.5
+        report = cf.constraint_residual_fd(e.like(e_vals), th.like(th_vals))
+        assert report == ref and min(ref.values()) > 0
+        # the collar does reach the report with include_boundary
+        assert (cf.constraint_residual_fd(e.like(e_vals), th.like(th_vals), include_boundary=True)
+                != cf.constraint_residual_fd(e, th, include_boundary=True))
+
+    @pytest.mark.parametrize("node,slab_nodes", [
+        ((0, 0, 0), None), ((8, 0, 8), None), ((8, 1, 8), None), ((16, 8, 16), None),
+        ((8, 8, 8), None),
+        # y and z collar nodes on the first plane of slab 2, the halo plane of
+        # slab 1, and on the last plane of slab 1
+        ((4, 1, 8), 1), ((3, 8, 0), 1),
+    ])
+    def test_unrepresentable_metric_inverse_on_any_node(self, monkeypatch, node, slab_nodes):
+        # rows scaled by 2^-560 stay regular under Hadamard's bound, but
+        # h = e^T e underflows to 0 there, so h^-1 is not representable
+        if slab_nodes:
+            monkeypatch.setattr(cf, "SLAB_NODES", slab_nodes)
+            assert (0, 4) in cf._slabs((17, 17, 17))
+        e, th = self.off_solution(17)
+        vals = e.values.copy()
+        vals[node] = np.ldexp(vals[node], -560)
+        for include_boundary in (False, True):
+            with pytest.raises(SingularMatrix):
+                cf.constraint_residual_fd(e.like(vals), th, include_boundary=include_boundary)
 
     def test_residual_memory_is_bounded_by_the_slab(self):
         e, th = warped_realization(65)

@@ -9,6 +9,7 @@ from cauchypairs.errors import (
     IntervalContainsSingularity,
     NullDirectionNotParallel,
     ParamOutOfRange,
+    SingularMatrix,
 )
 from cauchypairs.flow import DiagonalFamily, FlowSolution, PPWaveData
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
@@ -142,8 +143,9 @@ class TestDiagonalSolution:
 
     def test_comoving_residual_peak_memory_per_node(self):
         # h, its inverse and Theta_t are freed once Theta_t(e_a) is built,
-        # and d_t e + Theta_t(e) once reduced: ~360 B per node against
-        # ~650 B with them alive
+        # and d_t e + Theta_t(e) once reduced, and every term but h and its
+        # inverse lives on the nodes the norms read: ~310 B per node against
+        # ~650 B with them alive on every node
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
         sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
@@ -182,6 +184,21 @@ class TestDiagonalSolution:
             flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
         assert err.value.nodes == [(3, 4, 2, 1)]
         assert all(type(i) is int for i in err.value.nodes[0])
+
+    @pytest.mark.parametrize("node", [(0, 4, 4, 4), (1, 4, 4, 4), (8, 4, 4, 4), (4, 4, 1, 4)])
+    def test_unrepresentable_metric_inverse_on_any_node(self, node):
+        # rows scaled by 2^-560 stay regular under Hadamard's bound, but
+        # h = e^T e underflows to 0 there, so h^-1 is not representable; the
+        # t-collar nodes are read by no norm
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = sol.coframe.values.copy()
+        vals[node] = np.ldexp(vals[node], -560)
+        for include_boundary in (False, True):
+            with pytest.raises(SingularMatrix):
+                flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)),
+                                       include_boundary=include_boundary)
 
     def test_simpson_primitive_close_to_exact(self):
         common = dict(
@@ -305,6 +322,23 @@ class TestPlaneWaveCheck:
         report = flow.plane_wave_check(g, tol=1e-5)
         assert report["passed"]
         assert report["nabla_null"] < 1e-10
+
+    def test_nan_in_one_spanning_vector_fails(self, monkeypatch):
+        # the nabla Riem maximum of the second spanning vector (the fourth
+        # interior_max4 call, after nabla_null and perp_riemann) is NaN
+        data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
+        g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), (9, 5, 5, 5))
+        calls = []
+
+        def nan_on_fourth(values, include_boundary=False):
+            calls.append(1)
+            return float("nan") if len(calls) == 4 else sv.interior_max4(values, include_boundary)
+
+        monkeypatch.setattr(flow, "interior_max4", nan_on_fourth)
+        report = flow.plane_wave_check(g, tol=1e-5)
+        assert len(calls) == 5
+        assert np.isnan(report["nabla_riemann"]) and report["perp_riemann"] <= 1e-5
+        assert not report["passed"]
 
     def test_non_parallel_direction_rejected(self):
         def gfun(t, x, y, z):

@@ -186,8 +186,8 @@ class TestSliceKernels:
 
 class TestPlaneStencil:
     """Every derivative, grid-major or on component planes, is np.gradient's
-    second-order stencil, bit for bit, on every grid axis and on any range of
-    axis-0 planes."""
+    second-order stencil, bit for bit, on every grid axis and on any box of
+    nodes."""
 
     @pytest.mark.parametrize("shape, ndim", [((9, 17, 6, 7), 3), ((2, 3, 5, 6, 5, 7), 4)])
     def test_matches_np_gradient(self, rng, shape, ndim):
@@ -212,11 +212,19 @@ class TestPlaneStencil:
                 assert partial[(slice(None),) * ndim + (axis,)].tobytes() == ref
                 if axis:
                     assert spatial[(slice(None),) * ndim + (axis - 1,)].tobytes() == ref
+        # on a box, and on a box from the field on the nodes `grow` says it reads
         nx = shape[-ndim]
         whole = fd.plane_partials(grid, planes)
-        for own in (slice(0, 3), slice(1, nx - 1), slice(2, nx), slice(0, nx)):
+        rest = (slice(None),) * (ndim - 1)
+        boxes = [(own,) + rest for own in (slice(0, 3), slice(1, nx - 1), slice(2, nx))]
+        boxes += [(slice(2, -2),) * ndim, (slice(0, 1), slice(1, 2), slice(-1, None)) + rest[2:]]
+        for own in boxes + [None]:
+            on = (Ellipsis,) + (own or ())
             part = fd.plane_partials(grid, planes, own=own)
-            np.testing.assert_array_equal(part, whole[(Ellipsis, own) + (slice(None),) * (ndim - 1)])
+            assert part.tobytes() == np.ascontiguousarray(whole[on]).tobytes()
+            shell, inner = fd.grow(own or rest + (slice(None),), shape[-ndim:])
+            assert fd.plane_partials(grid, planes[(Ellipsis,) + shell], own=inner).tobytes() \
+                == part.tobytes()
 
 
 class TestWindow:
@@ -365,8 +373,9 @@ class TestDenseChristoffel:
         metric = fd.to_planes(self.dense_metric(grid, 3, 1.0), 3)
         whole = fd.plane_christoffel(grid, metric)
         for own in (slice(0, 4), slice(1, 8), slice(5, 9)):
+            own = (own, slice(2, -2), slice(0, 1))
             np.testing.assert_array_equal(fd.plane_christoffel(grid, metric, own=own),
-                                          whole[:, :, :, own])
+                                          whole[(Ellipsis,) + own])
 
 
 class TestQuadrature:
