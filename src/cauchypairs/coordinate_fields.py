@@ -134,18 +134,12 @@ def _slab_residuals(window: FieldGrid, th, own, box) -> dict:
     taken, reach into the one-node shell around it (`grid.grow`).  h spans
     the window, so that its inverse is tested on every node of the own
     planes."""
-
-    def norm(res):
-        return float(np.abs(res).max())
-
+    norm = fd.max_abs
     e = fd.to_planes(window.values, 3)  # e[a, j] = (e_a)_j on the window
     h = fd.coframe_metric(e)
-    # each Christoffel set inverts h on the box, raising SingularMatrix where
-    # an inverse is not representable; the rest of the own planes is tested here
-    rest = np.zeros(h.shape[2:], dtype=bool)
-    rest[own] = True
-    rest[box] = False
-    fd.plane_inverse(h[:, :, rest])
+    # the Christoffel sets invert h on the box only; this raises SingularMatrix
+    # wherever an inverse on the own planes, collar included, is not representable
+    fd.plane_inverse(h[:, :, own])
     e_box = e[(Ellipsis,) + box]
     eu = e_box[0]
     # Theta(e_a) = sum_b theta_ab e_b in coordinate components

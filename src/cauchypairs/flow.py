@@ -72,10 +72,7 @@ def comoving_residual(
     e = fd.to_planes(grid.values, grid.ndim)  # e[a, i] = (e_a)_i
     box = (slice(None) if include_boundary else slice(2, -2),) * grid.ndim
     shell, inner = fd.grow(box, grid.shape)
-
-    def norm(res):
-        return float(np.abs(res).max())  # NaN propagates
-
+    norm = fd.max_abs
     h = fd.coframe_metric(e)
     hinv = fd.plane_inverse(h)[(Ellipsis,) + shell]  # tested on every node
     theta = fd.plane_partials(grid, h, (0,), shell)[0]

@@ -343,7 +343,7 @@ def plane_christoffel(grid: Grid, metric, axes=None, own=None) -> np.ndarray:
     slot = {}
     for s, (j, l) in enumerate(upper):
         slot[j, l] = slot[l, j] = s
-    dg = [plane_partials(grid, metric[j, l], axes, own) for j, l in upper]  # dg[s][i] = d_i g_jl
+    dg = plane_partials(grid, metric[tuple(zip(*upper))], axes, own)  # d_i g_jl
     half_ginv = plane_inverse(_on(metric, own))
     half_ginv *= 0.5  # exact, so (g/2) s rounds as (g s)/2 short of underflow
     gam = np.empty((n, n, n) + half_ginv.shape[2:])
@@ -352,8 +352,8 @@ def plane_christoffel(grid: Grid, metric, axes=None, own=None) -> np.ndarray:
     for i in range(n):
         for j in range(i, n):
             for l in range(n):
-                np.add(dg[slot[j, l]][i], dg[slot[i, l]][j], out=sym[l])
-                sym[l] -= dg[slot[i, j]][l]
+                np.add(dg[i, slot[j, l]], dg[j, slot[i, l]], out=sym[l])
+                sym[l] -= dg[l, slot[i, j]]
             # the column Gamma^k_ij over every k at once
             acc = gam[:, i, j]
             np.multiply(half_ginv[:, 0], sym[0], out=acc)
@@ -461,12 +461,17 @@ def require_regular(rows, tol: float, slabs=None) -> None:
         )
 
 
+def max_abs(values) -> float:
+    """Max |values| over every entry; a NaN propagates."""
+    return float(np.abs(values).max())
+
+
 def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
     """Max |values| over `naxes` leading grid axes, excluding a 2-node collar by default."""
-    v = np.abs(np.asarray(values))
+    v = np.asarray(values)
     if not include_boundary:
         v = v[(slice(2, -2),) * naxes]
-    return float(v.max())
+    return max_abs(v)
 
 
 # The 3x3 blocks of component planes m[r, c] are inverted and reduced in

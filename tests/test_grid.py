@@ -372,10 +372,12 @@ class TestDenseChristoffel:
         grid = FieldGrid.from_function(BOX3, (9, 6, 7), lambda *x: 0.0 * x[0])
         metric = fd.to_planes(self.dense_metric(grid, 3, 1.0), 3)
         whole = fd.plane_christoffel(grid, metric)
-        for own in (slice(0, 4), slice(1, 8), slice(5, 9)):
-            own = (own, slice(2, -2), slice(0, 1))
-            np.testing.assert_array_equal(fd.plane_christoffel(grid, metric, own=own),
-                                          whole[(Ellipsis,) + own])
+        # each range of x-planes over every y and z node, one-sided stencils
+        # included, and over a box cut on y and z too
+        for x in (slice(0, 4), slice(1, 8), slice(5, 9)):
+            for own in ((x, slice(None), slice(None)), (x, slice(2, -2), slice(0, 1))):
+                np.testing.assert_array_equal(fd.plane_christoffel(grid, metric, own=own),
+                                              whole[(Ellipsis,) + own])
 
 
 class TestQuadrature:
