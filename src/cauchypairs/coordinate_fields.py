@@ -42,26 +42,27 @@ def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     return grid.like(fd.from_planes(d, grid.ndim))
 
 
-def christoffel3_fd(grid: FieldGrid, h: np.ndarray, own=None) -> np.ndarray:
+def christoffel3_fd(grid: FieldGrid, h: np.ndarray, hinv: np.ndarray, own=None) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of a 3-metric by central differences.
     `h` and the result are component planes, (i, j, x, y, z) and
     (k, i, j, x, y, z); the result covers the box `own`, one slice per grid
-    axis (every node by default)."""
-    return fd.plane_christoffel(grid, h, own=own)
+    axis (every node by default), and `hinv` holds the planes of h^-1 on
+    that box."""
+    return fd.plane_christoffel(grid, h, hinv, own=own)
 
 
 def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a covector, with
     `h`, `omega` and the result as component planes."""
-    return fd.plane_covariant_derivative(christoffel3_fd(grid, h),
+    return fd.plane_covariant_derivative(christoffel3_fd(grid, h, fd.plane_inverse(h)),
                                          fd.plane_partials(grid, omega), omega)
 
 
 # Nodes per x-slab of `constraint_residual_fd`: its traced working set is
 # ~800 B per node of a slab's own planes at n = 65 and ~710 B at n = 129
-# (four-plane slabs), so 48 and 57 MiB; e and h take 144 B per window node
-# (own planes and one-plane halo), every other term lives on the nodes the
-# norms read.  Grids of up to 33^3 nodes are one slab.
+# (four-plane slabs), so 48 and 57 MiB; e, h and h^-1 (until it is cut to the
+# box) take 216 B per window node (own planes and one-plane halo), every other
+# term lives on the nodes the norms read.  Grids of up to 33^3 nodes are one slab.
 SLAB_NODES = 2**16
 
 
@@ -102,7 +103,8 @@ def constraint_residual_fd(
     Each term is built only on the nodes its norm reads, without the 2-node
     collar unless `include_boundary`, and on the one-node shell that their
     central differences read.  Every node still passes the degeneracy test
-    and the `SingularMatrix` test of the inverse of h = e^T e.
+    and the `SingularMatrix` test of the inverse of h = e^T e, which each
+    slab takes once, on its window, for both Christoffel sets.
     """
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
@@ -121,25 +123,26 @@ def constraint_residual_fd(
     for a, b in slabs:
         start, stop = max(a - 1, 0), min(b + 1, nx)
         box = (slice(max(a, lo) - start, min(b, hi) - start), yz, yz)
-        parts.append(_slab_residuals(coframe.window(start, stop), theta.values[start:stop],
-                                     slice(a - start, b - start), box))
+        parts.append(_slab_residuals(coframe, coframe.values[start:stop],
+                                     theta.values[start:stop], box))
     # NaN propagates through np.max, so a NaN in any slab reaches the report
     return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
-def _slab_residuals(window: FieldGrid, th, own, box) -> dict:
+def _slab_residuals(coframe: FieldGrid, rows, th, box) -> dict:
     """The report of `constraint_residual_fd` over the nodes `box` (one slice
-    per axis of the x-window) within the slab's own planes `own`.  Every
-    term lives on the box; only e, h and Theta(e_u), whose partials are
-    taken, reach into the one-node shell around it (`grid.grow`).  h spans
-    the window, so that its inverse is tested on every node of the own
-    planes."""
+    per axis of the x-window) of one slab, from the window's coframe `rows`
+    and Theta values `th`; `coframe` is the whole grid, whose spacing the
+    window shares.  Every term lives on the box; only e, h and Theta(e_u),
+    whose partials are taken, reach into the one-node shell around it
+    (`grid.grow`).  h is inverted once, on the whole window, so that the
+    inverse is tested on every node, collar and halo included, and both
+    Christoffel sets take it on the box."""
     norm = fd.max_abs
-    e = fd.to_planes(window.values, 3)  # e[a, j] = (e_a)_j on the window
+    e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
     h = fd.coframe_metric(e)
-    # the Christoffel sets invert h on the box only; this raises SingularMatrix
-    # wherever an inverse on the own planes, collar included, is not representable
-    fd.plane_inverse(h[:, :, own])
+    # raises SingularMatrix wherever an inverse on the window is not representable
+    hinv = np.ascontiguousarray(fd.plane_inverse(h)[(Ellipsis,) + box])
     e_box = e[(Ellipsis,) + box]
     eu = e_box[0]
     # Theta(e_a) = sum_b theta_ab e_b in coordinate components
@@ -148,23 +151,23 @@ def _slab_residuals(window: FieldGrid, th, own, box) -> dict:
     # the covariant forms come first, while only the partials of e_u and e_l
     # are alive; each Christoffel set is built inside its norm() call, so no
     # term of an earlier one is alive while the next is built
-    de_u, de_l = (fd.plane_partials(window, e[a], own=box) for a in (0, 1))  # d_i (e_a)_j
+    de_u, de_l = (fd.plane_partials(coframe, e[a], own=box) for a in (0, 1))  # d_i (e_a)_j
     covariant_u = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(window, h, box), de_u, eu)
+        fd.plane_covariant_derivative(christoffel3_fd(coframe, h, hinv, box), de_u, eu)
         + fd.plane_matmul(np.swapaxes(e_box, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
         - theta_e[0][:, None] * eu[None, :]
     )
     covariant_l = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(window, h, box), de_l, e_box[1])
+        fd.plane_covariant_derivative(christoffel3_fd(coframe, h, hinv, box), de_l, e_box[1])
         - theta_e[1][:, None] * eu[None, :]
     )
-    del h
+    del h, hinv
 
     # Theta(e_u) feeds a derivative, so it spans the box and its shell
-    shell, inner = fd.grow(box, window.shape)
+    shell, inner = fd.grow(box, e.shape[2:])
     theta_eu = fd.plane_matmul(fd.to_planes(th[shell][..., :1, :], 3), e[(Ellipsis,) + shell])[0]
-    report = fd.exterior_system((de_u, de_l, fd.plane_partials(window, e[2], own=box)), eu,
-                                theta_e, fd.plane_partials(window, theta_eu, own=inner), norm)
+    report = fd.exterior_system((de_u, de_l, fd.plane_partials(coframe, e[2], own=box)), eu,
+                                theta_e, fd.plane_partials(coframe, theta_eu, own=inner), norm)
     report["covariant_u"] = covariant_u
     report["covariant_l"] = covariant_l
     report["max"] = float(np.max(list(report.values())))
@@ -202,7 +205,7 @@ class UniversalCoverData:
         hx_samples = np.array([np.asarray(hx(xi), dtype=float) for xi in x])
         if hx_samples.shape[1:] != (2, 2):
             raise GridInvalid("hx must produce 2x2 matrices")
-        if not np.allclose(hx_samples, np.swapaxes(hx_samples, 1, 2)):
+        if not fd.is_symmetric(hx_samples):
             raise GridInvalid("hx must be symmetric")
         eig = np.linalg.eigvalsh(hx_samples)
         if np.any(eig <= 0):

@@ -12,7 +12,9 @@ path (`partials`, `christoffel`, `covariant_derivative`) stays grid-major
 with batched matmul contractions; on planes a 4x4 Christoffel set was no
 faster at 5^4 to 9^4 nodes and its values moved by rounding.  So the payload
 shape picks the route: 3x3 blocks are inverted in closed form on planes
-(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).
+(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).  The 3x3
+Christoffel set (`plane_christoffel`) takes its caller's inverse, so each
+3x3 pipeline inverts, and so tests, its metric once.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
 second-order central differences with second-order one-sided stencils at
@@ -99,18 +101,6 @@ class Grid:
             raise GridInvalid(f"values on grid {new.shape} do not fit grid {self.shape}")
         new.spacing = self.spacing
         return new
-
-    def window(self, start, stop):
-        """The planes [start, stop) of grid axis 0 as a grid of the same type.
-
-        The window keeps this grid's spacing bit for bit: a spacing recomputed
-        from the window's end coordinates can differ in the last bit, and so
-        would every derivative.  Like any grid it needs >= 5 planes.
-        """
-        x = self.axis(0)
-        sub = type(self)(((x[start], x[stop - 1]),) + self.box[1:], self.values[start:stop])
-        sub.spacing = self.spacing
-        return sub
 
     def grad(self, values, axis):
         """d/dx_axis of an array whose leading axes are this grid's; a negative
@@ -207,12 +197,6 @@ def from_planes(planes, ndim: int) -> np.ndarray:
     return np.moveaxis(planes, range(k, k + ndim), range(ndim))
 
 
-def _on(planes, own):
-    """The box `own` (one slice per grid axis, every node if None) of
-    component planes."""
-    return planes[(Ellipsis,) + tuple(own or ())]
-
-
 def grow(box, shape):
     """The nodes that the partials on `box` (one slice per grid axis of a
     grid of `shape`) read, as a box grown by one node on each side and
@@ -237,7 +221,7 @@ def plane_partials(grid: Grid, planes, axes=None, own=None) -> np.ndarray:
     k = grid.ndim
     axes = tuple(range(k) if axes is None else axes)
     own = (slice(None),) * k if own is None else tuple(own)
-    out = np.empty((len(axes),) + _on(planes, own).shape)
+    out = np.empty((len(axes),) + planes[(Ellipsis,) + own].shape)
     for slot, i in enumerate(axes):
         lo, hi, _ = own[i].indices(planes.shape[i - k])
         line = planes[(Ellipsis,) + own[:i] + (slice(None),) + own[i + 1:]]
@@ -331,34 +315,33 @@ def coframe_metric(e) -> np.ndarray:
     return plane_matmul(np.swapaxes(e, 0, 1), e)
 
 
-def plane_christoffel(grid: Grid, metric, axes=None, own=None) -> np.ndarray:
+def plane_christoffel(grid: Grid, metric, inverse, axes=None, own=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
     3x3 metric given as component planes, returned as planes (k, i, j, *grid)
-    on the box `own` (as in `plane_partials`); the metric is inverted, and
-    tested by `plane_inverse`, on that box only.  Only the six components
-    g_jl, j <= l, are differentiated, and each symbol is formed once for
-    i <= j."""
+    on the box `own` (as in `plane_partials`).  `inverse` holds the planes of
+    g^kl on that box: the caller inverts, and so tests, the metric.  Only the
+    six components g_jl, j <= l, are differentiated, and each symbol is
+    formed once for i <= j."""
     n = len(metric)
     upper = [(j, l) for j in range(n) for l in range(j, n)]
     slot = {}
     for s, (j, l) in enumerate(upper):
         slot[j, l] = slot[l, j] = s
     dg = plane_partials(grid, metric[tuple(zip(*upper))], axes, own)  # d_i g_jl
-    half_ginv = plane_inverse(_on(metric, own))
-    half_ginv *= 0.5  # exact, so (g/2) s rounds as (g s)/2 short of underflow
-    gam = np.empty((n, n, n) + half_ginv.shape[2:])
-    sym = np.empty((n,) + half_ginv.shape[2:])
+    gam = np.empty((n, n, n) + dg.shape[2:])
+    sym = np.empty((n,) + dg.shape[2:])
     tmp = np.empty(gam.shape[:1] + sym.shape[1:])
     for i in range(n):
         for j in range(i, n):
             for l in range(n):
                 np.add(dg[i, slot[j, l]], dg[j, slot[i, l]], out=sym[l])
                 sym[l] -= dg[l, slot[i, j]]
+            sym *= 0.5  # exact, so g (s/2) rounds as (g s)/2 short of underflow
             # the column Gamma^k_ij over every k at once
             acc = gam[:, i, j]
-            np.multiply(half_ginv[:, 0], sym[0], out=acc)
+            np.multiply(inverse[:, 0], sym[0], out=acc)
             for l in range(1, n):
-                acc += np.multiply(half_ginv[:, l], sym[l], out=tmp)
+                acc += np.multiply(inverse[:, l], sym[l], out=tmp)
             if j != i:
                 gam[:, j, i] = acc
     return gam
@@ -461,6 +444,13 @@ def require_regular(rows, tol: float, slabs=None) -> None:
         )
 
 
+def is_symmetric(m) -> bool:
+    """Whether every trailing square block of `m` is symmetric to 1e-8 of
+    its own largest |entry|, a test invariant under m -> c m; a NaN fails."""
+    scale = np.abs(m).max(axis=(-2, -1))[..., None, None]
+    return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2)) <= 1e-8 * scale))
+
+
 def max_abs(values) -> float:
     """Max |values| over every entry; a NaN propagates."""
     return float(np.abs(values).max())
@@ -479,8 +469,7 @@ def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
 # largest |entry|, in one `ldexp` over the nine planes.  That is exact: the
 # result is bit for bit that of the unscaled closed form wherever that form
 # neither over- nor underflows, and no finite block makes it do so.  The
-# scaled copy takes nine floats per node while an inverse is built, below the
-# peak of the Christoffel set that calls it.
+# scaled copy takes nine floats per node while an inverse is built.
 
 
 def _neg_exponents3(m):

@@ -41,7 +41,7 @@ class Metric4Grid(Grid4):
         super().__init__(box, values)
         if self.values.shape[4:] != (4, 4):
             raise GridInvalid("metric payload must be 4x4")
-        if not np.allclose(self.values, np.swapaxes(self.values, -1, -2)):
+        if not fd.is_symmetric(self.values):
             raise GridInvalid("metric must be symmetric at every node")
         if check_signature:
             # ascending eigenvalues: exactly one negative, three positive
@@ -235,7 +235,7 @@ def general_flow_residual(
     ev_l = u0 * grid.plane_grad(l_perp, 0) + (lam * u0) * theta_of(l_perp) + dlam_l * u_perp
     report["evolution_l"] = norm(ev_l)
 
-    gamma_h = fd.plane_christoffel(grid, h, SPATIAL_AXES)
+    gamma_h = fd.plane_christoffel(grid, h, hinv, SPATIAL_AXES)
     nab_u = fd.plane_covariant_derivative(
         gamma_h, fd.plane_partials(grid, u_perp, SPATIAL_AXES), u_perp)
     report["spatial_u"] = norm(nab_u + u0 * theta)

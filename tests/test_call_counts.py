@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from cauchypairs import cli, coordinate_fields as cf, flow, spacetime_verifier as sv
+from cauchypairs import cli, coordinate_fields as cf, flow, grid as fd, spacetime_verifier as sv
 
+import test_spacetime
 from test_coordinate_fields import warped_realization
 
 PACKAGE = "cauchypairs"
@@ -43,6 +44,21 @@ def test_two_christoffel_sets_per_single_slab_residual(counter):
     calls = counter(cf, "christoffel3_fd")
     cf.constraint_residual_fd(e, th)
     assert len(calls) == 2
+
+
+def test_one_metric_inverse_per_single_slab_residual(counter):
+    # it tests h on every node and serves both Christoffel sets
+    e, th = warped_realization(17)
+    assert len(cf._slabs(e.shape)) == 1
+    calls = counter(fd, "plane_inverse")
+    cf.constraint_residual_fd(e, th)
+    assert len(calls) == 1
+
+
+def test_one_metric_inverse_per_general_flow_residual(counter):
+    calls = counter(fd, "plane_inverse")
+    sv.general_flow_residual(*test_spacetime.TestGeneralFlow.comoving_diag_data(9))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("include_boundary,side", [(False, 13), (True, 17)])

@@ -104,7 +104,7 @@ class TestChristoffel:
         g = FieldGrid.from_function(BOX, 33, lambda x, y, z: 0.0 * x)
         xx, _, _ = g.meshgrid()
         h = fd.to_planes(np.exp(2 * xx)[..., None, None] * np.eye(3), 3)
-        gamma = fd.from_planes(cf.christoffel3_fd(g, h), 3)
+        gamma = fd.from_planes(cf.christoffel3_fd(g, h, fd.plane_inverse(h)), 3)
         dphi = np.array([1.0, 0.0, 0.0])
         expected = (
             np.einsum("i,kj->kij", dphi, np.eye(3))
@@ -276,13 +276,14 @@ class TestConstraintResidual:
         assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 170 * 2**20
 
     def test_christoffel_peak_memory_per_node(self):
-        # the stacked partials are freed before the inverse and the product:
-        # ~506 B per node (ginv, the symmetrised partials and the output)
-        # against 720 B with them alive
+        # ~432 B per node: the six partials d_i g_jl, the output, and three
+        # planes each of the symmetrised partials and of one product (the
+        # caller's inverse is allocated before the trace starts)
         n = 33
         e, _ = warped_realization(n)
         h = fd.coframe_metric(fd.to_planes(e.values, 3))
-        assert traced_peak(lambda: cf.christoffel3_fd(e, h)) < 600 * n**3
+        hinv = fd.plane_inverse(h)
+        assert traced_peak(lambda: cf.christoffel3_fd(e, h, hinv)) < 600 * n**3
 
     def test_coframe_metric(self):
         e, _ = warped_realization(9, mu=0.5)
@@ -423,6 +424,16 @@ class TestUniversalCover:
         g = FieldGrid(BOX, np.zeros((5, 5, 5) + u_payload))
         with pytest.raises(GridInvalid):
             UniversalCoverData(g, hx=lambda x: hx, F=lambda x: 0.0)
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+    def test_symmetry_of_hx_is_tested_at_its_scale(self, c):
+        # h_yz = c/2 against h_zy = 0; an absolute tolerance of 1e-8 let it
+        # pass at c = 1e-9
+        g = self.scalar_grid(9)
+        UniversalCoverData(g, hx=lambda x: c * np.eye(2), F=lambda x: 0.0)
+        with pytest.raises(GridInvalid, match="symmetric"):
+            UniversalCoverData(g, hx=lambda x: c * np.array([[1.0, 0.5], [0.0, 1.0]]),
+                               F=lambda x: 0.0)
 
     def test_requires_scalar_grid(self):
         g = FieldGrid(BOX, np.zeros((5, 5, 5, 3)))

@@ -10,7 +10,7 @@ from cauchypairs import coordinate_fields as cf
 from cauchypairs import flow
 from cauchypairs import grid as fd
 from cauchypairs.coordinate_fields import FieldGrid
-from cauchypairs.errors import CauchyPairsError, GridInvalid, GridTooSmall, SingularMatrix
+from cauchypairs.errors import CauchyPairsError, GridInvalid, SingularMatrix
 from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
@@ -44,6 +44,10 @@ class TestGridInvalid:
         vals[2, 2, 2, 2] = np.inf
         with pytest.raises(GridInvalid):
             Grid4(BOX4, vals)
+
+    def test_like_rejects_another_grid_shape(self):
+        with pytest.raises(GridInvalid):
+            FieldGrid(BOX3, np.zeros((9, 5, 5))).like(np.zeros((7, 5, 5)))
 
     @pytest.mark.parametrize("box", [
         ((0, 1), (0, 0), (0, 1), (0, 1)),
@@ -152,11 +156,11 @@ class TestSliceKernels:
         g4 = Grid4(BOX4, np.zeros((nt,) + g3.shape))
         h4 = np.broadcast_to(h[:, :, None], h.shape[:2] + (nt,) + h.shape[2:])
         om4 = np.broadcast_to(om[:, None], om.shape[:1] + (nt,) + om.shape[1:])
-        gamma4 = fd.plane_christoffel(g4, h4, SPATIAL_AXES)
+        gamma4 = fd.plane_christoffel(g4, h4, fd.plane_inverse(h4), SPATIAL_AXES)
         nab4 = fd.plane_covariant_derivative(
             gamma4, fd.plane_partials(g4, om4, SPATIAL_AXES), om4)
         d4 = fd.exterior_derivative(g4, om4, SPATIAL_AXES)
-        gamma3 = cf.christoffel3_fd(g3, h)
+        gamma3 = cf.christoffel3_fd(g3, h, fd.plane_inverse(h))
         nab3 = cf.covariant_derivative_covector(g3, h, om)
         d3 = fd.to_planes(cf.fd_exterior_derivative(g3.like(omega)).values, 3)
         for t in range(nt):
@@ -225,39 +229,6 @@ class TestPlaneStencil:
             shell, inner = fd.grow(own or rest + (slice(None),), shape[-ndim:])
             assert fd.plane_partials(grid, planes[(Ellipsis,) + shell], own=inner).tobytes() \
                 == part.tobytes()
-
-
-class TestWindow:
-    """Planes [start, stop) of axis 0 keep the parent grid's spacing bit for
-    bit, so first derivatives away from the window's own ends are unchanged."""
-
-    BOX = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
-
-    def test_spacing_kept_where_recomputing_it_differs(self):
-        g = FieldGrid(self.BOX, np.zeros((9, 5, 6)))
-        x = g.axis(0)
-        assert (x[6] - x[0]) / 6 != g.spacing[0]
-        w = g.window(0, 7)
-        assert w.spacing == g.spacing and w.shape == (7, 5, 6)
-        assert w.like(np.ones(w.shape)).spacing == g.spacing
-
-    def test_derivatives_match_the_whole_grid(self):
-        g = FieldGrid.from_function(self.BOX, (17, 5, 6), lambda x, y, z: np.sin(40 * x) * y)
-        full = [g.grad(g.values, i) for i in range(3)]
-        for start, stop in ((0, 7), (3, 10), (9, 17)):
-            w = g.window(start, stop)
-            inner = slice(1 if start else 0, stop - start - (stop < 17))
-            for i in range(3):
-                np.testing.assert_array_equal(w.grad(w.values, i)[inner],
-                                              full[i][start:stop][inner])
-
-    def test_window_needs_five_planes(self):
-        with pytest.raises(GridTooSmall):
-            FieldGrid(self.BOX, np.zeros((9, 5, 5))).window(2, 6)
-
-    def test_like_rejects_another_grid_shape(self):
-        with pytest.raises(GridInvalid):
-            FieldGrid(self.BOX, np.zeros((9, 5, 5))).like(np.zeros((7, 5, 5)))
 
 
 def spd_batch(rng, shape, n=3):
@@ -364,20 +335,24 @@ class TestDenseChristoffel:
     def test_planes_route_matches_einsum_reference(self):
         grid = FieldGrid.from_function(BOX3, 7, lambda *x: 0.0 * x[0])
         metric = self.dense_metric(grid, 3, 1.0)
-        gam = fd.from_planes(fd.plane_christoffel(grid, fd.to_planes(metric, 3)), 3)
+        planes = fd.to_planes(metric, 3)
+        gam = fd.from_planes(fd.plane_christoffel(grid, planes, fd.plane_inverse(planes)), 3)
         ref = self.reference(grid, metric)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_planes_route_on_a_range_of_planes(self):
         grid = FieldGrid.from_function(BOX3, (9, 6, 7), lambda *x: 0.0 * x[0])
         metric = fd.to_planes(self.dense_metric(grid, 3, 1.0), 3)
-        whole = fd.plane_christoffel(grid, metric)
+        inverse = fd.plane_inverse(metric)
+        whole = fd.plane_christoffel(grid, metric, inverse)
         # each range of x-planes over every y and z node, one-sided stencils
-        # included, and over a box cut on y and z too
+        # included, and over a box cut on y and z too, with the whole-grid
+        # inverse cut to the box
         for x in (slice(0, 4), slice(1, 8), slice(5, 9)):
             for own in ((x, slice(None), slice(None)), (x, slice(2, -2), slice(0, 1))):
-                np.testing.assert_array_equal(fd.plane_christoffel(grid, metric, own=own),
-                                              whole[(Ellipsis,) + own])
+                on = (Ellipsis,) + own
+                np.testing.assert_array_equal(
+                    fd.plane_christoffel(grid, metric, inverse[on], own=own), whole[on])
 
 
 class TestQuadrature:

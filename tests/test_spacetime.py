@@ -69,6 +69,17 @@ class TestMetric4Grid:
         with pytest.raises(ValueError):
             Metric4Grid(BOX, vals)
 
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+    def test_symmetry_is_relative_to_each_node(self, c):
+        # one node scaled by c with g_12 = c/2 against g_21 = 0; an absolute
+        # tolerance of 1e-8 let it pass at c = 1e-9
+        vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
+        vals[2, 3, 1, 4] *= c
+        Metric4Grid(BOX, vals)
+        vals[2, 3, 1, 4, 1, 2] = 0.5 * c
+        with pytest.raises(GridInvalid, match="symmetric"):
+            Metric4Grid(BOX, vals)
+
     def test_inverse(self):
         g = milne(n=5)
         prod = np.einsum("...ij,...jk->...ik", g.values, g.inverse())
