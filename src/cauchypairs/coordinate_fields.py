@@ -60,9 +60,10 @@ def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndar
 
 # Nodes per x-slab of `constraint_residual_fd`: its traced working set is
 # ~800 B per node of a slab's own planes at n = 65 and ~710 B at n = 129
-# (four-plane slabs), so 48 and 57 MiB; e, h and h^-1 (until it is cut to the
-# box) take 216 B per window node (own planes and one-plane halo), every other
-# term lives on the nodes the norms read.  Grids of up to 33^3 nodes are one slab.
+# (four-plane slabs), so 48 and 57 MiB; e and h take 144 B per window node
+# (own planes and one-plane halo), h^-1 72 B per own node until it is cut to
+# the box, and every other term lives on the nodes the norms read.  Grids of
+# up to 33^3 nodes are one slab.
 SLAB_NODES = 2**16
 
 
@@ -104,7 +105,7 @@ def constraint_residual_fd(
     collar unless `include_boundary`, and on the one-node shell that their
     central differences read.  Every node still passes the degeneracy test
     and the `SingularMatrix` test of the inverse of h = e^T e, which each
-    slab takes once, on its window, for both Christoffel sets.
+    slab takes once, on its own planes, for both Christoffel sets.
     """
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
@@ -124,25 +125,27 @@ def constraint_residual_fd(
         start, stop = max(a - 1, 0), min(b + 1, nx)
         box = (slice(max(a, lo) - start, min(b, hi) - start), yz, yz)
         parts.append(_slab_residuals(coframe, coframe.values[start:stop],
-                                     theta.values[start:stop], box))
+                                     theta.values[start:stop], box, slice(a - start, b - start)))
     # NaN propagates through np.max, so a NaN in any slab reaches the report
     return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
-def _slab_residuals(coframe: FieldGrid, rows, th, box) -> dict:
+def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     """The report of `constraint_residual_fd` over the nodes `box` (one slice
     per axis of the x-window) of one slab, from the window's coframe `rows`
     and Theta values `th`; `coframe` is the whole grid, whose spacing the
-    window shares.  Every term lives on the box; only e, h and Theta(e_u),
-    whose partials are taken, reach into the one-node shell around it
-    (`grid.grow`).  h is inverted once, on the whole window, so that the
-    inverse is tested on every node, collar and halo included, and both
-    Christoffel sets take it on the box."""
+    window shares, and `own` the slab's own planes of the window.  Every
+    term lives on the box; only e, h and Theta(e_u), whose partials are
+    taken, reach into the one-node shell around it (`grid.grow`).  h is
+    inverted once, on the own planes, so that the slabs together test the
+    inverse on every node once, collar included, and both Christoffel sets
+    take it cut to the box."""
     norm = fd.max_abs
     e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
     h = fd.coframe_metric(e)
-    # raises SingularMatrix wherever an inverse on the window is not representable
-    hinv = np.ascontiguousarray(fd.plane_inverse(h)[(Ellipsis,) + box])
+    # raises SingularMatrix wherever an inverse on the own planes is not representable
+    cut = (slice(box[0].start - own.start, box[0].stop - own.start),) + box[1:]
+    hinv = np.ascontiguousarray(fd.plane_inverse(h[..., own, :, :])[(Ellipsis,) + cut])
     e_box = e[(Ellipsis,) + box]
     eu = e_box[0]
     # Theta(e_a) = sum_b theta_ab e_b in coordinate components

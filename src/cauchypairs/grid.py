@@ -12,9 +12,9 @@ path (`partials`, `christoffel`, `covariant_derivative`) stays grid-major
 with batched matmul contractions; on planes a 4x4 Christoffel set was no
 faster at 5^4 to 9^4 nodes and its values moved by rounding.  So the payload
 shape picks the route: 3x3 blocks are inverted in closed form on planes
-(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).  The 3x3
-Christoffel set (`plane_christoffel`) takes its caller's inverse, so each
-3x3 pipeline inverts, and so tests, its metric once.
+(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).  Both
+Christoffel sets (`plane_christoffel`, `christoffel`) take their caller's
+inverse, so each pipeline inverts, and so tests, its metric once.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
 second-order central differences with second-order one-sided stencils at
@@ -160,15 +160,19 @@ def partials(grid: Grid, values, axes=None) -> np.ndarray:
     return out
 
 
-def christoffel(grid: Grid, metric, axes=None) -> np.ndarray:
+def christoffel(grid: Grid, metric, inverse, axes=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a grid-major
-    metric field: the 4x4 route (`plane_christoffel` is the 3x3 one)."""
+    metric field: the 4x4 route (`plane_christoffel` is the 3x3 one).
+    `inverse` holds g^kl: the caller inverts, and so tests, the metric."""
     dg = partials(grid, metric, axes)  # dg[..., i, j, l] = d_i g_jl
-    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    del dg  # freed before the inverse and the product, whose temporaries set the peak
-    m, n = sym.shape[-3:-1]
-    # one (n, n) @ (n, m n) product per node, the columns running over (i, j)
-    gam = inverse(metric) @ np.swapaxes(sym.reshape(sym.shape[:-3] + (m * n, n)), -1, -2)
+    # the symmetrised partials in (l, i, j) order, so that the product below
+    # reads one contiguous (n, m n) block per node
+    first = np.moveaxis(dg, -1, -3)  # first[..., l, i, j] = d_i g_jl
+    sym = np.add(first, np.swapaxes(first, -1, -2), out=np.empty(first.shape))
+    sym -= dg  # d_l g_ij
+    del dg, first  # freed before the product, whose temporaries set the peak
+    n, m = sym.shape[-3:-1]
+    gam = inverse @ sym.reshape(sym.shape[:-3] + (n, m * n))
     gam *= 0.5
     return gam.reshape(gam.shape[:-1] + (m, n))
 

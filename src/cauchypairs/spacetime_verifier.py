@@ -6,6 +6,12 @@ it serves as the oracle for every curvature claim.  Grids are uniform over
 [t0, t1] x box with coordinate order (t, x, y, z) — or any relabeling, since
 nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
+
+A `Metric4Grid` inverts itself once, on the first call of `inverse`, and
+every Christoffel set and the pair algebra share that inverse.  The Riemann
+tensor is an operator on bivectors (symmetric, for the exact tensor), so
+`riemann4_fd` returns it as the 6x6 block on the index pairs of `PAIRS`;
+`ricci4_fd` keeps its own route from the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ class Metric4Grid(Grid4):
                     f"signature is not (-,+,+,+) at {len(bad)} nodes, "
                     f"first at index {tuple(map(int, bad[0]))}"
                 )
+        self._inverse = None
 
     @classmethod
     def from_metric_function(cls, box, n, gfunc, **kw):
@@ -59,12 +66,18 @@ class Metric4Grid(Grid4):
         return cls(base.box, base.values, **kw)
 
     def inverse(self) -> np.ndarray:
-        return fd.inverse(self.values)
+        """g^-1 at every node, by LAPACK on the first call; later calls return
+        that same read-only array (`values` is never written after
+        construction)."""
+        if self._inverse is None:
+            self._inverse = fd.inverse(self.values)
+            self._inverse.flags.writeable = False
+        return self._inverse
 
 
 def christoffel_fd(g: Metric4Grid) -> np.ndarray:
     """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho})."""
-    return fd.christoffel(g, g.values)
+    return fd.christoffel(g, g.values, g.inverse())
 
 
 def ricci4_fd(g: Metric4Grid) -> np.ndarray:
@@ -85,17 +98,41 @@ def ricci4_fd(g: Metric4Grid) -> np.ndarray:
     return term1 - term2 + term3 - term4
 
 
+# the bivector index pairs A = (m, n), m < n, in the order of the 6x6 blocks
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _antisymmetriser() -> np.ndarray:
+    """The constant (16, 6) matrix taking a 4x4 block T_mn, flat in (m, n),
+    to (1/2)(T_mn - T_nm) on the pairs of `PAIRS`; its entries are 0 and
+    +-1/2, so each output is (1/2)(T_mn - T_nm) to the last bit."""
+    out = np.zeros((4, 4, 6))
+    for a, (m, n) in enumerate(PAIRS):
+        out[m, n, a], out[n, m, a] = 0.5, -0.5
+    return out.reshape(16, 6)
+
+
+_ANTISYMMETRISER = _antisymmetriser()
+
+
 def riemann4_fd(g: Metric4Grid) -> np.ndarray:
-    """R^mu_{nu rho s} = d_rho Gamma^mu_{s nu} - d_s Gamma^mu_{rho nu}
-    + Gamma^mu_{rho q} Gamma^q_{s nu} - Gamma^mu_{s q} Gamma^q_{rho nu}."""
-    gam = christoffel_fd(g)
-    d_gam = fd.partials(g, gam)
-    # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
-    term = np.einsum("...pksn->...knps", d_gam)  # d_p Gamma^k_{s n} -> R^k_{n p s}
-    riem = term - np.swapaxes(term, -2, -1)
-    riem += np.einsum("...kpq,...qsn->...knps", gam, gam)
-    riem -= np.einsum("...ksq,...qpn->...knps", gam, gam)
-    return riem
+    """The Riemann tensor as a 6x6 operator on bivectors, (..., 6, 6):
+    R_AB = (1/2)(R_mnps - R_nmps) for A = (m, n), B = (p, s) in `PAIRS`,
+    where R_mnps = g_mk R^k_nps and, with (Gamma_p)^k_n = Gamma^k_pn,
+    R^k_n(p, s) = d_p Gamma_s - d_s Gamma_p + [Gamma_p, Gamma_s].
+
+    The FD tensor is antisymmetric in (p, s) exactly but in (m, n) only to
+    discretisation error, which the antisymmetrisation drops."""
+    gam = np.ascontiguousarray(np.swapaxes(christoffel_fd(g), -3, -2))  # [p, k, n]
+    curv = np.empty(g.shape + (len(PAIRS), 4, 4))  # curv[..., B, k, n] = R^k_nB
+    for b, (p, s) in enumerate(PAIRS):
+        out = curv[..., b, :, :]
+        np.subtract(fd.partials(g, gam[..., s, :, :], (p,))[..., 0, :, :],
+                    fd.partials(g, gam[..., p, :, :], (s,))[..., 0, :, :], out=out)
+        out += gam[..., p, :, :] @ gam[..., s, :, :]
+        out -= gam[..., s, :, :] @ gam[..., p, :, :]
+    low = g.values[..., None, :, :] @ curv  # low[..., B, m, n] = R_mnB
+    return np.swapaxes(low.reshape(low.shape[:-2] + (16,)) @ _ANTISYMMETRISER, -1, -2)
 
 
 def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None) -> np.ndarray:

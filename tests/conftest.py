@@ -1,5 +1,6 @@
 """Shared samplers for admissible shape operators across the test suite,
-and a traced-memory probe for the per-node memory tests."""
+a traced-memory probe for the per-node memory tests, and the 256-component
+Riemann tensor that the bivector form of `riemann4_fd` is tested against."""
 
 import tracemalloc
 
@@ -30,6 +31,32 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def riemann4_reference(g):
+    """R^k_nps = d_p Gamma^k_sn - d_s Gamma^k_pn + Gamma^k_pq Gamma^q_sn
+    - Gamma^k_sq Gamma^q_pn of a Metric4Grid, all 256 components per node,
+    by einsum: the route that the 6x6 bivector block replaced."""
+    from cauchypairs import grid as fd
+    from cauchypairs import spacetime_verifier as sv
+
+    gam = sv.christoffel_fd(g)
+    d_gam = fd.partials(g, gam)  # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
+    term = np.einsum("...pksn->...knps", d_gam)
+    riem = term - np.swapaxes(term, -2, -1)
+    riem += np.einsum("...kpq,...qsn->...knps", gam, gam)
+    riem -= np.einsum("...ksq,...qpn->...knps", gam, gam)
+    return riem
+
+
+def bivector_block(riem_low):
+    """The (..., 6, 6) block (1/2)(R_mnps - R_nmps), m < n, p < s, in the
+    pair order of `spacetime_verifier.PAIRS`, of a lowered R_mnps."""
+    from cauchypairs.spacetime_verifier import PAIRS
+
+    m, n = (list(i) for i in zip(*PAIRS))
+    anti = 0.5 * (riem_low - np.swapaxes(riem_low, -4, -3))
+    return anti[..., m, n, :, :][..., m, n]
 
 
 def _nonzero(rng, lo=0.2, hi=3.0):

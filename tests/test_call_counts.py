@@ -94,6 +94,21 @@ def test_four_christoffel_sets_per_flow_pp_metric(counter, monkeypatch):
     assert len(calls) == 4
 
 
+MILNE = {"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 0.5},
+         "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": 5}
+
+
+@pytest.mark.parametrize("config", [FLOW_PP, MILNE], ids=["flow-pp", "verify-spacetime"])
+def test_one_lapack_inverse_per_4d_run(monkeypatch, config):
+    # the metric inverts itself once; every Christoffel set and the pair
+    # algebra take that inverse
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **kw: calls.append(1) or inv(*a, **kw))
+    cli.run(config)
+    assert len(calls) == 1
+
+
 def test_two_diagonal_solutions_per_flow_diag_run(counter):
     config = {"mode": "flow-diag",
               "family": {"case": "B_nonzero", "a": 1.5, "b": 0.5,
@@ -112,8 +127,7 @@ def test_no_numpy_gradient_on_the_grid(monkeypatch):
     gradient = np.gradient
     monkeypatch.setattr(np, "gradient", lambda *a, **kw: calls.append(1) or gradient(*a, **kw))
     cli.run(FLOW_PP)
-    cli.run({"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 0.5},
-             "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": 5})
+    cli.run(MILNE)
     assert calls == []
     # the 1-D profile derivatives on coordinate arrays keep numpy's stencil
     flow.pp_ricci_residual(flow.PPWaveData(fl=np.sin, fn=np.cos), np.linspace(0, 1, 9))

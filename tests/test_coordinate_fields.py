@@ -332,7 +332,8 @@ def grid_major_residual(coframe, theta, include_boundary=False):
               for a, name in enumerate("uln")}
     report["exterior_max"] = max(report.values())
     report["theta_eu_closed"] = norm(d(theta_e[..., 0, :]))
-    gamma = fd.christoffel(grid, np.swapaxes(e, -1, -2) @ e)
+    h = np.swapaxes(e, -1, -2) @ e
+    gamma = fd.christoffel(grid, h, fd.inverse(h))
     report["covariant_u"] = norm(fd.covariant_derivative(grid, gamma, eu)
                                  + np.swapaxes(e, -1, -2) @ theta_e
                                  - theta_e[..., 0, :, None] * eu[..., None, :])

@@ -327,7 +327,7 @@ class TestDenseChristoffel:
         metric = self.dense_metric(grid, n, sign)
         if sign < 0:
             Metric4Grid(box, metric)  # the signature is Lorentzian
-        gam = fd.christoffel(grid, metric)
+        gam = fd.christoffel(grid, metric, fd.inverse(metric))
         ref = self.reference(grid, metric)
         assert np.all(ref != 0.0)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()

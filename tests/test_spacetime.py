@@ -13,7 +13,7 @@ from cauchypairs.errors import (
 )
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
 
-from conftest import gh_pp_metric_and_pair
+from conftest import bivector_block, gh_pp_metric_and_pair, riemann4_reference
 
 BOX = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.2), (0.0, 0.2))
 
@@ -37,6 +37,23 @@ def milne(box=BOX, n=17):
         return out
 
     return Metric4Grid.from_metric_function(box, n, gfun)
+
+
+def generic_metric(n):
+    """A Lorentzian metric on [0, 0.5]^4 whose every diagonal entry and three
+    off-diagonal pairs vary, so each Gamma.Gamma product carries many
+    nonzero terms."""
+    def gfun(t, x, y, z):
+        out = np.zeros(t.shape + (4, 4))
+        out[..., 0, 0] = -(1 + 0.3 * np.sin(x + y))
+        out[..., 1, 1] = 1 + 0.2 * t * z
+        out[..., 2, 2] = np.exp(0.4 * x * t)
+        out[..., 3, 3] = 1 + y**2
+        out[..., 1, 2] = out[..., 2, 1] = 0.1 * np.cos(t + z)
+        out[..., 0, 3] = out[..., 3, 0] = 0.05 * x * y
+        return out
+
+    return Metric4Grid.from_metric_function(((0, 0.5),) * 4, n, gfun)
 
 
 class TestMetric4Grid:
@@ -85,6 +102,12 @@ class TestMetric4Grid:
         prod = np.einsum("...ij,...jk->...ik", g.values, g.inverse())
         assert np.abs(prod - np.eye(4)).max() < 1e-12
 
+    def test_inverse_is_computed_once_and_read_only(self):
+        g = milne(n=5)
+        inv = g.inverse()
+        assert g.inverse() is inv
+        assert not inv.flags.writeable
+
 
 class TestCurvature:
     def test_minkowski_flat(self):
@@ -107,31 +130,30 @@ class TestCurvature:
         g = flow.pp_metric(data, ((-0.05, 0.05), (0, 1), (0, 1), (0, 1)),
                            (17, 5, 5, 5))
         ric = sv.ricci4_fd(g)
-        riem = sv.riemann4_fd(g)
-        contracted = np.einsum("...knks->...ns", riem)
+        contracted = np.einsum("...knks->...ns", riemann4_reference(g))
         assert np.abs(ric - contracted).max() < 1e-8
 
     def test_ricci_is_trace_of_riemann_on_a_generic_metric(self):
-        # every metric entry varies, so each Gamma.Gamma product carries
-        # many nonzero terms.  The FD Ricci has an O(h^2) antisymmetric part
-        # (from d_i Gamma^m_mj), so the trace is taken over the slots that
-        # match ricci4_fd's index order, Ric_ij = R^m_jmi.
-        def gfun(t, x, y, z):
-            out = np.zeros(t.shape + (4, 4))
-            out[..., 0, 0] = -(1 + 0.3 * np.sin(x + y))
-            out[..., 1, 1] = 1 + 0.2 * t * z
-            out[..., 2, 2] = np.exp(0.4 * x * t)
-            out[..., 3, 3] = 1 + y**2
-            out[..., 1, 2] = out[..., 2, 1] = 0.1 * np.cos(t + z)
-            out[..., 0, 3] = out[..., 3, 0] = 0.05 * x * y
-            return out
-
-        g = Metric4Grid.from_metric_function(((0, 0.5),) * 4, 7, gfun)
+        # The FD Ricci has an O(h^2) antisymmetric part (from
+        # d_i Gamma^m_mj), so the trace is taken over the slots that match
+        # ricci4_fd's index order, Ric_ij = R^m_jmi.
+        g = generic_metric(7)
         ric = sv.ricci4_fd(g)
-        trace = np.einsum("...mjmi->...ij", sv.riemann4_fd(g))
+        trace = np.einsum("...mjmi->...ij", riemann4_reference(g))
         scale = np.abs(ric).max()
         assert scale > 0.5
         assert np.abs(ric - trace).max() <= 1e-12 * scale
+
+    def test_bivector_block_is_the_antisymmetrised_tensor(self):
+        # R_AB = (1/2)(R_mnps - R_nmps) of the lowered 256-component tensor;
+        # only the order of the sums differs
+        g = generic_metric(7)
+        block = sv.riemann4_fd(g)
+        ref = bivector_block(np.einsum("...mk,...knps->...mnps", g.values, riemann4_reference(g)))
+        assert block.shape == g.shape + (6, 6)
+        scale = np.abs(ref).max()
+        assert scale > 0.1
+        assert np.abs(block - ref).max() <= 1e-12 * scale
 
     def test_covariant_derivative_flat_is_partial(self):
         g = minkowski(n=9)
