@@ -8,20 +8,21 @@ and the grid axes last, (*components, *grid), so that every component is one
 contiguous block and a per-node contraction is a few whole-array
 multiply-adds.  Each such pipeline converts its fields once at entry
 (`to_planes`); `from_planes` gives a grid-major view back.  The 4x4 metric
-path (`partials`, `christoffel`, `covariant_derivative`) stays grid-major
-with batched matmul contractions; on planes a 4x4 Christoffel set was no
-faster at 5^4 to 9^4 nodes and its values moved by rounding.  So the payload
-shape picks the route: 3x3 blocks are inverted in closed form on planes
-(`plane_inverse`), grid-major 4x4 blocks by LAPACK (`inverse`).  Both
-Christoffel sets (`plane_christoffel`, `christoffel`) take their caller's
+path stays grid-major with batched matmul contractions: `christoffel` and
+`covariant_derivative` differentiate along every grid axis, and the 4D
+curvature takes the partials of Gamma one axis at a time (`Grid.grad`).  On
+planes a 4x4 Christoffel set was no faster at 5^4 to 9^4 nodes and its
+values moved by rounding.  So the payload shape picks the route: 3x3 blocks
+are inverted in closed form on planes (`plane_inverse`), grid-major 4x4
+blocks by LAPACK (`inverse`).  Both Christoffel sets take their caller's
 inverse, so each pipeline inverts, and so tests, its metric once.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
-second-order central differences with second-order one-sided stencils at
-the boundary.  Residual norms exclude a 2-node boundary collar unless asked
-otherwise.  The kernels act over a tuple of grid axes, all by
-default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial operators on
-every t-slice.
+second-order central differences, one-sided at the boundary.  Residual
+norms exclude a 2-node boundary collar unless asked otherwise.  `partials`,
+`plane_partials`, `plane_christoffel` and `exterior_derivative` act over a
+tuple of grid axes, all by default; axes (1, 2, 3) of a (t, x, y, z) grid
+give the spatial operators on every t-slice.
 """
 
 from __future__ import annotations
@@ -160,27 +161,27 @@ def partials(grid: Grid, values, axes=None) -> np.ndarray:
     return out
 
 
-def christoffel(grid: Grid, metric, inverse, axes=None) -> np.ndarray:
+def christoffel(grid: Grid, metric, inverse) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a grid-major
     metric field: the 4x4 route (`plane_christoffel` is the 3x3 one).
     `inverse` holds g^kl: the caller inverts, and so tests, the metric."""
-    dg = partials(grid, metric, axes)  # dg[..., i, j, l] = d_i g_jl
+    dg = partials(grid, metric)  # dg[..., i, j, l] = d_i g_jl
     # the symmetrised partials in (l, i, j) order, so that the product below
-    # reads one contiguous (n, m n) block per node
+    # reads one contiguous (n, n n) block per node
     first = np.moveaxis(dg, -1, -3)  # first[..., l, i, j] = d_i g_jl
     sym = np.add(first, np.swapaxes(first, -1, -2), out=np.empty(first.shape))
     sym -= dg  # d_l g_ij
     del dg, first  # freed before the product, whose temporaries set the peak
-    n, m = sym.shape[-3:-1]
-    gam = inverse @ sym.reshape(sym.shape[:-3] + (n, m * n))
+    n = sym.shape[-1]
+    gam = inverse @ sym.reshape(sym.shape[:-2] + (n * n,))
     gam *= 0.5
-    return gam.reshape(gam.shape[:-1] + (m, n))
+    return gam.reshape(gam.shape[:-1] + (n, n))
 
 
-def covariant_derivative(grid: Grid, gamma, omega, axes=None) -> np.ndarray:
+def covariant_derivative(grid: Grid, gamma, omega) -> np.ndarray:
     """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a grid-major
     covector field."""
-    partial = partials(grid, omega, axes)
+    partial = partials(grid, omega)
     return partial - np.einsum("...kij,...k->...ij", gamma, omega)
 
 

@@ -8,10 +8,10 @@ nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` inverts itself once, on the first call of `inverse`, and
-every Christoffel set and the pair algebra share that inverse.  The Riemann
-tensor is an operator on bivectors (symmetric, for the exact tensor), so
-`riemann4_fd` returns it as the 6x6 block on the index pairs of `PAIRS`;
-`ricci4_fd` keeps its own route from the Christoffel symbols.
+every Christoffel set and the pair algebra share that inverse.  Curvature
+has one route, the mixed curvature R^k_n(p, s) on the index pairs of
+`PAIRS`: `riemann4_fd` lowers it to an operator on bivectors (symmetric,
+for the exact tensor), the 6x6 block on those pairs; `ricci4_fd` is its trace.
 """
 
 from __future__ import annotations
@@ -80,58 +80,53 @@ def christoffel_fd(g: Metric4Grid) -> np.ndarray:
     return fd.christoffel(g, g.values, g.inverse())
 
 
-def ricci4_fd(g: Metric4Grid) -> np.ndarray:
-    """Ricci tensor by central differences of the Christoffel symbols.
-
-    Ric_{ij} = d_m Gamma^m_{ij} - d_i Gamma^m_{mj}
-               + Gamma^m_{ms} Gamma^s_{ij} - Gamma^m_{is} Gamma^s_{mj}.
-    """
-    gam = christoffel_fd(g)
-    d_gam = fd.partials(g, gam)
-    # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
-    term1 = np.einsum("...mmij->...ij", d_gam)
-    trace_gam = np.einsum("...mmj->...j", gam)
-    # term2[..., i, j] = d_i (Gamma^m_mj)
-    term2 = fd.partials(g, trace_gam)
-    term3 = np.einsum("...mms,...sij->...ij", gam, gam)
-    term4 = np.einsum("...mis,...smj->...ij", gam, gam)
-    return term1 - term2 + term3 - term4
-
-
 # the bivector index pairs A = (m, n), m < n, in the order of the 6x6 blocks
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _antisymmetriser() -> np.ndarray:
-    """The constant (16, 6) matrix taking a 4x4 block T_mn, flat in (m, n),
-    to (1/2)(T_mn - T_nm) on the pairs of `PAIRS`; its entries are 0 and
-    +-1/2, so each output is (1/2)(T_mn - T_nm) to the last bit."""
-    out = np.zeros((4, 4, 6))
-    for a, (m, n) in enumerate(PAIRS):
-        out[m, n, a], out[n, m, a] = 0.5, -0.5
-    return out.reshape(16, 6)
+def _pair_curvature(g: Metric4Grid) -> np.ndarray:
+    """R^k_n(p, s) = d_p Gamma_s - d_s Gamma_p + [Gamma_p, Gamma_s], with
+    (Gamma_p)^k_n = Gamma^k_pn, as curv[..., B, k, n] on the pairs B = (p, s)
+    of `PAIRS`: the one curvature route of `riemann4_fd` and `ricci4_fd`."""
+    gam = np.ascontiguousarray(np.swapaxes(christoffel_fd(g), -3, -2))  # [p, k, n]
+    curv = np.empty(g.shape + (len(PAIRS), 4, 4))
+    for b, (p, s) in enumerate(PAIRS):
+        out = curv[..., b, :, :]
+        np.subtract(g.grad(gam[..., s, :, :], p), g.grad(gam[..., p, :, :], s), out=out)
+        out += gam[..., p, :, :] @ gam[..., s, :, :]
+        out -= gam[..., s, :, :] @ gam[..., p, :, :]
+    return curv
 
 
-_ANTISYMMETRISER = _antisymmetriser()
+def _pair_matrices():
+    """The constant matrices of the pair curvature, of entries 0, +-1/2 and
+    +-1: (16, 6) taking a 4x4 block T_mn, flat in (m, n), to
+    (1/2)(T_mn - T_nm) on `PAIRS` to the last bit, and (96, 16) taking the
+    pair curvature, flat in (B, k, n), to Ric_ij = R^m_j(m, i), flat in (i, j)."""
+    anti, trace, j = np.zeros((4, 4, 6)), np.zeros((len(PAIRS), 4, 4, 4, 4)), np.arange(4)
+    for b, (p, s) in enumerate(PAIRS):
+        anti[p, s, b], anti[s, p, b] = 0.5, -0.5
+        trace[b, p, j, s, j], trace[b, s, j, p, j] = 1.0, -1.0
+    return anti.reshape(16, 6), trace.reshape(len(PAIRS) * 16, 16)
+
+
+_ANTISYMMETRISER, _RICCI_TRACE = _pair_matrices()
+
+
+def ricci4_fd(g: Metric4Grid) -> np.ndarray:
+    """Ric_ij = R^m_jmi = d_m Gamma^m_ij - d_i Gamma^m_mj + Gamma^m_ms Gamma^s_ij
+    - Gamma^m_is Gamma^s_mj, the trace of the pair curvature."""
+    ric = _pair_curvature(g).reshape(g.shape + (len(PAIRS) * 16,)) @ _RICCI_TRACE
+    return ric.reshape(g.shape + (4, 4))
 
 
 def riemann4_fd(g: Metric4Grid) -> np.ndarray:
     """The Riemann tensor as a 6x6 operator on bivectors, (..., 6, 6):
     R_AB = (1/2)(R_mnps - R_nmps) for A = (m, n), B = (p, s) in `PAIRS`,
-    where R_mnps = g_mk R^k_nps and, with (Gamma_p)^k_n = Gamma^k_pn,
-    R^k_n(p, s) = d_p Gamma_s - d_s Gamma_p + [Gamma_p, Gamma_s].
-
-    The FD tensor is antisymmetric in (p, s) exactly but in (m, n) only to
-    discretisation error, which the antisymmetrisation drops."""
-    gam = np.ascontiguousarray(np.swapaxes(christoffel_fd(g), -3, -2))  # [p, k, n]
-    curv = np.empty(g.shape + (len(PAIRS), 4, 4))  # curv[..., B, k, n] = R^k_nB
-    for b, (p, s) in enumerate(PAIRS):
-        out = curv[..., b, :, :]
-        np.subtract(fd.partials(g, gam[..., s, :, :], (p,))[..., 0, :, :],
-                    fd.partials(g, gam[..., p, :, :], (s,))[..., 0, :, :], out=out)
-        out += gam[..., p, :, :] @ gam[..., s, :, :]
-        out -= gam[..., s, :, :] @ gam[..., p, :, :]
-    low = g.values[..., None, :, :] @ curv  # low[..., B, m, n] = R_mnB
+    with R_mnps = g_mk R^k_nps from the pair curvature.  The FD tensor is
+    antisymmetric in (p, s) exactly but in (m, n) only to discretisation
+    error, which the antisymmetrisation drops."""
+    low = g.values[..., None, :, :] @ _pair_curvature(g)  # low[..., B, m, n] = R_mnB
     return np.swapaxes(low.reshape(low.shape[:-2] + (16,)) @ _ANTISYMMETRISER, -1, -2)
 
 

@@ -94,6 +94,22 @@ def test_four_christoffel_sets_per_flow_pp_metric(counter, monkeypatch):
     assert len(calls) == 4
 
 
+def test_ricci_differentiates_gamma_one_axis_per_pair_slot(counter, monkeypatch):
+    # Ric is the trace of riemann4_fd's pair curvature: each pair (p, s)
+    # takes d_p Gamma_s and d_s Gamma_p
+    g = test_spacetime.generic_metric(5)
+    gamma = sv.christoffel_fd(g)
+    monkeypatch.setattr(sv, "christoffel_fd", lambda metric: gamma)
+    partials = counter(fd, "partials")
+    axes = []
+    grad = fd.Grid.grad
+    monkeypatch.setattr(fd.Grid, "grad",
+                        lambda self, values, axis: axes.append(axis) or grad(self, values, axis))
+    sv.ricci4_fd(g)
+    assert partials == []
+    assert sorted(axes) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
 MILNE = {"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 0.5},
          "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": 5}
 

@@ -13,7 +13,7 @@ from cauchypairs.errors import (
 )
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
 
-from conftest import bivector_block, gh_pp_metric_and_pair, riemann4_reference
+from conftest import bivector_block, gh_pp_metric_and_pair, riemann4_reference, traced_peak
 
 BOX = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.2), (0.0, 0.2))
 
@@ -154,6 +154,13 @@ class TestCurvature:
         scale = np.abs(ref).max()
         assert scale > 0.1
         assert np.abs(block - ref).max() <= 1e-12 * scale
+
+    def test_ricci_peak_memory_per_node(self):
+        # Ric is the trace of the 96-entry pair curvature: ~1.7 kB per node
+        data = flow.PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
+        shape = (33, 5, 5, 5)
+        g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), shape)
+        assert traced_peak(lambda: sv.ricci4_fd(g)) < 2.4e3 * np.prod(shape)
 
     def test_covariant_derivative_flat_is_partial(self):
         g = minkowski(n=9)
