@@ -148,17 +148,16 @@ def normal_form_verify(theta: ShapeOperator, change: CoframeChange) -> float:
 def _e11_change(theta: ShapeOperator, tol: float) -> CoframeChange:
     a = float(theta.ll)
     b = float(theta.ln)
-    s_d = math.sqrt(abs(float(theta.block_det)))  # = sqrt(a^2 + b^2) here
     if abs(a) <= tol:
         # pure off-diagonal block: (e_l, e_n, Theta_ln e_u) already normal form
         m = ((0, 1, 0), (0, 0, 1), (b, 0, 0))
         return CoframeChange(matrix=m, case="e11-offdiagonal", target=TARGET_E11)
-    c = 1 - b / s_d
-    if c <= 0:  # |a| << |b|: b / s_d rounds to 1 and the rotation angle is lost
-        raise DegenerateCase(f"E(1,1) rotation undefined: 1 - ln/sqrt|Delta| = {c}", margin=c)
-    sinb = math.sqrt(c / 2)
-    cosb = (a / s_d) / math.sqrt(2 * c)
-    m = ((0, cosb, -sinb), (0, sinb, cosb), (s_d, 0, 0))
+    # the rotation by beta, half the angle of (b, a) taken in [0, 2 pi):
+    # hypot and atan2 neither cancel nor overflow for any finite block
+    r = math.hypot(a, b)  # = sqrt|Delta| here
+    beta = (math.atan2(a, b) % (2 * math.pi)) / 2
+    cosb, sinb = math.cos(beta), math.sin(beta)
+    m = ((0, cosb, -sinb), (0, sinb, cosb), (r, 0, 0))
     return CoframeChange(matrix=m, case="e11-rotation", target=TARGET_E11)
 
 
@@ -189,25 +188,26 @@ def _t2r_change(theta: ShapeOperator, tol: float) -> CoframeChange:
 
 def _tau3_change(theta: ShapeOperator, tol: float):
     t = float(theta.block_trace)
-    delta = float(theta.block_det)
     tll, tln, tnn = float(theta.ll), float(theta.ln), float(theta.nn)
     if abs(tln) > tol:
         # sign(T) needs T != 0, which holds exactly here; in float mode a shear just
         # above tol can bring a pair with T = 0 to this branch
         if abs(t) <= tol:
             raise DegenerateCase(f"tau_3 block trace T = {t} within tol", margin=abs(t))
-        sq = math.sqrt(max(t * t - 4 * delta, 0.0))
-        sgn = 1.0 if t > 0 else -1.0
-        lam = (t + sgn * sq) / 2
-        mev = (t - sgn * sq) / 2
-        if lam == mev:  # T^2 - 4 Delta cancelled: the change matrix would be singular
-            raise DegenerateCase(f"tau_3 block eigenvalues coincide at {lam}", margin=sq)
-        mu = mev / lam
-        m = (
-            (0, 1, (lam - tll) / tln),
-            (0, 1, (mev - tll) / tln),
-            (lam, 0, 0),
-        )
+        # the eigenvalue lam of the sign of T and mev = Delta / lam, with
+        # sq = sqrt(T^2 - 4 Delta) > 0 by hypot: no step cancels
+        sq = math.hypot(tll - tnn, 2 * tln)
+        lam = (t + math.copysign(sq, t)) / 2
+        # |mu| <= 1 exactly; a rounding of Delta / lam^2 above 1 is cut back
+        mu = min(float(theta.block_det) / lam / lam, 1.0)
+        # the eigenvector slopes (lam - tll) / tln and (mev - tll) / tln: the
+        # one whose numerator (tnn - tll +- sq) / 2 adds like signs, and -1
+        # over it for the other, as the two eigenvectors are orthogonal
+        d = tnn - tll
+        s = 1.0 if d >= 0 else -1.0
+        big = (d + s * sq) / 2 / tln
+        k_lam, k_mev = (big, -1 / big) if (s > 0) == (t > 0) else (-1 / big, big)
+        m = ((0, 1, k_lam), (0, 1, k_mev), (lam, 0, 0))
         return mu, CoframeChange(matrix=m, case="tau3-offdiagonal",
                                  target=_target_tau3(mu))
     if abs(tll) >= abs(tnn):

@@ -2,8 +2,10 @@
 construction of parallel Cauchy pairs.
 
 Fields are sampled on 3-axis grids over a box in R^3 with the coordinate
-order (x, y, z).  The grid type, the stencils and the 2-node residual collar
-are those of `cauchypairs.grid`, shared with the 4D modules.
+order (x, y, z).  The grid type, the stencils, the residual collar
+`grid.COLLAR` and the coframe degeneracy test at `grid.DEGENERACY_TOL` are
+those of `cauchypairs.grid`, shared with the 4D modules.  The universal-cover
+checks have one tolerance each, `MIXED_TOL`, `YZ_TOL` and `DERIV_TOL`.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ class FieldGrid(fd.Grid):
     ndim = 3
 
 
-def interior_max(grid: FieldGrid, values, include_boundary: bool = False) -> float:
-    """Max |values| over the grid, excluding a 2-node collar by default."""
-    return fd.interior_max(values, grid.ndim, include_boundary)
+def interior_max(grid: FieldGrid, values) -> float:
+    """Max |values| over the grid less the `grid.COLLAR`."""
+    return fd.interior_max(values, grid.ndim)
 
 
 def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
@@ -79,12 +81,7 @@ def _slabs(shape):
     return list(zip(cuts, cuts[1:] + [nx]))
 
 
-def constraint_residual_fd(
-    coframe: FieldGrid,
-    theta: FieldGrid,
-    include_boundary: bool = False,
-    degeneracy_tol: float = 1e-12,
-) -> dict:
+def constraint_residual_fd(coframe: FieldGrid, theta: FieldGrid) -> dict:
     """Residual report of the first-order Cauchy system on a box.
 
     `coframe` holds the rows (e_u, e_l, e_n) in coordinate components,
@@ -95,17 +92,17 @@ def constraint_residual_fd(
     nabla e_l - Theta(e_l) (x) e_u computed with finite-difference
     Christoffel symbols of the frame metric.
 
-    A node is degenerate where |det e| <= degeneracy_tol times the product of
-    the row norms |e_a| (Hadamard's bound), a test invariant under e -> c e.
+    Every node must pass `grid.require_regular` (Hadamard's bound).
 
     Every term takes first derivatives only, so the report is evaluated one
     x-slab at a time (`SLAB_NODES`), each on its planes plus a one-plane
     halo, and the slab maxima are bit-identical to a whole-grid evaluation.
-    Each term is built only on the nodes its norm reads, without the 2-node
-    collar unless `include_boundary`, and on the one-node shell that their
-    central differences read.  Every node still passes the degeneracy test
-    and the `SingularMatrix` test of the inverse of h = e^T e, which each
-    slab takes once, on its own planes, for both Christoffel sets.
+    Each term is built only on the nodes its norm reads, the grid less the
+    `grid.COLLAR`, and on the one-node shell that their central differences
+    read, so no node on an outer face reaches the report.  Every node still
+    passes the degeneracy test and the `SingularMatrix` test of the inverse
+    of h = e^T e, which each slab takes once, on its own planes, for both
+    Christoffel sets.
     """
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
@@ -113,17 +110,15 @@ def constraint_residual_fd(
         raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
 
     slabs = _slabs(coframe.shape)
-    fd.require_regular(coframe.values, degeneracy_tol, slabs)
+    fd.require_regular(coframe.values, slabs)
 
     # each slab's output box in its window: its own planes less the x collar
     # (cut in global indices), and the y and z collars
-    nx = coframe.shape[0]
-    lo, hi = (0, nx) if include_boundary else (2, nx - 2)
-    yz = slice(None) if include_boundary else slice(2, -2)
+    nx, c = coframe.shape[0], fd.COLLAR
     parts = []
     for a, b in slabs:
         start, stop = max(a - 1, 0), min(b + 1, nx)
-        box = (slice(max(a, lo) - start, min(b, hi) - start), yz, yz)
+        box = (slice(max(a, c) - start, min(b, nx - c) - start),) + (slice(c, -c),) * 2
         parts.append(_slab_residuals(coframe, coframe.values[start:stop],
                                      theta.values[start:stop], box, slice(a - start, b - start)))
     # NaN propagates through np.max, so a NaN in any slab reaches the report
@@ -189,6 +184,11 @@ def spd_sqrt(m) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
+# The mixed symmetry defect allowed, relative to max(1, |transverse rows|),
+# unless the O(h^2) floor of its finite differences is larger
+MIXED_TOL = 1e-8
+
+
 class UniversalCoverData:
     """Ingredients of the metric e^{2u} dx (x) dx + h_x on R^3.
 
@@ -200,7 +200,7 @@ class UniversalCoverData:
     (d_x e_l)(e_n#) = (d_x e_n)(e_l#) holds.
     """
 
-    def __init__(self, u_grid: FieldGrid, hx, F, mixed_tol: float = 1e-8):
+    def __init__(self, u_grid: FieldGrid, hx, F):
         if u_grid.component_shape != ():
             raise GridInvalid("u_grid must be a scalar grid")
         self.u_grid = u_grid
@@ -215,9 +215,9 @@ class UniversalCoverData:
             raise GridInvalid("hx must be positive definite at every x sample")
         self.hx_samples = hx_samples
         self.F_samples = np.array([float(F(xi)) for xi in x])
-        self.transverse = self._factorize(mixed_tol)
+        self.transverse = self._factorize()
 
-    def _factorize(self, mixed_tol: float) -> np.ndarray:
+    def _factorize(self) -> np.ndarray:
         """Rows (e_l, e_n) of a square-root factorization satisfying the
         mixed condition; symmetric SPD root, then a rotation repair."""
         x = self.u_grid.axis(0)
@@ -228,7 +228,7 @@ class UniversalCoverData:
         # cannot be resolved below an O(h^2) floor on any smooth family
         h = self.u_grid.spacing[0]
         floor = 4.0 * h * h * max(1.0, float(np.abs(defect).max()))
-        threshold = max(mixed_tol * scale, floor)
+        threshold = max(MIXED_TOL * scale, floor)
         if np.abs(defect).max() > threshold:
             # rotating the rows by phi(x) shifts the defect by +/- 2 phi'(x)
             # depending on orientation; keep the better of the two signs
@@ -305,12 +305,11 @@ def build_universal_theta(data: UniversalCoverData) -> FieldGrid:
     return g.like(th)
 
 
-def warped_F_for_ricci_flat(
-    w,
-    u_grid: FieldGrid,
-    yz_tol: float = 1e-8,
-    deriv_tol: float = 1e-12,
-):
+YZ_TOL = 1e-8  # the (y, z) spread of the u-term allowed, relative to max(1, its size)
+DERIV_TOL = 1e-12  # |w'| at or below which w' vanishes
+
+
+def warped_F_for_ricci_flat(w, u_grid: FieldGrid):
     """The x-function F making the warped universal-cover pair satisfy the
     Hamiltonian constraint, for h_x = e^{2 w(x)} (dy^2 + dz^2).
 
@@ -323,7 +322,7 @@ def warped_F_for_ricci_flat(
     w_s = np.array([float(w(xi)) for xi in x])
     dw = np.gradient(w_s, x, edge_order=2)
     ddw = np.gradient(dw, x, edge_order=2)
-    if np.any(np.abs(dw) <= deriv_tol):
+    if np.any(np.abs(dw) <= DERIV_TOL):
         raise WDerivativeVanishes("w'(x) vanishes at some sample")
 
     u = u_grid.values
@@ -336,7 +335,7 @@ def warped_F_for_ricci_flat(
     )
     spread = bracket.max(axis=(1, 2)) - bracket.min(axis=(1, 2))
     scale = max(1.0, float(np.abs(bracket).max()))
-    if spread.max() > yz_tol * scale:
+    if spread.max() > YZ_TOL * scale:
         raise YZDependence(
             f"u-dependent term varies over (y, z) by {spread.max():.3e}"
         )

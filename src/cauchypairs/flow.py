@@ -3,6 +3,10 @@
 Covers the residual evaluation of the comoving flow system, the two diagonal
 solution families on R^3, the two-function pp-wave family in adapted null
 coordinates (x+, x-, y1, y2), and the plane-wave criterion for the latter.
+
+Every norm skips the `grid.COLLAR` on all four axes.  No node on a spatial
+face reaches the comoving report; the t faces reach `theta_eu_static`, a
+second t-derivative of h, and `max`, and no other key.
 """
 
 from __future__ import annotations
@@ -40,37 +44,32 @@ class FlowSolution:
         e = fd.to_planes(self.coframe.values, self.coframe.ndim)
         return fd.from_planes(fd.coframe_metric(e), self.coframe.ndim)
 
-    def metric4(self, check_signature: bool = False) -> Metric4Grid:
-        """The comoving development metric -dt (x) dt + h_t on the same grid."""
+    def metric4(self) -> Metric4Grid:
+        """The comoving development metric -dt (x) dt + h_t on the same grid;
+        its signature is not checked."""
         h = self.spatial_metric()
         g = np.zeros(self.coframe.shape + (4, 4))
         g[..., 0, 0] = -1.0
         g[..., 1:, 1:] = h
-        return Metric4Grid(self.coframe.box, g, check_signature=check_signature)
+        return Metric4Grid(self.coframe.box, g, check_signature=False)
 
 
-def comoving_residual(
-    sol: FlowSolution,
-    include_boundary: bool = False,
-    degeneracy_tol: float = 1e-12,
-) -> dict:
+def comoving_residual(sol: FlowSolution) -> dict:
     """Max-norms of the comoving flow system for a sampled coframe family.
 
     Reports separately: the evolution equation d_t e_a + Theta_t(e_a), the
     spatial exterior system d e_a - Theta_t(e_a) ^ e_u, the closedness of
     Theta_t(e_u), and its time independence d_t(Theta_t(e_u)).
 
-    A node is degenerate where |det e| <= degeneracy_tol times the product of
-    the row norms |e_a| (Hadamard's bound), a test invariant under e -> c e.
-    Each term is built only on the nodes its norm reads (without the 2-node
-    collar unless `include_boundary`) and, where its partials are taken, on
-    the one-node shell around them; every node still passes the degeneracy
-    test and the `SingularMatrix` test of the inverse of h.
+    Each term is built only on the nodes its norm reads (the grid less the
+    `grid.COLLAR`) and, where its partials are taken, on the one-node shell
+    around them; every node still passes `grid.require_regular` and the
+    `SingularMatrix` test of the inverse of h.
     """
     grid = sol.coframe
-    fd.require_regular(grid.values, degeneracy_tol)
+    fd.require_regular(grid.values)
     e = fd.to_planes(grid.values, grid.ndim)  # e[a, i] = (e_a)_i
-    box = (slice(None) if include_boundary else slice(2, -2),) * grid.ndim
+    box = (slice(fd.COLLAR, -fd.COLLAR),) * grid.ndim
     shell, inner = fd.grow(box, grid.shape)
     norm = fd.max_abs
     h = fd.coframe_metric(e)
@@ -264,7 +263,7 @@ class PPWaveData:
         return g11, g12, g22
 
 
-def pp_metric(data: PPWaveData, box, n, check_signature: bool = True) -> Metric4Grid:
+def pp_metric(data: PPWaveData, box, n) -> Metric4Grid:
     """Sample g = dx+ (.) dx- + k_{x+} on a 4D grid with axes (x+, x-, y1, y2)."""
     if np.isscalar(n):
         n = (n,) * 4
@@ -278,7 +277,7 @@ def pp_metric(data: PPWaveData, box, n, check_signature: bool = True) -> Metric4
     g[..., 2, 2] = g11[:, None, None, None]
     g[..., 2, 3] = g[..., 3, 2] = g12[:, None, None, None]
     g[..., 3, 3] = g22[:, None, None, None]
-    return Metric4Grid(grid.box, g, check_signature=check_signature)
+    return Metric4Grid(grid.box, g)
 
 
 def pp_ricci_residual(data: PPWaveData, x):
@@ -315,31 +314,26 @@ def _bivector_action() -> np.ndarray:
 
 _BIVECTOR_ACTION = _bivector_action()
 
+# the axis of the parallel null vector field: x- of (x+, x-, y1, y2), dual to dx+
+NULL_AXIS = 1
 
-def plane_wave_check(
-    g: Metric4Grid,
-    null_axis: int = 1,
-    tol: float = 1e-6,
-    parallel_tol: float = None,
-    include_boundary: bool = False,
-) -> dict:
-    """Verify the plane-wave conditions for a metric with a declared parallel
-    null coordinate direction.
+
+def plane_wave_check(g: Metric4Grid, tol: float = 1e-6) -> dict:
+    """Verify the plane-wave conditions for a metric with the parallel null
+    coordinate direction `NULL_AXIS`.
 
     Checks that the Riemann tensor vanishes on quadruples of vectors
     orthogonal to the null direction and that its covariant derivative along
     every such vector vanishes, both to `tol`.  Raises
-    NullDirectionNotParallel if the metric dual of the declared direction is
-    not parallel to tolerance.
+    NullDirectionNotParallel if the metric dual of the null direction is not
+    parallel to `tol`.
     """
-    if parallel_tol is None:
-        parallel_tol = tol
-    u_cov = g.values[..., :, null_axis]
+    u_cov = g.values[..., :, NULL_AXIS]
     nab_u = sv.covariant_derivative4(g, u_cov)
-    u_res = interior_max4(nab_u, include_boundary)
-    if u_res > parallel_tol:
+    u_res = interior_max4(nab_u)
+    if u_res > tol:
         raise NullDirectionNotParallel(
-            f"nabla of the declared null covector has norm {u_res} > {parallel_tol}"
+            f"nabla of the declared null covector has norm {u_res} > {tol}"
         )
 
     riem = sv.riemann4_fd(g)  # R_AB on the bivector pairs A, B
@@ -363,7 +357,7 @@ def plane_wave_check(
     lo, hi = (list(i) for i in zip(*sv.PAIRS))
     first, second = perp[..., [0, 0, 1], :], perp[..., [1, 2, 2], :]
     wedge = first[..., lo] * second[..., hi] - first[..., hi] * second[..., lo]
-    perp_riemann = interior_max4(wedge @ riem @ np.swapaxes(wedge, -1, -2), include_boundary)
+    perp_riemann = interior_max4(wedge @ riem @ np.swapaxes(wedge, -1, -2))
 
     # nabla_{v_a} R = v_a(R) - W_a R - R W_a^T, with W_a the action on bivectors
     # of Gamma_a, (Gamma_a)^q_x = v_a^l Gamma^q_lx, one spanning vector at a
@@ -382,7 +376,7 @@ def plane_wave_check(
             term += perp[..., a, big, None, None] * d_big
         term -= w @ riem
         term -= riem @ np.swapaxes(w, -1, -2)
-        nabla_riemann.append(interior_max4(term, include_boundary))
+        nabla_riemann.append(interior_max4(term))
     nabla_riemann = float(np.max(nabla_riemann))  # NaN propagates
 
     return {

@@ -18,11 +18,12 @@ blocks by LAPACK (`inverse`).  Both Christoffel sets take their caller's
 inverse, so each pipeline inverts, and so tests, its metric once.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
-second-order central differences, one-sided at the boundary.  Residual
-norms exclude a 2-node boundary collar unless asked otherwise.  `partials`,
-`plane_partials`, `plane_christoffel` and `exterior_derivative` act over a
-tuple of grid axes, all by default; axes (1, 2, 3) of a (t, x, y, z) grid
-give the spatial operators on every t-slice.
+second-order central differences, one-sided at the boundary.  Every residual
+norm skips the `COLLAR` nodes at each end of each grid axis, and every
+coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
+neither is a parameter.  `partials`, `plane_partials` and `plane_christoffel`
+act over a tuple of grid axes, all by default; axes (1, 2, 3) of a
+(t, x, y, z) grid give the spatial operators on every t-slice.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ import numpy as np
 from .errors import DegenerateCoframe, GridInvalid, GridTooSmall, SingularMatrix
 
 MAGIC = b"CPGRID1\n"
+
+# Nodes skipped at each end of each grid axis by every residual norm: no
+# first or second difference quotient in a report then reads the one-sided
+# end stencil (a third one, as in the covariant derivative of Riemann, does).
+COLLAR = 2
+DEGENERACY_TOL = 1e-12  # |det| of coframe rows over Hadamard's bound: singular at or below
 
 
 class Grid:
@@ -262,12 +269,11 @@ def _difference(f, h, axis, out, lo=0, hi=None):
         end += 1.5 / h * f[at(n - 1, n)]
 
 
-def plane_matmul(a, b, out=None) -> np.ndarray:
+def plane_matmul(a, b) -> np.ndarray:
     """c_ij = sum_k a_ik b_kj of (m, n) and (n, p) component planes, summed in
     k order."""
     m, n, p = a.shape[0], a.shape[1], b.shape[1]
-    if out is None:
-        out = np.empty((m, p) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
+    out = np.empty((m, p) + np.broadcast_shapes(a.shape[2:], b.shape[2:]))
     for i in range(m):
         # the row c_i. over every j at once
         np.multiply(a[i, 0], b[0], out=out[i])
@@ -286,10 +292,10 @@ def plane_dot(a, b) -> np.ndarray:
     return plane_matmul(a[None], b[:, None])[0, 0]
 
 
-def exterior_derivative(grid: Grid, omega, axes=None) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i of covector component planes
-    along the grid axes `axes`."""
-    partial = plane_partials(grid, omega, axes)
+def exterior_derivative(grid: Grid, omega) -> np.ndarray:
+    """(d omega)_ij = d_i omega_j - d_j omega_i of covector component planes,
+    one component per grid axis."""
+    partial = plane_partials(grid, omega)
     return partial - np.swapaxes(partial, 0, 1)
 
 
@@ -418,12 +424,13 @@ def cumulative_simpson(y, x) -> np.ndarray:
     return out
 
 
-def require_regular(rows, tol: float, slabs=None) -> None:
+def require_regular(rows, slabs=None) -> None:
     """Raise DegenerateCoframe where the frame rows (..., 3 frames, 3
-    components) are dependent: |det| <= tol times the product of the row
-    norms (Hadamard's bound), a test invariant under rows -> c rows.  Each row
-    is first divided, exactly, by the power of two of its largest |entry|, so
-    the scale of the rows alone never makes either side over- or underflow.
+    components) are dependent: |det| <= DEGENERACY_TOL times the product of
+    the row norms (Hadamard's bound), a test invariant under rows -> c rows.
+    Each row is first divided, exactly, by the power of two of its largest
+    |entry|, so the scale of the rows alone never makes either side over- or
+    underflow.
     `slabs`, plane ranges [a, b) of grid axis 0, bound the temporaries; one
     slab by default."""
     bad = []
@@ -438,7 +445,7 @@ def require_regular(rows, tol: float, slabs=None) -> None:
                                                for r in range(3)))
         # every row's largest |entry|, so every block's, is now in [0.5, 1):
         # the closed form needs no scaling of its own
-        idx = np.argwhere(np.abs(_det3(part)) <= tol * norms)
+        idx = np.argwhere(np.abs(_det3(part)) <= DEGENERACY_TOL * norms)
         idx[:, 0] += a
         bad.append(idx)
     bad = np.concatenate(bad)
@@ -461,12 +468,9 @@ def max_abs(values) -> float:
     return float(np.abs(values).max())
 
 
-def interior_max(values, naxes: int, include_boundary: bool = False) -> float:
-    """Max |values| over `naxes` leading grid axes, excluding a 2-node collar by default."""
-    v = np.asarray(values)
-    if not include_boundary:
-        v = v[(slice(2, -2),) * naxes]
-    return max_abs(v)
+def interior_max(values, naxes: int) -> float:
+    """Max |values| over `naxes` leading grid axes less the `COLLAR`."""
+    return max_abs(np.asarray(values)[(slice(COLLAR, -COLLAR),) * naxes])
 
 
 # The 3x3 blocks of component planes m[r, c] are inverted and reduced in

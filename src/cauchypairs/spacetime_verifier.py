@@ -36,8 +36,9 @@ class Grid4(fd.Grid):
     ndim = 4
 
 
-def interior_max4(values, include_boundary: bool = False) -> float:
-    return fd.interior_max(values, 4, include_boundary)
+def interior_max4(values) -> float:
+    """Max |values| over a 4D grid less the `grid.COLLAR`."""
+    return fd.interior_max(values, 4)
 
 
 class Metric4Grid(Grid4):
@@ -61,9 +62,9 @@ class Metric4Grid(Grid4):
         self._inverse = None
 
     @classmethod
-    def from_metric_function(cls, box, n, gfunc, **kw):
+    def from_metric_function(cls, box, n, gfunc):
         base = Grid4.from_function(box, n, gfunc)
-        return cls(base.box, base.values, **kw)
+        return cls(base.box, base.values)
 
     def inverse(self) -> np.ndarray:
         """g^-1 at every node, by LAPACK on the first call; later calls return
@@ -165,13 +166,19 @@ class ParabolicPairData:
         self.l = l
 
 
-def gh_decomposition(g: Metric4Grid, off_diag_tol: float = 1e-9):
+# The largest |g_0i| (dt-space cross term) that `gh_decomposition` accepts,
+# and the largest |l_0| of a purely spatial l in `parallel_pair_residual`.
+CROSS_TOL = 1e-9
+SPATIAL_L_TOL = 1e-9
+
+
+def gh_decomposition(g: Metric4Grid):
     """Lapse, spatial metric and shape operator of a metric in the globally
     hyperbolic form -lambda^2 dt (x) dt + h_t; rejects metrics with dt-space
-    cross terms."""
+    cross terms above `CROSS_TOL`."""
     gv = g.values
     cross = float(np.abs(gv[..., 0, 1:]).max())
-    if cross > off_diag_tol:
+    if cross > CROSS_TOL:
         raise NotInGHForm(f"metric has dt-space cross terms of size {cross}")
     g00 = gv[..., 0, 0]
     if np.any(g00 >= 0):
@@ -184,25 +191,17 @@ def gh_decomposition(g: Metric4Grid, off_diag_tol: float = 1e-9):
     return lam, h, theta
 
 
-def parallel_pair_residual(
-    g: Metric4Grid,
-    pair: ParabolicPairData,
-    include_boundary: bool = False,
-    spatial_l_tol: float = 1e-9,
-):
+def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
     """Residuals of the parallelism conditions nabla u = 0, nabla l = kappa (x) u.
 
     kappa is extracted in closed form from the globally hyperbolic
     decomposition: kappa(dt-slot) = -dlambda(l#)/u0, spatial part
     Theta(l#)/u0 with u0 = u_0/lambda.  Requires the metric in GH form with
-    a purely spatial representative l.  Returns (max |nabla u|,
-    max |nabla l - kappa (x) u|, kappa grid).
+    a purely spatial representative l (|l_0| <= `SPATIAL_L_TOL`).  Returns
+    (max |nabla u|, max |nabla l - kappa (x) u|, kappa grid).  Every refusal
+    comes before any Christoffel symbol is built.
     """
-    gamma = christoffel_fd(g)
-    nab_u = covariant_derivative4(g, pair.u, gamma)
-    nab_l = covariant_derivative4(g, pair.l, gamma)
-
-    if float(np.abs(pair.l[..., 0]).max()) > spatial_l_tol:
+    if float(np.abs(pair.l[..., 0]).max()) > SPATIAL_L_TOL:
         raise PairAlgebraViolated("l must be a purely spatial representative")
 
     lam, h, theta = gh_decomposition(g)
@@ -219,12 +218,10 @@ def parallel_pair_residual(
     kappa[..., 0] = -np.einsum("...i,...i->...", dlam, l_sharp) / u0
     kappa[..., 1:] = np.einsum("...ij,...j->...i", theta, l_sharp) / u0[..., None]
 
-    res_l = nab_l - kappa[..., :, None] * pair.u[..., None, :]
-    return (
-        interior_max4(nab_u, include_boundary),
-        interior_max4(res_l, include_boundary),
-        kappa,
-    )
+    gamma = christoffel_fd(g)
+    nab_u = covariant_derivative4(g, pair.u, gamma)
+    res_l = covariant_derivative4(g, pair.l, gamma) - kappa[..., :, None] * pair.u[..., None, :]
+    return interior_max4(nab_u), interior_max4(res_l), kappa
 
 
 def general_flow_residual(
@@ -234,7 +231,6 @@ def general_flow_residual(
     u0: np.ndarray,
     u_perp: np.ndarray,
     l_perp: np.ndarray,
-    include_boundary: bool = False,
 ) -> dict:
     """Max-norms of the parallel spinor flow equations for sampled data.
 
@@ -252,7 +248,7 @@ def general_flow_residual(
     theta = -grid.plane_grad(h, 0) / (2 * lam)
 
     def norm(res):
-        return interior_max4(fd.from_planes(res, k), include_boundary)
+        return interior_max4(fd.from_planes(res, k))
 
     def theta_of(cov):
         return fd.plane_matvec(theta, fd.plane_matvec(hinv, cov))
@@ -278,10 +274,10 @@ def general_flow_residual(
 
     norm_u = fd.plane_dot(u_perp, fd.plane_matvec(hinv, u_perp))
     norm_l = fd.plane_dot(l_perp, fd.plane_matvec(hinv, l_perp))
-    report["norm_u"] = interior_max4(u0**2 - norm_u, include_boundary)
-    report["norm_l"] = interior_max4(norm_l - 1, include_boundary)
+    report["norm_u"] = interior_max4(u0**2 - norm_u)
+    report["norm_l"] = interior_max4(norm_l - 1)
 
-    report["derived_dtu0"] = interior_max4(grid.grad(u0, 0) - dlam_u, include_boundary)
+    report["derived_dtu0"] = interior_max4(grid.grad(u0, 0) - dlam_u)
     du0 = fd.plane_partials(grid, u0, SPATIAL_AXES)
     report["derived_du0"] = norm(du0 + theta_of(u_perp))
 

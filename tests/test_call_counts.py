@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cauchypairs import cli, coordinate_fields as cf, flow, grid as fd, spacetime_verifier as sv
+from cauchypairs.errors import NotInGHForm, PairAlgebraViolated
 
 import test_spacetime
 from test_coordinate_fields import warped_realization
@@ -61,9 +62,9 @@ def test_one_metric_inverse_per_general_flow_residual(counter):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("include_boundary,side", [(False, 13), (True, 17)])
-def test_christoffel_sets_cover_the_output_box(monkeypatch, include_boundary, side):
-    # each set is built only on the nodes the report's norm reads
+def test_christoffel_sets_cover_the_output_box(monkeypatch):
+    # each set is built only on the nodes the report's norm reads: the 17^3
+    # grid less the 2-node collar
     e, th = warped_realization(17)
     shapes = []
     christoffel = cf.christoffel3_fd
@@ -74,8 +75,8 @@ def test_christoffel_sets_cover_the_output_box(monkeypatch, include_boundary, si
         return gamma
 
     monkeypatch.setattr(cf, "christoffel3_fd", recorded)
-    cf.constraint_residual_fd(e, th, include_boundary=include_boundary)
-    assert shapes == [(3, 3, 3) + (side,) * 3] * 2
+    cf.constraint_residual_fd(e, th)
+    assert shapes == [(3, 3, 3) + (13,) * 3] * 2
 
 
 FLOW_PP = {"mode": "flow-pp",
@@ -108,6 +109,36 @@ def test_ricci_differentiates_gamma_one_axis_per_pair_slot(counter, monkeypatch)
     sv.ricci4_fd(g)
     assert partials == []
     assert sorted(axes) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+def refused_pairs():
+    """(metric, pair, error) triples that `parallel_pair_residual` refuses:
+    a pair stored without validation on Minkowski space, with l not purely
+    spatial or with u_0 = 0, and a valid pair on a metric with a dt-dx
+    cross term."""
+    g = test_spacetime.minkowski(n=5)
+    u = np.zeros(g.shape + (4,))
+    u[..., 0] = u[..., 1] = 1.0
+    l = np.zeros(g.shape + (4,))
+    l[..., 2] = 1.0
+    not_spatial, no_u0 = sv.ParabolicPairData(g, u, l), sv.ParabolicPairData(g, u, l)
+    not_spatial.l = l + 0.5 * u
+    no_u0.u = u * [0.0, 1.0, 1.0, 1.0]
+    cross = g.values.copy()
+    cross[..., 0, 1] = cross[..., 1, 0] = 0.1
+    return {"spatial-l": (g, not_spatial, PairAlgebraViolated),
+            "u0": (g, no_u0, PairAlgebraViolated),
+            "cross-term": (sv.Metric4Grid(g.box, cross), sv.ParabolicPairData(g, u, l),
+                           NotInGHForm)}
+
+
+@pytest.mark.parametrize("case", ["spatial-l", "u0", "cross-term"])
+def test_refused_pair_builds_no_christoffel_set(counter, case):
+    g, pair, error = refused_pairs()[case]
+    calls = counter(sv, "christoffel_fd")
+    with pytest.raises(error):
+        sv.parallel_pair_residual(g, pair)
+    assert calls == []
 
 
 MILNE = {"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 0.5},

@@ -58,18 +58,29 @@ class TestClassify:
         assert change.case == "e11-offdiagonal"
 
     @pytest.mark.parametrize("comps, tol", [
-        # 1 - ln / sqrt|Delta| rounds to 0: the E(1,1) rotation angle is lost
-        ({"ll": 1, "nn": -1, "ln": 1e8}, 1e-9),
-        # T^2 - 4 Delta cancels: the tau_3 change matrix would be singular
-        ({"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": Fraction(-7, 3)}, 1e-9),
         # an exact trace T = 3 within tol and no shear: no tau_2 (+) R change
         ({"ll": 2, "ln": 0.5, "nn": 1}, 1e308),
         # T = 0, yet a shear just above tol makes the pair non-unimodular: no sign(T)
         ({"ll": 1e-3, "nn": -1e-3, "ln": 1e-3, "ul": 2e-9}, 1e-9),
-    ])
+    ], ids=["exact-trace-within-tol", "zero-trace-shear-above-tol"])
     def test_round_off_degeneracies_raise_typed_error(self, comps, tol):
         with pytest.raises(DegenerateCase):
             classifier.classify(ShapeOperator.from_components(**comps), tol)
+
+    @pytest.mark.parametrize("comps, tag, mu", [
+        # |ll| << |ln|: 1 - ln / sqrt|Delta| would round to 0 and lose the
+        # E(1,1) rotation angle, which the half angle of atan2 keeps
+        ({"ll": 1, "nn": -1, "ln": 1e8}, E11, None),
+        # ll = nn >> ln: T^2 - 4 Delta would cancel to 0, and lam - ll to a
+        # rounding of ll; mu = (3e16 - 7) / (3e16 + 7) to the last bit
+        ({"uu": 1e16, "ll": 1e16, "nn": 1e16, "ln": Fraction(-7, 3)}, TAU3_MU,
+         0.9999999999999996),
+    ], ids=["e11-tiny-diagonal", "tau3-near-equal-eigenvalues"])
+    def test_cancelling_closed_forms_classify(self, comps, tag, mu):
+        theta = ShapeOperator.from_components(**comps)
+        group, change = classifier.classify(theta, 1e-9)
+        assert (group.tag, group.mu) == (tag, mu)
+        assert classifier.normal_form_verify(theta, change) <= 2.3e-16
 
     def test_shear_is_tau2_plus_r(self):
         theta = ShapeOperator.from_components(ul=1, un=2)

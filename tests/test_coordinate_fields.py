@@ -92,9 +92,9 @@ class TestExteriorCalculus:
         g = FieldGrid.from_function(BOX, 9, lambda x, y, z: 0.0 * x)
         v = np.zeros(g.shape)
         v[0, 0, 0] = 100.0
+        v[1, 4, 4] = 50.0  # the collar is two nodes deep
         v[4, 4, 4] = 1.0
         assert cf.interior_max(g, v) == 1.0
-        assert cf.interior_max(g, v, include_boundary=True) == 100.0
 
 
 class TestChristoffel:
@@ -198,16 +198,15 @@ class TestConstraintResidual:
         with pytest.raises(GridInvalid):
             cf.constraint_residual_fd(e, th)
 
-    @pytest.mark.parametrize("include_boundary", [False, True])
     @pytest.mark.parametrize("n", [9, 17, 23])
-    def test_slabs_match_one_slab(self, monkeypatch, n, include_boundary):
+    def test_slabs_match_one_slab(self, monkeypatch, n):
         e, th = warped_realization(n)
         xx, _, _ = e.meshgrid()
         off = th.values * 1.5 + np.cos(40 * xx)[..., None, None]
         cases = [(e, th), (e, th.like(off))]
         monkeypatch.setattr(cf, "SLAB_NODES", n**3)
         assert cf._slabs(e.shape) == [(0, n)]
-        whole = [cf.constraint_residual_fd(*c, include_boundary=include_boundary) for c in cases]
+        whole = [cf.constraint_residual_fd(*c) for c in cases]
         # 4-plane slabs: the first window holds the minimum of 5 planes, and
         # the 1- or 3-plane remainder is folded into the last slab
         monkeypatch.setattr(cf, "SLAB_NODES", 1)
@@ -215,7 +214,7 @@ class TestConstraintResidual:
         assert slabs[0] == (0, 4) and len(slabs) == (n - 1) // 4
         assert slabs[-1][1] - slabs[-1][0] in (5, 7)
         for (coframe, theta), ref in zip(cases, whole):
-            report = cf.constraint_residual_fd(coframe, theta, include_boundary=include_boundary)
+            report = cf.constraint_residual_fd(coframe, theta)
             assert list(report) == list(ref)
             assert report == ref
         assert min(whole[1].values()) > 0
@@ -247,9 +246,6 @@ class TestConstraintResidual:
         th_vals[face] = -7.0 * th_vals[face] + 0.5
         report = cf.constraint_residual_fd(e.like(e_vals), th.like(th_vals))
         assert report == ref and min(ref.values()) > 0
-        # the collar does reach the report with include_boundary
-        assert (cf.constraint_residual_fd(e.like(e_vals), th.like(th_vals), include_boundary=True)
-                != cf.constraint_residual_fd(e, th, include_boundary=True))
 
     @pytest.mark.parametrize("node,slab_nodes", [
         ((0, 0, 0), None), ((8, 0, 8), None), ((8, 1, 8), None), ((16, 8, 16), None),
@@ -267,9 +263,8 @@ class TestConstraintResidual:
         e, th = self.off_solution(17)
         vals = e.values.copy()
         vals[node] = np.ldexp(vals[node], -560)
-        for include_boundary in (False, True):
-            with pytest.raises(SingularMatrix):
-                cf.constraint_residual_fd(e.like(vals), th, include_boundary=include_boundary)
+        with pytest.raises(SingularMatrix):
+            cf.constraint_residual_fd(e.like(vals), th)
 
     def test_residual_memory_is_bounded_by_the_slab(self):
         e, th = warped_realization(65)
@@ -310,7 +305,7 @@ def sheared_realization(n, mu=0.5, box=BOX):
     return grid.like(rows @ a), grid.like(th)
 
 
-def grid_major_residual(coframe, theta, include_boundary=False):
+def grid_major_residual(coframe, theta):
     """`constraint_residual_fd` as one grid-major whole-grid evaluation with
     the batched-matmul Christoffel route: the layout and the contractions
     that the component-plane slabs replaced, kept as their oracle."""
@@ -319,7 +314,7 @@ def grid_major_residual(coframe, theta, include_boundary=False):
     eu = e[..., 0, :]
 
     def norm(res):
-        return fd.interior_max(res, 3, include_boundary)
+        return fd.interior_max(res, 3)
 
     def d(omega):
         partial = fd.partials(grid, omega)
@@ -350,16 +345,15 @@ class TestComponentPlanes:
     report through a difference quotient, multiplied by ~1/h, so the box has
     side 1 and every key is O(1)."""
 
-    @pytest.mark.parametrize("include_boundary", [False, True])
     @pytest.mark.parametrize("n", [9, 17])
-    def test_matches_the_grid_major_route(self, n, include_boundary):
+    def test_matches_the_grid_major_route(self, n):
         e, th = sheared_realization(n, box=((0.0, 1.0),) * 3)
         xx, yy, _ = e.meshgrid()
         bump = np.array([[0.0, 1.0, -0.5], [1.0, 0.3, 0.2], [-0.5, 0.2, 0.7]])
         theta = th.like(1.5 * th.values + np.sin(3 * xx + yy)[..., None, None] * bump)
         assert np.all(e.values != 0.0)
-        report = cf.constraint_residual_fd(e, theta, include_boundary=include_boundary)
-        ref = grid_major_residual(e, theta, include_boundary)
+        report = cf.constraint_residual_fd(e, theta)
+        ref = grid_major_residual(e, theta)
         assert list(report) == list(ref)
         assert min(ref.values()) > 0.5
         for key in ref:

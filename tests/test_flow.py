@@ -23,7 +23,7 @@ def const_profile(s, y):
     return 1.0 + 0.0 * s
 
 
-def grid_major_comoving(sol, include_boundary=False):
+def grid_major_comoving(sol):
     """`flow.comoving_residual` in the grid-major layout with batched matmul
     contractions and LAPACK's inverse: the route that the component planes
     replaced, kept as their oracle."""
@@ -33,7 +33,7 @@ def grid_major_comoving(sol, include_boundary=False):
     theta_e = e @ np.swapaxes(theta @ np.linalg.inv(h), -1, -2)
 
     def norm(res):
-        return fd.interior_max(res, 4, include_boundary)
+        return fd.interior_max(res, 4)
 
     def d(omega):
         partial = fd.partials(grid, omega, sv.SPATIAL_AXES)
@@ -57,9 +57,9 @@ class TestComponentPlanes:
     on a dense coframe family; the box has side 1, so every key is O(1) and
     the difference quotients amplify rounding differences little."""
 
-    @pytest.mark.parametrize("include_boundary", [False, True])
-    @pytest.mark.parametrize("shape", [(9, 9, 9, 9), (7, 9, 6, 5)])
-    def test_matches_the_grid_major_route(self, shape, include_boundary):
+    @staticmethod
+    def dense_solution(shape):
+        """A coframe family on [0, 1]^4 with every entry nonzero."""
         grid = Grid4(((0.0, 1.0),) * 4, np.zeros(shape))
         tt, xx, yy, zz = grid.meshgrid()
         e = np.empty(grid.shape + (3, 3))
@@ -67,14 +67,35 @@ class TestComponentPlanes:
             for j in range(3):
                 e[..., a, j] = (a == j) + 0.3 * np.sin((a + 1) * tt + (j + 1) * xx
                                                        - a * yy + (a + j) * zz + a * j + 0.5 * j + 0.37)
-        sol = FlowSolution((0.0, 1.0), grid.like(e))
         assert np.all(e != 0.0)
-        report = flow.comoving_residual(sol, include_boundary=include_boundary)
-        ref = grid_major_comoving(sol, include_boundary)
+        return FlowSolution((0.0, 1.0), grid.like(e))
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9, 9), (7, 9, 6, 5)])
+    def test_matches_the_grid_major_route(self, shape):
+        sol = self.dense_solution(shape)
+        report = flow.comoving_residual(sol)
+        ref = grid_major_comoving(sol)
         assert set(report) == set(ref)
         assert min(ref.values()) > 0.1
         for key in ref:
             assert abs(report[key] - ref[key]) <= 1e-14 * ref[key], key
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
+    def test_outer_faces_reach_only_theta_eu_static(self, axis):
+        # the report takes at most a first derivative along x, y and z, so
+        # without the 2-node collar no node with an index 0 or n - 1 on those
+        # axes reaches it; theta_eu_static is a second t-derivative of h, so
+        # the t faces reach that key, and the max, and nothing else
+        sol = self.dense_solution((9, 9, 9, 9))
+        ref = flow.comoving_residual(sol)
+        shear = np.array([[2.0, 0.3, -0.2], [0.25, 1.5, 0.4], [-0.15, 0.35, 3.0]])
+        e = sol.coframe.values.copy()
+        face = (slice(None),) * axis + ([0, -1],)
+        e[face] = e[face] @ shear
+        report = flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(e)))
+        assert list(report) == list(ref)
+        changed = {key for key in ref if report[key] != ref[key]}
+        assert changed == ({"theta_eu_static", "max"} if axis == 0 else set())
 
 
 class TestDiagonalFamilyValidation:
@@ -195,10 +216,8 @@ class TestDiagonalSolution:
         sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
         vals = sol.coframe.values.copy()
         vals[node] = np.ldexp(vals[node], -560)
-        for include_boundary in (False, True):
-            with pytest.raises(SingularMatrix):
-                flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)),
-                                       include_boundary=include_boundary)
+        with pytest.raises(SingularMatrix):
+            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
 
     def test_simpson_primitive_close_to_exact(self):
         common = dict(
@@ -333,9 +352,9 @@ class TestPlaneWaveCheck:
         g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), (9, 5, 5, 5))
         calls = []
 
-        def nan_on_fourth(values, include_boundary=False):
+        def nan_on_fourth(values):
             calls.append(1)
-            return float("nan") if len(calls) == 4 else sv.interior_max4(values, include_boundary)
+            return float("nan") if len(calls) == 4 else sv.interior_max4(values)
 
         monkeypatch.setattr(flow, "interior_max4", nan_on_fourth)
         report = flow.plane_wave_check(g, tol=1e-5)
@@ -354,7 +373,7 @@ class TestPlaneWaveCheck:
 
         g = Metric4Grid.from_metric_function(((0, 0.5),) * 4, 9, gfun)
         with pytest.raises(NullDirectionNotParallel):
-            flow.plane_wave_check(g, null_axis=1, tol=1e-6)
+            flow.plane_wave_check(g, tol=1e-6)
 
     def test_peak_memory_per_node(self):
         # R is the 6x6 bivector block and nabla R is reduced one spanning

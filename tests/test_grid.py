@@ -157,9 +157,9 @@ class TestSliceKernels:
         h4 = np.broadcast_to(h[:, :, None], h.shape[:2] + (nt,) + h.shape[2:])
         om4 = np.broadcast_to(om[:, None], om.shape[:1] + (nt,) + om.shape[1:])
         gamma4 = fd.plane_christoffel(g4, h4, fd.plane_inverse(h4), SPATIAL_AXES)
-        nab4 = fd.plane_covariant_derivative(
-            gamma4, fd.plane_partials(g4, om4, SPATIAL_AXES), om4)
-        d4 = fd.exterior_derivative(g4, om4, SPATIAL_AXES)
+        partial4 = fd.plane_partials(g4, om4, SPATIAL_AXES)
+        nab4 = fd.plane_covariant_derivative(gamma4, partial4, om4)
+        d4 = partial4 - np.swapaxes(partial4, 0, 1)
         gamma3 = cf.christoffel3_fd(g3, h, fd.plane_inverse(h))
         nab3 = cf.covariant_derivative_covector(g3, h, om)
         d3 = fd.to_planes(cf.fd_exterior_derivative(g3.like(omega)).values, 3)
@@ -185,7 +185,6 @@ class TestSliceKernels:
         v[1, 4, :] = 5.0
         v[4, 4, 2] = 1.0
         assert fd.interior_max(v, 2) == 1.0
-        assert fd.interior_max(v, 2, include_boundary=True) == 5.0
 
 
 class TestPlaneStencil:
