@@ -45,13 +45,13 @@ class FlowSolution:
         return fd.from_planes(fd.coframe_metric(e), self.coframe.ndim)
 
     def metric4(self) -> Metric4Grid:
-        """The comoving development metric -dt (x) dt + h_t on the same grid;
-        its signature is not checked."""
+        """The comoving development metric -dt (x) dt + h_t on the same grid,
+        Lorentzian wherever the coframe is regular."""
         h = self.spatial_metric()
         g = np.zeros(self.coframe.shape + (4, 4))
         g[..., 0, 0] = -1.0
         g[..., 1:, 1:] = h
-        return Metric4Grid(self.coframe.box, g, check_signature=False)
+        return Metric4Grid(self.coframe.box, g)
 
 
 def comoving_residual(sol: FlowSolution) -> dict:

@@ -1,29 +1,27 @@
 """Uniform N-axis box grids and the finite-difference kernels on them.
 
-Two array layouts are in use.  A grid's `values` are grid-major: the grid
-axes come first and the field components after them, (*grid, *components).
-The 3x3 pipelines (the 3D constraint residual and the comoving and general
-flow residuals) run on component planes instead: the component axes first
-and the grid axes last, (*components, *grid), so that every component is one
-contiguous block and a per-node contraction is a few whole-array
-multiply-adds.  Each such pipeline converts its fields once at entry
-(`to_planes`); `from_planes` gives a grid-major view back.  The 4x4 metric
-path stays grid-major with batched matmul contractions: `christoffel` and
-`covariant_derivative` differentiate along every grid axis, and the 4D
-curvature takes the partials of Gamma one axis at a time (`Grid.grad`).  On
-planes a 4x4 Christoffel set was no faster at 5^4 to 9^4 nodes and its
-values moved by rounding.  So the payload shape picks the route: 3x3 blocks
-are inverted in closed form on planes (`plane_inverse`), grid-major 4x4
-blocks by LAPACK (`inverse`).  Both Christoffel sets take their caller's
-inverse, so each pipeline inverts, and so tests, its metric once.
+A grid's `values` are grid-major: the grid axes come first and the field
+components after them, (*grid, *components).  Every FD kernel here works on
+component planes instead: the component axes first and the grid axes last,
+(*components, *grid), so that every component is one contiguous block and a
+per-node contraction is a few whole-array multiply-adds.  A pipeline converts
+its fields once at entry (`to_planes`); `from_planes` gives a grid-major view
+back, and `to_planes` of that view is the original array, not a copy.  The
+3x3 and 4x4 paths share the kernels (`plane_partials`, `plane_christoffel`,
+`plane_covariant_derivative`).  Only the inverse depends on the block size:
+3x3 blocks are inverted in closed form on planes (`plane_inverse`), 4x4
+blocks by LAPACK on grid-major blocks (`inverse`), and the caller hands the
+inverse to `plane_christoffel`, so each pipeline inverts, and so tests, its
+metric once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
+grid-major with batched matmuls and takes single partials with `Grid.grad`.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
 second-order central differences, one-sided at the boundary.  Every residual
 norm skips the `COLLAR` nodes at each end of each grid axis, and every
 coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
-neither is a parameter.  `partials`, `plane_partials` and `plane_christoffel`
-act over a tuple of grid axes, all by default; axes (1, 2, 3) of a
-(t, x, y, z) grid give the spatial operators on every t-slice.
+neither is a parameter.  `plane_partials` and `plane_christoffel` act over a
+tuple of grid axes, all by default; axes (1, 2, 3) of a (t, x, y, z) grid
+give the spatial operators on every t-slice.
 """
 
 from __future__ import annotations
@@ -154,42 +152,6 @@ class Grid:
         values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(full)
         box = tuple(zip(bounds[0::2], bounds[1::2]))
         return cls(box, values.copy())
-
-
-def partials(grid: Grid, values, axes=None) -> np.ndarray:
-    """d_i values for i in `axes`, stacked on a new axis after the grid axes."""
-    if axes is None:
-        axes = range(grid.ndim)
-    axes = tuple(axes)
-    k = grid.ndim
-    out = np.empty(values.shape[:k] + (len(axes),) + values.shape[k:])
-    for slot, i in enumerate(axes):
-        _difference(values, grid.spacing[i], i, out[(slice(None),) * k + (slot,)])
-    return out
-
-
-def christoffel(grid: Grid, metric, inverse) -> np.ndarray:
-    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a grid-major
-    metric field: the 4x4 route (`plane_christoffel` is the 3x3 one).
-    `inverse` holds g^kl: the caller inverts, and so tests, the metric."""
-    dg = partials(grid, metric)  # dg[..., i, j, l] = d_i g_jl
-    # the symmetrised partials in (l, i, j) order, so that the product below
-    # reads one contiguous (n, n n) block per node
-    first = np.moveaxis(dg, -1, -3)  # first[..., l, i, j] = d_i g_jl
-    sym = np.add(first, np.swapaxes(first, -1, -2), out=np.empty(first.shape))
-    sym -= dg  # d_l g_ij
-    del dg, first  # freed before the product, whose temporaries set the peak
-    n = sym.shape[-1]
-    gam = inverse @ sym.reshape(sym.shape[:-2] + (n * n,))
-    gam *= 0.5
-    return gam.reshape(gam.shape[:-1] + (n, n))
-
-
-def covariant_derivative(grid: Grid, gamma, omega) -> np.ndarray:
-    """(nabla omega)_ij = d_i omega_j - Gamma^k_ij omega_k of a grid-major
-    covector field."""
-    partial = partials(grid, omega)
-    return partial - np.einsum("...kij,...k->...ij", gamma, omega)
 
 
 # -- component planes ---------------------------------------------------------
@@ -328,11 +290,11 @@ def coframe_metric(e) -> np.ndarray:
 
 def plane_christoffel(grid: Grid, metric, inverse, axes=None, own=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
-    3x3 metric given as component planes, returned as planes (k, i, j, *grid)
+    n x n metric given as component planes, returned as planes (k, i, j, *grid)
     on the box `own` (as in `plane_partials`).  `inverse` holds the planes of
     g^kl on that box: the caller inverts, and so tests, the metric.  Only the
-    six components g_jl, j <= l, are differentiated, and each symbol is
-    formed once for i <= j."""
+    components g_jl, j <= l, are read and differentiated, and each symbol is
+    formed once for i <= j, so Gamma^k_ij == Gamma^k_ji exactly."""
     n = len(metric)
     upper = [(j, l) for j in range(n) for l in range(j, n)]
     slot = {}
@@ -528,8 +490,8 @@ def _finite(inv):
 
 
 def inverse(m) -> np.ndarray:
-    """Inverses of the trailing square blocks of grid-major `m`, by LAPACK
-    (`plane_inverse` is the 3x3 closed form on planes).  Raises
+    """Inverses of the trailing square blocks of grid-major `m`, by LAPACK:
+    the 4x4 route (`plane_inverse` is the 3x3 closed form on planes).  Raises
     SingularMatrix (a LinAlgError) where a block is singular or its inverse
     is not representable; never returns inf or NaN."""
     # a 4x4 closed form measured only 1.5-2x faster at 5^4-9^4 nodes, and

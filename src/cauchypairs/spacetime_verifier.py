@@ -7,11 +7,17 @@ it serves as the oracle for every curvature claim.  Grids are uniform over
 nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
-A `Metric4Grid` inverts itself once, on the first call of `inverse`, and
-every Christoffel set and the pair algebra share that inverse.  Curvature
-has one route, the mixed curvature R^k_n(p, s) on the index pairs of
-`PAIRS`: `riemann4_fd` lowers it to an operator on bivectors (symmetric,
-for the exact tensor), the 6x6 block on those pairs; `ricci4_fd` is its trace.
+A `Metric4Grid` inverts itself once, by LAPACK on its grid-major blocks, on
+the first call of `inverse`, and every Christoffel set and the pair algebra
+share that inverse.  The FD kernels run on component planes, as the 3x3
+ones do (`grid.plane_christoffel`, `plane_covariant_derivative`,
+`plane_partials`), and so do the null/unit/orthogonality algebra and kappa
+of a parabolic pair; `christoffel_fd` and `covariant_derivative4` return
+grid-major views of their planes.  Curvature has one route, the mixed
+curvature R^k_n(p, s) on the index pairs of `PAIRS`, built with batched
+4x4 matmuls on grid-major blocks: `riemann4_fd` lowers it to an operator
+on bivectors (symmetric, for the exact tensor), the 6x6 block on those
+pairs; `ricci4_fd` is its trace.
 """
 
 from __future__ import annotations
@@ -44,21 +50,20 @@ def interior_max4(values) -> float:
 class Metric4Grid(Grid4):
     """Per-node symmetric 4x4 metric with mostly-plus Lorentzian signature."""
 
-    def __init__(self, box, values, check_signature: bool = True):
+    def __init__(self, box, values):
         super().__init__(box, values)
         if self.values.shape[4:] != (4, 4):
             raise GridInvalid("metric payload must be 4x4")
         if not fd.is_symmetric(self.values):
             raise GridInvalid("metric must be symmetric at every node")
-        if check_signature:
-            # ascending eigenvalues: exactly one negative, three positive
-            eig = np.linalg.eigvalsh(self.values)
-            bad = np.argwhere(~((eig[..., 0] < 0) & (eig[..., 1] > 0)))
-            if bad.size:
-                raise SignatureViolation(
-                    f"signature is not (-,+,+,+) at {len(bad)} nodes, "
-                    f"first at index {tuple(map(int, bad[0]))}"
-                )
+        # ascending eigenvalues: exactly one negative, three positive
+        eig = np.linalg.eigvalsh(self.values)
+        bad = np.argwhere(~((eig[..., 0] < 0) & (eig[..., 1] > 0)))
+        if bad.size:
+            raise SignatureViolation(
+                f"signature is not (-,+,+,+) at {len(bad)} nodes, "
+                f"first at index {tuple(map(int, bad[0]))}"
+            )
         self._inverse = None
 
     @classmethod
@@ -77,8 +82,11 @@ class Metric4Grid(Grid4):
 
 
 def christoffel_fd(g: Metric4Grid) -> np.ndarray:
-    """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho})."""
-    return fd.christoffel(g, g.values, g.inverse())
+    """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho}),
+    the grid-major view of `grid.plane_christoffel`'s planes."""
+    k = g.ndim
+    planes = fd.plane_christoffel(g, fd.to_planes(g.values, k), fd.to_planes(g.inverse(), k))
+    return fd.from_planes(planes, k)
 
 
 # the bivector index pairs A = (m, n), m < n, in the order of the 6x6 blocks
@@ -135,7 +143,10 @@ def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None) -> np.n
     """(nabla omega)_{mu nu} = d_mu omega_nu - Gamma^l_{mu nu} omega_l."""
     if gamma is None:
         gamma = christoffel_fd(g)
-    return fd.covariant_derivative(g, gamma, omega)
+    k = g.ndim
+    omega = fd.to_planes(omega, k)
+    partial = fd.plane_partials(g, omega)
+    return fd.from_planes(fd.plane_covariant_derivative(fd.to_planes(gamma, k), partial, omega), k)
 
 
 class ParabolicPairData:
@@ -151,11 +162,14 @@ class ParabolicPairData:
         l = np.asarray(l, dtype=float)
         if u.shape != g.shape + (4,) or l.shape != g.shape + (4,):
             raise GridInvalid("u and l must be 4-covector grids on the metric grid")
-        ginv = g.inverse()
-        uu = np.einsum("...ij,...i,...j->...", ginv, u, u)
-        ll = np.einsum("...ij,...i,...j->...", ginv, l, l)
-        ul = np.einsum("...ij,...i,...j->...", ginv, u, l)
+        k = g.ndim
+        ginv, up, lp = (fd.to_planes(v, k) for v in (g.inverse(), u, l))
         # NaN propagates: g^-1(u, u) overflowing to inf - inf must fail
+        with np.errstate(over="ignore", invalid="ignore"):
+            l_sharp = fd.plane_matvec(ginv, lp)
+            uu = fd.plane_dot(up, fd.plane_matvec(ginv, up))
+            ll = fd.plane_dot(lp, l_sharp)
+            ul = fd.plane_dot(up, l_sharp)
         worst = float(np.max([np.abs(uu).max(), np.abs(ll - 1).max(), np.abs(ul).max()]))
         if not worst <= tol:
             raise PairAlgebraViolated(
@@ -205,18 +219,17 @@ def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
         raise PairAlgebraViolated("l must be a purely spatial representative")
 
     lam, h, theta = gh_decomposition(g)
-    # the 3x3 closed form on planes, read back as one grid-major copy: einsum
-    # on the strided planes view sums in another order
-    hinv = np.ascontiguousarray(fd.from_planes(fd.plane_inverse(fd.to_planes(h, 4)), 4))
+    # the 3x3 algebra on component planes; lam and u0 are planes already
+    k = g.ndim
+    hinv = fd.plane_inverse(fd.to_planes(h, k))
     u0 = pair.u[..., 0] / lam
     if np.any(np.abs(u0) < 1e-14):
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")
-    l_perp = pair.l[..., 1:]
-    l_sharp = np.einsum("...ij,...j->...i", hinv, l_perp)
-    dlam = fd.partials(g, lam, SPATIAL_AXES)
-    kappa = np.zeros(g.shape + (4,))
-    kappa[..., 0] = -np.einsum("...i,...i->...", dlam, l_sharp) / u0
-    kappa[..., 1:] = np.einsum("...ij,...j->...i", theta, l_sharp) / u0[..., None]
+    l_sharp = fd.plane_matvec(hinv, fd.to_planes(pair.l[..., 1:], k))
+    kappa = np.empty((4,) + g.shape)
+    kappa[0] = -fd.plane_dot(fd.plane_partials(g, lam, SPATIAL_AXES), l_sharp) / u0
+    kappa[1:] = fd.plane_matvec(fd.to_planes(theta, k), l_sharp) / u0
+    kappa = fd.from_planes(kappa, k)
 
     gamma = christoffel_fd(g)
     nab_u = covariant_derivative4(g, pair.u, gamma)

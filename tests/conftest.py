@@ -1,6 +1,7 @@
 """Shared samplers for admissible shape operators across the test suite,
-a traced-memory probe for the per-node memory tests, and the 256-component
-Riemann tensor that the bivector form of `riemann4_fd` is tested against."""
+a traced-memory probe for the per-node memory tests, and the reference
+partials, Christoffel symbols and 256-component Riemann tensor that the FD
+kernels are tested against, built from numpy's gradient and einsum alone."""
 
 import tracemalloc
 
@@ -33,15 +34,30 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def gradient_partials(grid, values, axes=None):
+    """d_i values for i in `axes` (every grid axis by default), stacked on a
+    new axis after the grid-major grid axes, by numpy's own stencil: an
+    oracle independent of the package's difference kernels."""
+    axes = range(grid.ndim) if axes is None else axes
+    return np.stack([np.gradient(values, grid.spacing[i], axis=i, edge_order=2)
+                     for i in axes], axis=grid.ndim)
+
+
+def christoffel_reference(grid, metric):
+    """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a
+    grid-major metric, by numpy's gradient, LAPACK's inverse and einsum."""
+    dg = gradient_partials(grid, metric)  # dg[..., i, j, l] = d_i g_jl
+    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(metric), sym)
+
+
 def riemann4_reference(g):
     """R^k_nps = d_p Gamma^k_sn - d_s Gamma^k_pn + Gamma^k_pq Gamma^q_sn
     - Gamma^k_sq Gamma^q_pn of a Metric4Grid, all 256 components per node,
-    by einsum: the route that the 6x6 bivector block replaced."""
-    from cauchypairs import grid as fd
-    from cauchypairs import spacetime_verifier as sv
-
-    gam = sv.christoffel_fd(g)
-    d_gam = fd.partials(g, gam)  # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
+    by einsum from `christoffel_reference`: the route that the 6x6 bivector
+    block replaced."""
+    gam = christoffel_reference(g, g.values)
+    d_gam = gradient_partials(g, gam)  # d_gam[..., p, k, i, j] = d_p Gamma^k_ij
     term = np.einsum("...pksn->...knps", d_gam)
     riem = term - np.swapaxes(term, -2, -1)
     riem += np.einsum("...kpq,...qsn->...knps", gam, gam)

@@ -1,6 +1,7 @@
 """The FD and 4D layers take neither the residual collar nor a check
 tolerance as a parameter: each is one named module constant beside the code
-that reads it (`grid.COLLAR`, `grid.DEGENERACY_TOL`, ...).  The only
+that reads it (`grid.COLLAR`, `grid.DEGENERACY_TOL`, ...).  No switch turns
+a check off: `Metric4Grid` always tests its signature.  The only
 tolerances a caller of these layers sets are the `tol` of
 `flow.plane_wave_check` and of `spacetime_verifier.ParabolicPairData`."""
 
@@ -33,5 +34,6 @@ def test_no_collar_or_tolerance_parameter(module):
     params = {f"{name}({p})" for name, obj in public_callables(module)
               for p in inspect.signature(obj).parameters}
     assert params  # the guard sees the module's callables
-    assert [p for p in params if p.endswith(("(include_boundary)", "_tol)"))] == []
+    assert [p for p in params
+            if p.endswith(("(include_boundary)", "_tol)", "(check_signature)"))] == []
 

@@ -14,7 +14,7 @@ from cauchypairs.errors import (
 from cauchypairs.flow import DiagonalFamily, FlowSolution, PPWaveData
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
 
-from conftest import riemann4_reference, traced_peak
+from conftest import christoffel_reference, gradient_partials, riemann4_reference, traced_peak
 
 SMALL_BOX = ((0, 0.02), (0, 0.02), (0, 0.02))
 
@@ -25,29 +25,33 @@ def const_profile(s, y):
 
 def grid_major_comoving(sol):
     """`flow.comoving_residual` in the grid-major layout with batched matmul
-    contractions and LAPACK's inverse: the route that the component planes
-    replaced, kept as their oracle."""
+    contractions, LAPACK's inverse and numpy's gradient: the route that the
+    component planes replaced, kept as their oracle."""
     grid, e = sol.coframe, sol.coframe.values
+
+    def d_t(values):
+        return np.gradient(values, grid.spacing[0], axis=0, edge_order=2)
+
     h = np.swapaxes(e, -1, -2) @ e
-    theta = -0.5 * grid.grad(h, 0)
+    theta = -0.5 * d_t(h)
     theta_e = e @ np.swapaxes(theta @ np.linalg.inv(h), -1, -2)
 
     def norm(res):
         return fd.interior_max(res, 4)
 
     def d(omega):
-        partial = fd.partials(grid, omega, sv.SPATIAL_AXES)
+        partial = gradient_partials(grid, omega, sv.SPATIAL_AXES)
         return partial - np.swapaxes(partial, -1, -2)
 
     eu = e[..., 0, :]
-    report = {"evolution": norm(grid.grad(e, 0) + theta_e)}
+    report = {"evolution": norm(d_t(e) + theta_e)}
     for a, name in enumerate("uln"):
         alpha = theta_e[..., a, :]
         wedge = alpha[..., :, None] * eu[..., None, :] - alpha[..., None, :] * eu[..., :, None]
         report[f"exterior_{name}"] = norm(d(e[..., a, :]) - wedge)
     report["exterior_max"] = max(report[f"exterior_{name}"] for name in "uln")
     report["theta_eu_closed"] = norm(d(theta_e[..., 0, :]))
-    report["theta_eu_static"] = norm(grid.grad(theta_e[..., 0, :], 0))
+    report["theta_eu_static"] = norm(d_t(theta_e[..., 0, :]))
     report["max"] = max(report.values())
     return report
 
@@ -327,8 +331,8 @@ def plane_wave_reference(g, antisymmetrise=False, null_axis=1):
     proj = np.einsum("...mnps,...am,...bn,...cp,...ds->...abcd",
                      riem, perp, perp, perp, perp)
     # Gamma^q_{a x} = v_a^l Gamma^q_{l x}
-    gamma = np.einsum("...al,...qlx->...qax", perp, sv.christoffel_fd(g))
-    nab = np.einsum("...al,...lmnps->...amnps", perp, fd.partials(g, riem))
+    gamma = np.einsum("...al,...qlx->...qax", perp, christoffel_reference(g, g.values))
+    nab = np.einsum("...al,...lmnps->...amnps", perp, gradient_partials(g, riem))
     nab -= np.einsum("...qam,...qnps->...amnps", gamma, riem)
     nab -= np.einsum("...qan,...mqps->...amnps", gamma, riem)
     nab -= np.einsum("...qap,...mnqs->...amnps", gamma, riem)

@@ -9,9 +9,12 @@ import pytest
 from cauchypairs import coordinate_fields as cf
 from cauchypairs import flow
 from cauchypairs import grid as fd
+from cauchypairs import spacetime_verifier as sv
 from cauchypairs.coordinate_fields import FieldGrid
 from cauchypairs.errors import CauchyPairsError, GridInvalid, SingularMatrix
 from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
+
+from conftest import christoffel_reference
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
 BOX4 = ((0.0, 1.0),) + BOX3
@@ -207,14 +210,9 @@ class TestPlaneStencil:
         # gh_decomposition's h and the strided view of the planes
         blocks = wide(grid.shape + (4, 4))
         for values in (blocks, blocks[..., 1:, 1:], fd.from_planes(planes, ndim)):
-            partial = fd.partials(grid, values)
-            spatial = fd.partials(grid, values, range(1, ndim))
             for axis in range(ndim):
                 ref = np.gradient(values, grid.spacing[axis], axis=axis, edge_order=2).tobytes()
                 assert grid.grad(values, axis).tobytes() == ref
-                assert partial[(slice(None),) * ndim + (axis,)].tobytes() == ref
-                if axis:
-                    assert spatial[(slice(None),) * ndim + (axis - 1,)].tobytes() == ref
         # on a box, and on a box from the field on the nodes `grow` says it reads
         nx = shape[-ndim]
         whole = fd.plane_partials(grid, planes)
@@ -295,15 +293,9 @@ class TestClosedForms:
 
 
 class TestDenseChristoffel:
-    """The batched matmul contraction of `christoffel` against an einsum
-    reference on dense, non-diagonal metrics, where the two sum in different
+    """`plane_christoffel` against an einsum reference on dense, non-diagonal
+    3x3 Riemannian and 4x4 Lorentzian metrics, where the two sum in different
     orders; the sparse fixture coframes cannot tell them apart."""
-
-    @staticmethod
-    def reference(grid, metric):
-        dg = fd.partials(grid, metric)
-        sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-        return 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(metric), sym)
 
     @staticmethod
     def dense_metric(grid, n, sign):
@@ -324,19 +316,15 @@ class TestDenseChristoffel:
     def test_matches_einsum_reference(self, cls, box, n, sign):
         grid = cls.from_function(box, 7, lambda *x: 0.0 * x[0])
         metric = self.dense_metric(grid, n, sign)
+        k = grid.ndim
+        planes = fd.to_planes(metric, k)
+        inverse = fd.plane_inverse(planes) if n == 3 else fd.to_planes(fd.inverse(metric), k)
+        gam = fd.from_planes(fd.plane_christoffel(grid, planes, inverse), k)
         if sign < 0:
-            Metric4Grid(box, metric)  # the signature is Lorentzian
-        gam = fd.christoffel(grid, metric, fd.inverse(metric))
-        ref = self.reference(grid, metric)
+            # the signature is Lorentzian, and the 4D entry point is this route
+            assert sv.christoffel_fd(Metric4Grid(box, metric)).tobytes() == gam.tobytes()
+        ref = christoffel_reference(grid, metric)
         assert np.all(ref != 0.0)
-        assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    def test_planes_route_matches_einsum_reference(self):
-        grid = FieldGrid.from_function(BOX3, 7, lambda *x: 0.0 * x[0])
-        metric = self.dense_metric(grid, 3, 1.0)
-        planes = fd.to_planes(metric, 3)
-        gam = fd.from_planes(fd.plane_christoffel(grid, planes, fd.plane_inverse(planes)), 3)
-        ref = self.reference(grid, metric)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_planes_route_on_a_range_of_planes(self):

@@ -155,6 +155,20 @@ class TestCurvature:
         assert scale > 0.1
         assert np.abs(block - ref).max() <= 1e-12 * scale
 
+    def test_christoffel_is_symmetric_bit_for_bit(self):
+        # an asymmetry of g_ij that Metric4Grid accepts (1e-9 of the largest
+        # entry) and that varies over the grid, so that its partials are
+        # not zero: only the components g_jl, j <= l, may be read
+        base = generic_metric(7)
+        vals = base.values.copy()
+        tt, xx, yy, zz = base.meshgrid()
+        for i, j in ((0, 1), (1, 2), (0, 3), (2, 3)):
+            vals[..., i, j] += 1e-9 * np.sin(3 * tt + 2 * xx - yy + (i + j) * zz)
+        g = Metric4Grid(base.box, vals)
+        assert not np.array_equal(vals, np.swapaxes(vals, -1, -2))
+        gam = sv.christoffel_fd(g)
+        assert gam.tobytes() == np.swapaxes(gam, -1, -2).tobytes()
+
     def test_ricci_peak_memory_per_node(self):
         # Ric is the trace of the 96-entry pair curvature: ~1.7 kB per node
         data = flow.PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
@@ -175,14 +189,14 @@ class TestGHDecomposition:
     def test_rejects_cross_terms(self):
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
         vals[..., 0, 1] = vals[..., 1, 0] = 0.2
-        g = Metric4Grid(BOX, vals, check_signature=False)
+        g = Metric4Grid(BOX, vals)
         with pytest.raises(ValueError):
             sv.gh_decomposition(g)
 
     def test_cross_terms_raise_typed_error(self):
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
         vals[..., 0, 2] = vals[..., 2, 0] = 0.2
-        g = Metric4Grid(BOX, vals, check_signature=False)
+        g = Metric4Grid(BOX, vals)
         with pytest.raises(NotInGHForm):
             sv.gh_decomposition(g)
 
