@@ -327,6 +327,16 @@ class TestDenseChristoffel:
         assert np.all(ref != 0.0)
         assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_planes_route_matches_einsum_reference(self):
+        # unequal node counts per axis, so a swapped plane or axis shows
+        grid = FieldGrid.from_function(BOX3, (9, 6, 7), lambda *x: 0.0 * x[0])
+        metric = self.dense_metric(grid, 3, 1.0)
+        planes = fd.to_planes(metric, 3)
+        gam = fd.from_planes(fd.plane_christoffel(grid, planes, fd.plane_inverse(planes)), 3)
+        ref = christoffel_reference(grid, metric)
+        assert np.all(ref != 0.0)
+        assert np.abs(gam - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_planes_route_on_a_range_of_planes(self):
         grid = FieldGrid.from_function(BOX3, (9, 6, 7), lambda *x: 0.0 * x[0])
         metric = fd.to_planes(self.dense_metric(grid, 3, 1.0), 3)
