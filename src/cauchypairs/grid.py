@@ -22,12 +22,20 @@ coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
 neither is a parameter.  `plane_partials` and `plane_christoffel` act over a
 tuple of grid axes, all by default; axes (1, 2, 3) of a (t, x, y, z) grid
 give the spatial operators on every t-slice.
+
+Sampling and checking a grid cost only its payload.  `Grid.meshgrid` and
+`Grid.from_function` hand out the node coordinates as read-only broadcast
+views of the axes, never as dense copies, and `from_function` copies a
+sampled result only where it must own it.  Every grid tests its values for
+inf and NaN in blocks of at most `FINITE_BLOCK` entries, with no full-size
+temporary, and a refusal names the first bad node and component.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 
 import numpy as np
@@ -41,6 +49,9 @@ MAGIC = b"CPGRID1\n"
 # end stencil (a third one, as in the covariant derivative of Riemann, does).
 COLLAR = 2
 DEGENERACY_TOL = 1e-12  # |det| of coframe rows over Hadamard's bound: singular at or below
+# Entries of `values` per block of the finiteness test of `Grid` (one plane of
+# grid axis 0 if that is larger): its boolean temporary takes as many bytes.
+FINITE_BLOCK = 1 << 16
 
 
 class Grid:
@@ -53,21 +64,14 @@ class Grid:
 
     def __init__(self, box, values):
         k = self.ndim
-        try:
-            box = tuple((float(a), float(b)) for a, b in box)
-        except (TypeError, ValueError) as exc:
-            raise GridInvalid(f"box must be a sequence of (lo, hi) pairs: {exc}") from None
+        box = _box(box, k)
         values = np.asarray(values, dtype=float)
-        if len(box) != k:
-            raise GridInvalid(f"box must have {k} axis intervals, got {len(box)}")
         if values.ndim < k:
             raise GridInvalid(f"values must carry {k} leading grid axes")
-        if any(n < 5 for n in values.shape[:k]):
-            raise GridTooSmall(f"need >= 5 samples per axis, got {values.shape[:k]}")
+        _require_samples(values.shape[:k])
         if not all(-math.inf < a < b < math.inf for a, b in box):
             raise GridInvalid("box intervals must be finite and nondegenerate")
-        if not np.all(np.isfinite(values)):
-            raise GridInvalid("field values must be finite")
+        _require_finite(values, k)
         self.box = box
         self.values = values
         self.spacing = tuple((b - a) / (n - 1) for (a, b), n in zip(box, self.shape))
@@ -85,18 +89,35 @@ class Grid:
         return np.linspace(a, b, self.shape[i])
 
     def meshgrid(self):
-        return np.meshgrid(*(self.axis(i) for i in range(self.ndim)), indexing="ij")
+        """The coordinates of every node, one read-only array per grid axis
+        (`_mesh`)."""
+        return _mesh([self.axis(i) for i in range(self.ndim)])
 
     @classmethod
     def from_function(cls, box, n, func):
-        """Sample func(*coordinates) (broadcasting over arrays) with n samples per axis."""
-        if np.isscalar(n):
-            n = (n,) * cls.ndim
-        axes = [np.linspace(a, b, ni) for (a, b), ni in zip(box, n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        """Sample func(*coordinates) (broadcasting over arrays) with n samples
+        per axis: one count for every axis or one per axis.  The coordinates
+        are read-only views (`_mesh`), so sampling allocates only what func
+        returns.  A result short of the grid's shape (a constant) is
+        broadcast into an array of its own, and one that shares memory with
+        the coordinates (a coordinate itself) is copied.  Any other count
+        is refused before func is called."""
+        k = cls.ndim
+        box = _box(box, k)
+        try:
+            counts = tuple(map(operator.index, n) if np.iterable(n) else (operator.index(n),) * k)
+        except TypeError:
+            raise GridInvalid(f"sample counts must be integers, got {n!r}") from None
+        if len(counts) != k:
+            raise GridInvalid(f"need {k} sample counts, got {len(counts)}")
+        _require_samples(counts)
+        axes = [np.linspace(a, b, c) for (a, b), c in zip(box, counts)]
+        mesh = _mesh(axes)
         vals = np.asarray(func(*mesh), dtype=float)
-        if vals.shape[: cls.ndim] != mesh[0].shape:
-            vals = np.broadcast_to(vals, mesh[0].shape).copy()
+        if vals.shape[:k] != counts:
+            vals = np.broadcast_to(vals, counts).copy()
+        elif any(np.may_share_memory(vals, x) for x in axes):
+            vals = vals.copy()
         return cls(box, vals)
 
     def like(self, values):
@@ -152,6 +173,49 @@ class Grid:
         values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(full)
         box = tuple(zip(bounds[0::2], bounds[1::2]))
         return cls(box, values.copy())
+
+
+def _box(box, k):
+    """`box` as k (lo, hi) pairs of floats."""
+    try:
+        box = tuple((float(a), float(b)) for a, b in box)
+    except (TypeError, ValueError) as exc:
+        raise GridInvalid(f"box must be a sequence of (lo, hi) pairs: {exc}") from None
+    if len(box) != k:
+        raise GridInvalid(f"box must have {k} axis intervals, got {len(box)}")
+    return box
+
+
+def _require_samples(shape):
+    if any(n < 5 for n in shape):
+        raise GridTooSmall(f"need >= 5 samples per axis, got {shape}")
+
+
+def _mesh(axes):
+    """The coordinates of every node of the grid on `axes`, one array per
+    axis: read-only broadcast views of the axes, which cost no memory of
+    their own (numpy still lets a write into such a view through, with only
+    a warning, and the write then changes every node on the line)."""
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    for x in mesh:
+        x.flags.writeable = False
+    return mesh
+
+
+def _require_finite(values, k):
+    """Raise GridInvalid, naming the first node and component in index order,
+    where `values` (k leading grid axes) holds an inf or NaN.  The test runs
+    on blocks of planes of grid axis 0, at most `FINITE_BLOCK` entries (or
+    one plane) each, so its temporary is bounded whatever the grid's size."""
+    rows = max(1, FINITE_BLOCK // max(1, values[0].size))
+    for a in range(0, len(values), rows):
+        finite = np.isfinite(values[a:a + rows])
+        if not finite.all():
+            first = np.argwhere(~finite)[0]
+            first[0] += a
+            node, comp = tuple(map(int, first[:k])), tuple(map(int, first[k:]))
+            where = f"node {node}" + (f", component {comp}" if comp else "")
+            raise GridInvalid(f"field values must be finite: {values[tuple(first)]} at {where}")
 
 
 # -- component planes ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the shared N-axis grid: typed errors, the binary layout of every
 grid dimension, and the per-slice kernels against the 3D ones."""
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -11,10 +13,10 @@ from cauchypairs import flow
 from cauchypairs import grid as fd
 from cauchypairs import spacetime_verifier as sv
 from cauchypairs.coordinate_fields import FieldGrid
-from cauchypairs.errors import CauchyPairsError, GridInvalid, SingularMatrix
+from cauchypairs.errors import CauchyPairsError, GridInvalid, GridTooSmall, SingularMatrix
 from cauchypairs.spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid
 
-from conftest import christoffel_reference
+from conftest import christoffel_reference, traced_peak
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
 BOX4 = ((0.0, 1.0),) + BOX3
@@ -45,8 +47,51 @@ class TestGridInvalid:
     def test_non_finite_values_rejected(self):
         vals = np.zeros((5, 5, 5, 5))
         vals[2, 2, 2, 2] = np.inf
-        with pytest.raises(GridInvalid):
+        with pytest.raises(GridInvalid, match=re.escape("inf at node (2, 2, 2, 2)") + "$"):
             Grid4(BOX4, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last", "before_block", "after_block"])
+    def test_non_finite_message_names_the_first_bad_entry(self, bad, where):
+        # the finiteness test runs on blocks of x-planes: put the bad entry
+        # at either end of the grid and on either side of a block boundary
+        plane = (6, 5, 3, 3)
+        rows = fd.FINITE_BLOCK // math.prod(plane)
+        assert rows > 1
+        vals = np.full((2 * rows,) + plane, 0.5)
+        last = (2 * rows - 1, 5, 4, 2, 2)
+        index = {
+            "first": (0, 0, 0, 0, 0),
+            "last": last,
+            "before_block": (rows - 1, 5, 4, 2, 1),
+            "after_block": (rows, 0, 0, 1, 0),
+        }[where]
+        if index != last:
+            vals[last] = np.nan  # a later bad entry is not the one named
+        vals[index] = bad
+        message = f"field values must be finite: {bad} at node {index[:3]}, component {index[3:]}"
+        with pytest.raises(GridInvalid, match=re.escape(message) + "$"):
+            FieldGrid(BOX3, vals)
+
+    @pytest.mark.parametrize("n, error", [
+        ((7, 8, 9, 10), GridInvalid),
+        ((7, 8), GridInvalid),
+        (7.0, GridInvalid),
+        ((7, 8.0, 9), GridInvalid),
+        ("7", GridInvalid),
+        (None, GridInvalid),
+        ((7, 4, 9), GridTooSmall),
+        (-1, GridTooSmall),
+    ])
+    def test_from_function_checks_counts_before_sampling(self, n, error):
+        def func(*x):
+            raise AssertionError("sampled")
+        with pytest.raises(error):
+            FieldGrid.from_function(BOX3, n, func)
+
+    def test_from_function_takes_integer_counts_of_any_type(self):
+        g = FieldGrid.from_function(BOX3, (np.int64(7), 8, np.array(9)), lambda *x: 0.0 * x[0])
+        assert g.shape == (7, 8, 9)
 
     def test_like_rejects_another_grid_shape(self):
         with pytest.raises(GridInvalid):
@@ -93,6 +138,50 @@ class TestGridInvalid:
         struct.pack_into("<q", blob, 80, rank)
         with pytest.raises(GridInvalid):
             FieldGrid.from_binary(bytes(blob))
+
+
+class TestSampling:
+    """Sampling and checking a grid costs only its payload: the coordinates
+    are read-only broadcast views of the axes, and the finiteness test runs
+    block by block."""
+
+    def test_from_function_peak_is_its_payload(self):
+        box = ((0.0, 1.0),) * 3
+        peak = traced_peak(lambda: FieldGrid.from_function(box, 65, lambda x, y, z: 0.0 * x))
+        assert peak <= 1.25 * 65**3 * 8
+
+    def test_meshgrid_peak_is_linear_in_the_axes(self):
+        grid = FieldGrid.from_function(BOX3, (65, 66, 67), lambda x, y, z: 0.0 * x)
+        # three dense coordinate arrays would take 6.9 MB
+        assert traced_peak(grid.meshgrid) <= 8 * sum(grid.shape) + 16384
+
+    def test_wrapping_a_field_peaks_far_below_its_size(self):
+        values = np.full((65, 65, 65, 3, 3), 0.5)
+        assert traced_peak(lambda: FieldGrid(BOX3, values)) <= values.nbytes / 32
+
+    @pytest.mark.parametrize("cls, box, n", [
+        (FieldGrid, BOX3, (7, 8, 9)),
+        (Grid4, BOX4, (5, 6, 7, 8)),
+    ])
+    def test_coordinates_are_read_only_and_exact(self, cls, box, n):
+        grid = cls.from_function(box, n, lambda *x: 0.0 * x[0])
+        dense = np.meshgrid(*(np.linspace(a, b, c) for (a, b), c in zip(box, n)), indexing="ij")
+        for view, copy in zip(grid.meshgrid(), dense, strict=True):
+            assert view.shape == copy.shape and view.tobytes() == copy.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cls.from_function(box, n, lambda *x: x[-1].__iadd__(1.0))
+
+    @pytest.mark.parametrize("func", [lambda x, y, z: y, lambda x, y, z: y[..., None]])
+    def test_a_coordinate_is_sampled_into_an_array_of_its_own(self, func):
+        seen = []
+        grid = FieldGrid.from_function(BOX3, (7, 8, 9), lambda *x: seen.append(x) or func(*x))
+        y = seen[0][1]
+        assert not np.shares_memory(grid.values, y)
+        np.testing.assert_array_equal(grid.values.reshape(y.shape), y)
+        grid.values[...] = 0.0
+        assert y[0, -1, 0] == BOX3[1][1]
 
 
 class TestSerialization:
