@@ -3,9 +3,11 @@ construction of parallel Cauchy pairs.
 
 Fields are sampled on 3-axis grids over a box in R^3 with the coordinate
 order (x, y, z).  The grid type, the stencils, the residual collar
-`grid.COLLAR` and the coframe degeneracy test at `grid.DEGENERACY_TOL` are
-those of `cauchypairs.grid`, shared with the 4D modules.  The universal-cover
-checks have one tolerance each, `MIXED_TOL`, `YZ_TOL` and `DERIV_TOL`.
+`grid.COLLAR`, the coframe degeneracy test at `grid.DEGENERACY_TOL` and the
+slab driver `grid.slab_max`, which runs the constraint residual in x-slabs,
+are those of `cauchypairs.grid`, shared with the 4D modules.  The
+universal-cover checks have one tolerance each, `MIXED_TOL`, `YZ_TOL` and
+`DERIV_TOL`.
 """
 
 from __future__ import annotations
@@ -60,27 +62,6 @@ def covariant_derivative_covector(grid: FieldGrid, h: np.ndarray, omega: np.ndar
                                          fd.plane_partials(grid, omega), omega)
 
 
-# Nodes per x-slab of `constraint_residual_fd`: its traced working set is
-# ~800 B per node of a slab's own planes at n = 65 and ~710 B at n = 129
-# (four-plane slabs), so 48 and 57 MiB; e and h take 144 B per window node
-# (own planes and one-plane halo), h^-1 72 B per own node until it is cut to
-# the box, and every other term lives on the nodes the norms read.  Grids of
-# up to 33^3 nodes are one slab.
-SLAB_NODES = 2**16
-
-
-def _slabs(shape):
-    """Output plane ranges [a, b) covering grid axis 0, about SLAB_NODES nodes
-    each.  Every slab has >= 4 planes, so its window [a - 1, b + 1) clipped to
-    the grid holds >= 5; a shorter last slab is folded into its neighbour."""
-    nx = shape[0]
-    step = max(4, SLAB_NODES // (shape[1] * shape[2]))
-    cuts = list(range(0, nx, step))
-    if len(cuts) > 1 and nx - cuts[-1] < 4:
-        cuts.pop()
-    return list(zip(cuts, cuts[1:] + [nx]))
-
-
 def constraint_residual_fd(coframe: FieldGrid, theta: FieldGrid) -> dict:
     """Residual report of the first-order Cauchy system on a box.
 
@@ -95,34 +76,22 @@ def constraint_residual_fd(coframe: FieldGrid, theta: FieldGrid) -> dict:
     Every node must pass `grid.require_regular` (Hadamard's bound).
 
     Every term takes first derivatives only, so the report is evaluated one
-    x-slab at a time (`SLAB_NODES`), each on its planes plus a one-plane
-    halo, and the slab maxima are bit-identical to a whole-grid evaluation.
-    Each term is built only on the nodes its norm reads, the grid less the
-    `grid.COLLAR`, and on the one-node shell that their central differences
-    read, so no node on an outer face reaches the report.  Every node still
-    passes the degeneracy test and the `SingularMatrix` test of the inverse
-    of h = e^T e, which each slab takes once, on its own planes, for both
-    Christoffel sets.
+    x-slab at a time (`grid.slab_max`) with a one-plane halo, bit for bit
+    the whole-grid report.  Each term is built only on the nodes its norm
+    reads, the grid less the `grid.COLLAR`, and on the one-node shell that
+    their central differences read, so no node on an outer face reaches the
+    report.  Every node still passes the degeneracy test and the
+    `SingularMatrix` test of the inverse of h = e^T e, which each slab takes
+    once, on its own planes, for both Christoffel sets.
     """
     if coframe.component_shape != (3, 3) or theta.component_shape != (3, 3):
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
     if theta.shape != coframe.shape:
         raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
 
-    slabs = _slabs(coframe.shape)
-    fd.require_regular(coframe.values, slabs)
-
-    # each slab's output box in its window: its own planes less the x collar
-    # (cut in global indices), and the y and z collars
-    nx, c = coframe.shape[0], fd.COLLAR
-    parts = []
-    for a, b in slabs:
-        start, stop = max(a - 1, 0), min(b + 1, nx)
-        box = (slice(max(a, c) - start, min(b, nx - c) - start),) + (slice(c, -c),) * 2
-        parts.append(_slab_residuals(coframe, coframe.values[start:stop],
-                                     theta.values[start:stop], box, slice(a - start, b - start)))
-    # NaN propagates through np.max, so a NaN in any slab reaches the report
-    return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
+    fd.require_regular(coframe.values)
+    return fd.slab_max(coframe.shape, 1, lambda window, box, own: _slab_residuals(
+        coframe, coframe.values[window], theta.values[window], box, own))
 
 
 def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
@@ -132,15 +101,13 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     window shares, and `own` the slab's own planes of the window.  Every
     term lives on the box; only e, h and Theta(e_u), whose partials are
     taken, reach into the one-node shell around it (`grid.grow`).  h is
-    inverted once, on the own planes, so that the slabs together test the
-    inverse on every node once, collar included, and both Christoffel sets
-    take it cut to the box."""
+    inverted once, on the own planes (`grid.slab_inverse`), and both
+    Christoffel sets take it cut to the box."""
     norm = fd.max_abs
     e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
     h = fd.coframe_metric(e)
     # raises SingularMatrix wherever an inverse on the own planes is not representable
-    cut = (slice(box[0].start - own.start, box[0].stop - own.start),) + box[1:]
-    hinv = np.ascontiguousarray(fd.plane_inverse(h[..., own, :, :])[(Ellipsis,) + cut])
+    hinv = fd.slab_inverse(h, own, box)
     e_box = e[(Ellipsis,) + box]
     eu = e_box[0]
     # Theta(e_a) = sum_b theta_ab e_b in coordinate components

@@ -6,7 +6,10 @@ coordinates (x+, x-, y1, y2), and the plane-wave criterion for the latter.
 
 Every norm skips the `grid.COLLAR` on all four axes.  No node on a spatial
 face reaches the comoving report; the t faces reach `theta_eu_static`, a
-second t-derivative of h, and `max`, and no other key.
+second t-derivative of h, and `max`, and no other key.  The comoving report
+runs in t-slabs with a two-plane halo (`grid.slab_max`), as the 3D
+constraint residual runs in x-slabs, so its working set is bounded by a
+slab.
 """
 
 from __future__ import annotations
@@ -61,19 +64,31 @@ def comoving_residual(sol: FlowSolution) -> dict:
     spatial exterior system d e_a - Theta_t(e_a) ^ e_u, the closedness of
     Theta_t(e_u), and its time independence d_t(Theta_t(e_u)).
 
-    Each term is built only on the nodes its norm reads (the grid less the
-    `grid.COLLAR`) and, where its partials are taken, on the one-node shell
-    around them; every node still passes `grid.require_regular` and the
-    `SingularMatrix` test of the inverse of h.
+    The report is evaluated one t-slab at a time (`grid.slab_max`) with a
+    two-plane halo, as d_t(Theta_t(e_u)) is a second t-derivative of h, bit
+    for bit the whole-grid report.  Each term is built only on the nodes its
+    norm reads (the grid less the `grid.COLLAR`) and, where its partials are
+    taken, on the one-node shell around them; every node still passes
+    `grid.require_regular` and the `SingularMatrix` test of the inverse of h.
     """
     grid = sol.coframe
     fd.require_regular(grid.values)
-    e = fd.to_planes(grid.values, grid.ndim)  # e[a, i] = (e_a)_i
-    box = (slice(fd.COLLAR, -fd.COLLAR),) * grid.ndim
-    shell, inner = fd.grow(box, grid.shape)
+    return fd.slab_max(grid.shape, 2, lambda window, box, own: _slab_comoving(
+        grid, grid.values[window], box, own))
+
+
+def _slab_comoving(grid: Grid4, rows, box, own) -> dict:
+    """The report of `comoving_residual` over the nodes `box` (one slice per
+    axis of the t-window) of one slab, from the window's coframe `rows`;
+    `grid` is the whole grid, whose spacing the window shares, and `own`
+    the slab's own planes of the window.  h is inverted on the own planes
+    and the box's shell together (`grid.slab_inverse`), so that the slabs
+    test the inverse on every node, t-collar included."""
+    e = fd.to_planes(rows, grid.ndim)  # e[a, i] = (e_a)_i on the window
+    shell, inner = fd.grow(box, e.shape[2:])
     norm = fd.max_abs
     h = fd.coframe_metric(e)
-    hinv = fd.plane_inverse(h)[(Ellipsis,) + shell]  # tested on every node
+    hinv = fd.slab_inverse(h, own, shell)
     theta = fd.plane_partials(grid, h, (0,), shell)[0]
     theta *= -0.5
     del h

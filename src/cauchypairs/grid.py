@@ -19,9 +19,16 @@ Every derivative, on either layout, comes from one stencil, `_difference`:
 second-order central differences, one-sided at the boundary.  Every residual
 norm skips the `COLLAR` nodes at each end of each grid axis, and every
 coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
-neither is a parameter.  `plane_partials` and `plane_christoffel` act over a
-tuple of grid axes, all by default; axes (1, 2, 3) of a (t, x, y, z) grid
-give the spatial operators on every t-slice.
+neither is a parameter.  `plane_partials` acts over a tuple of grid axes,
+all by default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial
+partials on every t-slice.
+
+Both coframe residuals, the 3D constraint system and the 4D comoving flow,
+run in slabs of grid axis 0 of about `SLAB_NODES` nodes (`slab_max`): each
+slab reads its own planes and a halo of planes on either side, and its
+report is max-reduced into the grid's, bit for bit the whole-grid one.  So
+their working set is bounded by a slab, not by the grid.  The degeneracy
+test walks the same slabs.
 
 Sampling and checking a grid cost only its payload.  `Grid.meshgrid` and
 `Grid.from_function` hand out the node coordinates as read-only broadcast
@@ -130,16 +137,10 @@ class Grid:
         return new
 
     def grad(self, values, axis):
-        """d/dx_axis of an array whose leading axes are this grid's; a negative
-        axis counts from the end, as in numpy, and so names a trailing grid
-        axis of component planes."""
+        """d/dx_axis of an array whose leading axes are this grid's."""
         out = np.empty(values.shape)
         _difference(values, self.spacing[axis], axis, out)
         return out
-
-    def plane_grad(self, planes, axis):
-        """d/dx_axis of component planes, whose trailing axes are this grid's."""
-        return self.grad(planes, axis - self.ndim)
 
     # -- serialization ------------------------------------------------------
 
@@ -352,7 +353,7 @@ def coframe_metric(e) -> np.ndarray:
     return plane_matmul(np.swapaxes(e, 0, 1), e)
 
 
-def plane_christoffel(grid: Grid, metric, inverse, axes=None, own=None) -> np.ndarray:
+def plane_christoffel(grid: Grid, metric, inverse, own=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
     n x n metric given as component planes, returned as planes (k, i, j, *grid)
     on the box `own` (as in `plane_partials`).  `inverse` holds the planes of
@@ -364,7 +365,7 @@ def plane_christoffel(grid: Grid, metric, inverse, axes=None, own=None) -> np.nd
     slot = {}
     for s, (j, l) in enumerate(upper):
         slot[j, l] = slot[l, j] = s
-    dg = plane_partials(grid, metric[tuple(zip(*upper))], axes, own)  # d_i g_jl
+    dg = plane_partials(grid, metric[tuple(zip(*upper))], own=own)  # d_i g_jl
     gam = np.empty((n, n, n) + dg.shape[2:])
     sym = np.empty((n,) + dg.shape[2:])
     tmp = np.empty(gam.shape[:1] + sym.shape[1:])
@@ -450,17 +451,75 @@ def cumulative_simpson(y, x) -> np.ndarray:
     return out
 
 
-def require_regular(rows, slabs=None) -> None:
-    """Raise DegenerateCoframe where the frame rows (..., 3 frames, 3
+# Nodes per slab of grid axis 0 of `slab_max` and `require_regular`.  The 3D
+# constraint residual's traced working set is ~800 B per node of a slab's own
+# planes at n = 65 and ~710 B at n = 129 (four-plane slabs), so 48 and 57 MiB:
+# e and h take 144 B per window node (own planes and a one-plane halo), h^-1
+# 72 B per own node until it is cut to the box, and every other term lives
+# on the nodes the norms read.  The comoving residual's is ~300 B per node of
+# a slab's window (own planes and a two-plane halo).  Grids of up to 33^3 or
+# (17, 17, 5, 5) nodes are one slab, and 17^4 is two, of 13 and 4 planes.
+SLAB_NODES = 2**16
+
+
+def _slabs(shape):
+    """Plane ranges [a, b) covering grid axis 0 of a grid of `shape` once,
+    about SLAB_NODES nodes each, at prod(shape[1:]) nodes per plane.  Every
+    slab has >= 4 planes, so that its window in `slab_max`, with a halo of a
+    plane or more, holds >= 5; a shorter last slab is folded into its
+    neighbour."""
+    n = shape[0]
+    step = max(4, SLAB_NODES // math.prod(shape[1:]))
+    cuts = list(range(0, n, step))
+    if len(cuts) > 1 and n - cuts[-1] < 4:
+        cuts.pop()
+    return list(zip(cuts, cuts[1:] + [n]))
+
+
+def slab_max(shape, halo, residual) -> dict:
+    """The report of a residual on a grid of `shape`, evaluated one slab of
+    grid axis 0 (`_slabs`) at a time and max-reduced key by key, a NaN in
+    any slab propagating.  `residual(window, box, own)` reports on one slab:
+    `window` slices grid axis 0 to the slab's planes and `halo` planes on
+    either side, clipped to the grid; `box`, one slice per grid axis in
+    window indices, holds the nodes that its norms read, the slab's planes
+    less the `COLLAR` (cut in grid indices) and the collar of every other
+    axis; `own` slices the window to the slab's planes.  A residual whose
+    terms on `box` read at most `halo` planes beyond it along axis 0 (one
+    per derivative along that axis) reports its whole-grid values exactly."""
+    n = shape[0]
+    parts = []
+    for a, b in _slabs(shape):
+        start = max(a - halo, 0)
+        box = ((slice(max(a, COLLAR) - start, min(b, n - COLLAR) - start),)
+               + (slice(COLLAR, -COLLAR),) * (len(shape) - 1))
+        parts.append(residual(slice(start, min(b + halo, n)), box, slice(a - start, b - start)))
+    # NaN propagates through np.max, so a NaN in any slab reaches the report
+    return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
+
+
+def slab_inverse(h, own, box) -> np.ndarray:
+    """The planes of h^-1 on `box` (one slice per grid axis, as in
+    `slab_max`) of a window of 3x3 metric planes h, as one contiguous array.
+    h is inverted on the slab's own planes `own` and the planes of `box`
+    together, so that the slabs test the inverse (`plane_inverse`) on every
+    node of the grid, and a box may reach into the halo."""
+    lo, hi = min(own.start, box[0].start), max(own.stop, box[0].stop)
+    inv = plane_inverse(h[:, :, lo:hi])
+    return np.ascontiguousarray(inv[(Ellipsis, slice(box[0].start - lo, box[0].stop - lo))
+                                    + tuple(box[1:])])
+
+
+def require_regular(rows) -> None:
+    """Raise DegenerateCoframe where the frame rows (*grid, 3 frames, 3
     components) are dependent: |det| <= DEGENERACY_TOL times the product of
     the row norms (Hadamard's bound), a test invariant under rows -> c rows.
     Each row is first divided, exactly, by the power of two of its largest
     |entry|, so the scale of the rows alone never makes either side over- or
-    underflow.
-    `slabs`, plane ranges [a, b) of grid axis 0, bound the temporaries; one
-    slab by default."""
+    underflow.  The test runs one slab of grid axis 0 (`_slabs`) at a time,
+    which bounds its temporaries."""
     bad = []
-    for a, b in slabs or [(0, rows.shape[0])]:
+    for a, b in _slabs(rows.shape[:-2]):
         part = to_planes(rows[a:b], rows.ndim - 2)  # part[r, j] = (e_r)_j
         # every row's largest |entry|, an elementwise maximum over the components
         top = functools.reduce(np.maximum, (np.abs(part[:, j]) for j in range(3)))

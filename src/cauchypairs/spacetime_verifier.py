@@ -236,63 +236,3 @@ def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
     res_l = covariant_derivative4(g, pair.l, gamma) - kappa[..., :, None] * pair.u[..., None, :]
     return interior_max4(nab_u), interior_max4(res_l), kappa
 
-
-def general_flow_residual(
-    grid: Grid4,
-    lam: np.ndarray,
-    h: np.ndarray,
-    u0: np.ndarray,
-    u_perp: np.ndarray,
-    l_perp: np.ndarray,
-) -> dict:
-    """Max-norms of the parallel spinor flow equations for sampled data.
-
-    `lam`, `u0` are scalar grids; `h` is (..., 3, 3); `u_perp`, `l_perp` are
-    spatial covector grids (..., 3).  The six flow equations, the two
-    algebraic constraints and the two derived identities are each reported
-    under a stable key.
-    """
-    if np.any(lam == 0):
-        raise LambdaVanishes("lambda vanishes on the grid")
-    # the 3x3 algebra on component planes; lam and u0 are planes already
-    k = grid.ndim
-    h, u_perp, l_perp = (fd.to_planes(v, k) for v in (h, u_perp, l_perp))
-    hinv = fd.plane_inverse(h)
-    theta = -grid.plane_grad(h, 0) / (2 * lam)
-
-    def norm(res):
-        return interior_max4(fd.from_planes(res, k))
-
-    def theta_of(cov):
-        return fd.plane_matvec(theta, fd.plane_matvec(hinv, cov))
-
-    dlam = fd.plane_partials(grid, lam, SPATIAL_AXES)
-    dlam_l = fd.plane_dot(dlam, fd.plane_matvec(hinv, l_perp))
-    dlam_u = fd.plane_dot(dlam, fd.plane_matvec(hinv, u_perp))
-
-    report = {}
-    ev_u = grid.plane_grad(u_perp, 0) + lam * theta_of(u_perp) - u0 * dlam
-    report["evolution_u"] = norm(ev_u)
-    ev_l = u0 * grid.plane_grad(l_perp, 0) + (lam * u0) * theta_of(l_perp) + dlam_l * u_perp
-    report["evolution_l"] = norm(ev_l)
-
-    gamma_h = fd.plane_christoffel(grid, h, hinv, SPATIAL_AXES)
-    nab_u = fd.plane_covariant_derivative(
-        gamma_h, fd.plane_partials(grid, u_perp, SPATIAL_AXES), u_perp)
-    report["spatial_u"] = norm(nab_u + u0 * theta)
-    nab_l = fd.plane_covariant_derivative(
-        gamma_h, fd.plane_partials(grid, l_perp, SPATIAL_AXES), l_perp)
-    res_l = u0 * nab_l - theta_of(l_perp)[:, None] * u_perp[None, :]
-    report["spatial_l"] = norm(res_l)
-
-    norm_u = fd.plane_dot(u_perp, fd.plane_matvec(hinv, u_perp))
-    norm_l = fd.plane_dot(l_perp, fd.plane_matvec(hinv, l_perp))
-    report["norm_u"] = interior_max4(u0**2 - norm_u)
-    report["norm_l"] = interior_max4(norm_l - 1)
-
-    report["derived_dtu0"] = interior_max4(grid.grad(u0, 0) - dlam_u)
-    du0 = fd.plane_partials(grid, u0, SPATIAL_AXES)
-    report["derived_du0"] = norm(du0 + theta_of(u_perp))
-
-    report["max"] = float(np.max(list(report.values())))  # NaN propagates
-    return report

@@ -204,13 +204,13 @@ class TestConstraintResidual:
         xx, _, _ = e.meshgrid()
         off = th.values * 1.5 + np.cos(40 * xx)[..., None, None]
         cases = [(e, th), (e, th.like(off))]
-        monkeypatch.setattr(cf, "SLAB_NODES", n**3)
-        assert cf._slabs(e.shape) == [(0, n)]
+        monkeypatch.setattr(fd, "SLAB_NODES", n**3)
+        assert fd._slabs(e.shape) == [(0, n)]
         whole = [cf.constraint_residual_fd(*c) for c in cases]
         # 4-plane slabs: the first window holds the minimum of 5 planes, and
         # the 1- or 3-plane remainder is folded into the last slab
-        monkeypatch.setattr(cf, "SLAB_NODES", 1)
-        slabs = cf._slabs(e.shape)
+        monkeypatch.setattr(fd, "SLAB_NODES", 1)
+        slabs = fd._slabs(e.shape)
         assert slabs[0] == (0, 4) and len(slabs) == (n - 1) // 4
         assert slabs[-1][1] - slabs[-1][0] in (5, 7)
         for (coframe, theta), ref in zip(cases, whole):
@@ -234,7 +234,7 @@ class TestConstraintResidual:
         # collar the report reads no node with an index 0 or n - 1
         n = 17
         if slab_nodes:
-            monkeypatch.setattr(cf, "SLAB_NODES", slab_nodes)
+            monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
         e, th = self.off_solution(n)
         ref = cf.constraint_residual_fd(e, th)
         face = np.zeros(e.shape, dtype=bool)
@@ -258,8 +258,8 @@ class TestConstraintResidual:
         # rows scaled by 2^-560 stay regular under Hadamard's bound, but
         # h = e^T e underflows to 0 there, so h^-1 is not representable
         if slab_nodes:
-            monkeypatch.setattr(cf, "SLAB_NODES", slab_nodes)
-            assert (0, 4) in cf._slabs((17, 17, 17))
+            monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
+            assert (0, 4) in fd._slabs((17, 17, 17))
         e, th = self.off_solution(17)
         vals = e.values.copy()
         vals[node] = np.ldexp(vals[node], -560)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cauchypairs import flow, grid as fd, spacetime_verifier as sv
+from cauchypairs import cli, flow, grid as fd, spacetime_verifier as sv
 from cauchypairs.errors import (
     DegenerateCoframe,
     IntervalContainsSingularity,
@@ -102,6 +102,80 @@ class TestComponentPlanes:
         assert changed == ({"theta_eu_static", "max"} if axis == 0 else set())
 
 
+class TestComovingSlabs:
+    """`comoving_residual` in t-slabs (`grid.slab_max`) against one slab: the
+    same report bit for bit, and the same refusals."""
+
+    @staticmethod
+    def solutions():
+        """The diag1 and diag2 fixtures' reports, and the dense coframe
+        family, on which every key is nonzero, on two grids."""
+        def fixture(name):
+            return cli.run({"mode": "reproduce", "fixture": name})["result"]["comoving_residual"]
+
+        def dense(shape):
+            return flow.comoving_residual(TestComponentPlanes.dense_solution(shape))
+
+        return [lambda: fixture("diag1"), lambda: fixture("diag2"),
+                lambda: dense((17, 9, 9, 9)), lambda: dense((13, 5, 7, 6))]
+
+    def test_slabs_match_one_slab(self, monkeypatch):
+        monkeypatch.setattr(fd, "SLAB_NODES", 2**30)
+        assert fd._slabs((17,) * 4) == [(0, 17)]
+        whole = [run() for run in self.solutions()]
+        # 4-plane slabs, each read on a window with a two-plane halo
+        monkeypatch.setattr(fd, "SLAB_NODES", 1)
+        assert fd._slabs((17,) * 4) == [(0, 4), (4, 8), (8, 12), (12, 17)]
+        for run, ref in zip(self.solutions(), whole):
+            report = run()
+            assert list(report) == list(ref)
+            assert [v.hex() for v in report.values()] == [v.hex() for v in ref.values()]
+        assert min(min(ref.values()) for ref in whole[2:]) > 0.1
+
+    @pytest.mark.parametrize("node", [
+        (1, 4, 4, 4), (8, 4, 4, 4),  # t-collar planes
+        (5, 4, 4, 4), (3, 4, 4, 4),  # a halo plane of the first slab, and of the second
+        (4, 4, 1, 4),  # the first plane of the second slab, on a y-collar
+    ])
+    def test_unrepresentable_metric_inverse_in_any_slab(self, monkeypatch, node):
+        # slabs of planes [0, 4) and [4, 9), read on [0, 6) and [2, 9)
+        monkeypatch.setattr(fd, "SLAB_NODES", 1)
+        assert fd._slabs((9,) * 4) == [(0, 4), (4, 9)]
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = sol.coframe.values.copy()
+        vals[node] = np.ldexp(vals[node], -560)
+        with pytest.raises(SingularMatrix):
+            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+
+    def test_degenerate_nodes_counted_over_every_slab(self, monkeypatch):
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = sol.coframe.values.copy()
+        for node in ((6, 1, 2, 3), (2, 4, 4, 4), (6, 0, 0, 0), (8, 8, 8, 8)):
+            vals[node + (1,)] = 0.0
+        bad = FlowSolution(sol.interval, sol.coframe.like(vals))
+        for slab_nodes in (2**16, 1):
+            monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
+            with pytest.raises(DegenerateCoframe,
+                               match=r"at 4 nodes, first at index \(2, 4, 4, 4\)$") as err:
+                flow.comoving_residual(bad)
+            assert err.value.nodes == [(2, 4, 4, 4), (6, 0, 0, 0), (6, 1, 2, 3), (8, 8, 8, 8)]
+        assert len(fd._slabs((9,) * 4)) == 2
+
+    def test_residual_memory_is_bounded_by_the_slab(self, monkeypatch):
+        # one slab of 65 planes peaks at ~310 B per grid node, 14.6 MB; 4-plane
+        # slabs are read on windows of at most 8 planes of 9^3 nodes
+        fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
+                             Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
+        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, (65, 9, 9, 9))
+        monkeypatch.setattr(fd, "SLAB_NODES", 4 * 9**3)
+        assert len(fd._slabs(sol.coframe.shape)) == 16
+        assert traced_peak(lambda: flow.comoving_residual(sol)) < 400 * 8 * 9**3
+
+
 class TestDiagonalFamilyValidation:
     def test_unknown_case(self):
         with pytest.raises(ParamOutOfRange):
@@ -167,9 +241,11 @@ class TestDiagonalSolution:
         assert res[33] < res[17] / 3
 
     def test_comoving_residual_peak_memory_per_node(self):
-        # h, its inverse and Theta_t are freed once Theta_t(e_a) is built,
-        # and d_t e + Theta_t(e) once reduced, and every term but h and its
-        # inverse lives on the nodes the norms read: ~310 B per node against
+        # the 17^4 grid is two t-slabs, of 13 and 4 planes, read on windows of
+        # 15 and 6 planes; in a window, h, its inverse and Theta_t are freed
+        # once Theta_t(e_a) is built, and d_t e + Theta_t(e) once reduced, and
+        # every term but h and its inverse lives on the nodes the norms read:
+        # ~300 B per node of the larger window, ~260 B per grid node, against
         # ~650 B with them alive on every node
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)

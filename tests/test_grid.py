@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchypairs import coordinate_fields as cf
 from cauchypairs import flow
@@ -238,32 +239,26 @@ class TestSliceKernels:
         e[..., 2, 2] = np.exp(-yy)
         e[..., 2, 0] = 0.2 * zz
         omega = np.stack([np.sin(xx + yy), xx * zz**2, np.cos(zz) * yy], axis=-1)
-        coframe = g3.like(e)
-        return coframe, fd.coframe_metric(fd.to_planes(e, 3)), omega
+        return g3.like(e), omega
 
-    def test_christoffel_and_covariant_derivative_per_slice(self):
-        g3, h, omega = self.fields()
+    def test_partials_and_exterior_derivative_per_slice(self):
+        g3, omega = self.fields()
         om = fd.to_planes(omega, 3)
         nt = 5
         g4 = Grid4(BOX4, np.zeros((nt,) + g3.shape))
-        h4 = np.broadcast_to(h[:, :, None], h.shape[:2] + (nt,) + h.shape[2:])
         om4 = np.broadcast_to(om[:, None], om.shape[:1] + (nt,) + om.shape[1:])
-        gamma4 = fd.plane_christoffel(g4, h4, fd.plane_inverse(h4), SPATIAL_AXES)
         partial4 = fd.plane_partials(g4, om4, SPATIAL_AXES)
-        nab4 = fd.plane_covariant_derivative(gamma4, partial4, om4)
         d4 = partial4 - np.swapaxes(partial4, 0, 1)
-        gamma3 = cf.christoffel3_fd(g3, h, fd.plane_inverse(h))
-        nab3 = cf.covariant_derivative_covector(g3, h, om)
+        partial3 = fd.plane_partials(g3, om)
         d3 = fd.to_planes(cf.fd_exterior_derivative(g3.like(omega)).values, 3)
         for t in range(nt):
-            np.testing.assert_array_equal(gamma4[..., t, :, :, :], gamma3)
-            np.testing.assert_array_equal(nab4[..., t, :, :, :], nab3)
+            np.testing.assert_array_equal(partial4[..., t, :, :, :], partial3)
             np.testing.assert_array_equal(d4[..., t, :, :, :], d3)
 
     def test_comoving_exterior_system_matches_the_3d_constraint(self):
         # a t-independent stack has Theta_t = 0 exactly at the one interior
         # t-plane of 5, the only one left once the collar is cut
-        coframe, _, _ = self.fields()
+        coframe, _ = self.fields()
         e = coframe.values
         sol = flow.FlowSolution((0.0, 1.0), Grid4(BOX4, np.broadcast_to(e, (5,) + e.shape)))
         r4 = flow.comoving_residual(sol)
@@ -292,9 +287,6 @@ class TestPlaneStencil:
         planes = wide(shape)
         box = ((0.0, 0.37),) * ndim
         grid = (FieldGrid if ndim == 3 else Grid4)(box, np.zeros(shape[-ndim:]))
-        for axis in range(ndim):
-            ref = np.gradient(planes, grid.spacing[axis], axis=axis - ndim, edge_order=2)
-            assert grid.plane_grad(planes, axis).tobytes() == ref.tobytes()
         # grid-major: a contiguous array, a sliced block view like
         # gh_decomposition's h and the strided view of the planes
         blocks = wide(grid.shape + (4, 4))
@@ -315,6 +307,49 @@ class TestPlaneStencil:
             shell, inner = fd.grow(own or rest + (slice(None),), shape[-ndim:])
             assert fd.plane_partials(grid, planes[(Ellipsis,) + shell], own=inner).tobytes() \
                 == part.tobytes()
+
+
+class TestSlabs:
+    """The slab plan of grid axis 0 (`_slabs`) and the driver on it
+    (`slab_max`)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(shape=st.lists(st.integers(5, 40), min_size=3, max_size=4).map(tuple),
+           slab_nodes=st.sampled_from([1, 7, 100, 2000, 2**16]))
+    def test_plan_tiles_axis_0(self, shape, slab_nodes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fd, "SLAB_NODES", slab_nodes)
+            slabs = fd._slabs(shape)
+        step = max(4, slab_nodes // math.prod(shape[1:]))
+        assert [i for a, b in slabs for i in range(a, b)] == list(range(shape[0]))
+        # every slab but the last has `step` planes; the last takes a
+        # remainder of fewer than 4 planes into its own
+        assert all(b - a == step for a, b in slabs[:-1])
+        assert 4 <= slabs[-1][1] - slabs[-1][0] < step + 4
+
+    @pytest.mark.parametrize("halo", [1, 2])
+    @pytest.mark.parametrize("shape", [(17, 5, 6), (23, 5, 5, 7), (5, 9, 9, 9)])
+    def test_windows_boxes_and_reduction(self, monkeypatch, shape, halo):
+        monkeypatch.setattr(fd, "SLAB_NODES", 1)
+        n, c = shape[0], fd.COLLAR
+        calls = []
+
+        def residual(window, box, own):
+            calls.append((window, box, own))
+            return {"first": float(window.start), "nan": np.nan if window.start == 0 else 0.0}
+
+        report = fd.slab_max(shape, halo, residual)
+        slabs = fd._slabs(shape)
+        assert len(calls) == len(slabs)
+        rows = []
+        for (a, b), (window, box, own) in zip(slabs, calls):
+            assert window == slice(max(a - halo, 0), min(b + halo, n))
+            assert (own.start + window.start, own.stop + window.start) == (a, b)
+            assert box[1:] == (slice(c, -c),) * (len(shape) - 1)
+            rows += range(box[0].start + window.start, box[0].stop + window.start)
+        # the boxes tile axis 0 less the collar
+        assert rows == list(range(c, n - c))
+        assert report["first"] == max(slabs[-1][0] - halo, 0) and np.isnan(report["nan"])
 
 
 def spd_batch(rng, shape, n=3):

@@ -6,12 +6,11 @@ import pytest
 from cauchypairs import flow, spacetime_verifier as sv
 from cauchypairs.errors import (
     GridInvalid,
-    LambdaVanishes,
     NotInGHForm,
     PairAlgebraViolated,
     SignatureViolation,
 )
-from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
+from cauchypairs.spacetime_verifier import Metric4Grid
 
 from conftest import bivector_block, gh_pp_metric_and_pair, riemann4_reference, traced_peak
 
@@ -268,6 +267,35 @@ class TestParabolicPair:
         with pytest.raises(PairAlgebraViolated):
             sv.parallel_pair_residual(g, pair)
 
+    @staticmethod
+    def comoving_diag_pair(n, scale=1.0):
+        """The pair u = e^x (dt + (1 + t) dx), l = dy on the comoving
+        development -dt^2 + (1 + t)^2 dx^2 + dy^2 + dz^2 of the diagonal flow
+        f_u = 1 + t, with the spatial part of u multiplied by `scale`."""
+        g = milne(((0.0, 0.1),) * 4, n)
+        tt, xx, _, _ = g.meshgrid()
+        u = np.zeros(g.shape + (4,))
+        u[..., 0] = np.exp(xx)
+        u[..., 1] = scale * np.exp(xx) * (1.0 + tt)
+        l = np.zeros(g.shape + (4,))
+        l[..., 2] = 1.0
+        return g, u, l
+
+    @pytest.mark.parametrize("n, nabla_u", [(9, 3.0175377998764574e-05),
+                                            (17, 7.72751158617524e-06)])
+    def test_comoving_diagonal_pair_parallel(self, n, nabla_u):
+        # h is quadratic in t, so only e^x carries FD error, falling at second
+        # order; kappa = 0, as l = dy is parallel
+        g, u, l = self.comoving_diag_pair(n)
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        assert nab_u == pytest.approx(nabla_u, rel=1e-9)
+        assert nab_l == 0.0 and np.abs(kappa).max() == 0.0
+
+    def test_comoving_diagonal_pair_with_scaled_u_is_not_null(self):
+        g, u, l = self.comoving_diag_pair(17, scale=1.01)
+        with pytest.raises(PairAlgebraViolated):
+            sv.ParabolicPairData(g, u, l)
+
     def test_gh_pp_chart_pair_parallel(self):
         data = flow.PPWaveData.log_solution(0.0, -2.0, 0.1, 2.0, c=0.2)
         g, u, l = gh_pp_metric_and_pair(
@@ -278,42 +306,3 @@ class TestParabolicPair:
         # metric components are quadratic in (t, x), so FD is exact
         assert nab_u < 1e-11
         assert nab_l < 1e-11
-
-
-class TestGeneralFlow:
-    @staticmethod
-    def comoving_diag_data(n=17):
-        """Sampled flow data of the diagonal family f_u = 1 + t."""
-        box = ((0.0, 0.1),) * 4
-        grid = Grid4(box, np.zeros((n,) * 4 + (1,)))
-        tt, xx, _, _ = grid.meshgrid()
-        fu = 1.0 + tt
-        lam = np.ones(grid.shape)
-        h = np.zeros(grid.shape + (3, 3))
-        h[..., 0, 0] = fu**2
-        h[..., 1, 1] = 1.0
-        h[..., 2, 2] = 1.0
-        u0 = np.exp(xx)
-        u_perp = np.zeros(grid.shape + (3,))
-        u_perp[..., 0] = u0 * fu
-        l_perp = np.zeros(grid.shape + (3,))
-        l_perp[..., 1] = 1.0
-        return grid, lam, h, u0, u_perp, l_perp
-
-    def test_lambda_vanishing_rejected(self):
-        grid, lam, h, u0, u_perp, l_perp = self.comoving_diag_data(5)
-        with pytest.raises(LambdaVanishes):
-            sv.general_flow_residual(grid, 0 * lam, h, u0, u_perp, l_perp)
-
-    def test_comoving_family_satisfies_flow(self):
-        args = self.comoving_diag_data()
-        report = sv.general_flow_residual(*args)
-        # h is quadratic in t and u0 = e^x is smooth; only the exponential
-        # contributes FD error
-        assert report["max"] < 1e-5
-
-    def test_perturbed_norm_detected(self):
-        grid, lam, h, u0, u_perp, l_perp = self.comoving_diag_data()
-        report = sv.general_flow_residual(grid, lam, h, u0, 1.01 * u_perp, l_perp)
-        expected = (1.01**2 - 1.0) * float((u0[2:-2, 2:-2, 2:-2, 2:-2] ** 2).max())
-        assert report["norm_u"] == pytest.approx(expected, rel=1e-9)
