@@ -282,11 +282,10 @@ def enumerate_family(row: str, params: dict, variant: str = "cauchy") -> FamilyR
 
     theta, expected = _build_row(row, dict(params), variant)
 
-    tol = params.get("tolerance", DEFAULT_TOL)
     flags = {
-        "cauchy": fc.is_cauchy(theta, tol),
-        "constrained_rf": fc.is_zero(fc.constrained_ricci_flat_residual(theta), tol),
-        "codazzi": fc.codazzi_predicate(theta, tol),
+        "cauchy": fc.is_cauchy(theta, DEFAULT_TOL),
+        "constrained_rf": fc.is_zero(fc.constrained_ricci_flat_residual(theta), DEFAULT_TOL),
+        "codazzi": fc.codazzi_predicate(theta, DEFAULT_TOL),
     }
     mismatches = tuple(
         k for k in ("cauchy", "constrained_rf", "codazzi") if flags[k] != expected[k]

@@ -181,6 +181,7 @@ class UniversalCoverData:
         if np.any(eig <= 0):
             raise GridInvalid("hx must be positive definite at every x sample")
         self.hx_samples = hx_samples
+        self._hx_inverse = np.linalg.inv(hx_samples)
         self.F_samples = np.array([float(F(xi)) for xi in x])
         self.transverse = self._factorize()
 
@@ -197,16 +198,13 @@ class UniversalCoverData:
         floor = 4.0 * h * h * max(1.0, float(np.abs(defect).max()))
         threshold = max(MIXED_TOL * scale, floor)
         if np.abs(defect).max() > threshold:
-            # rotating the rows by phi(x) shifts the defect by +/- 2 phi'(x)
-            # depending on orientation; keep the better of the two signs
+            # for rows B = R(phi) S, B' B^-1 = phi' J + R (S' S^-1) R^T, and the
+            # antisymmetric part of a 2x2 matrix is invariant under rotation,
+            # so the defect of R(phi) S is that of S less 2 phi', which this
+            # phi cancels
             phi = 0.5 * fd.cumulative_trapezoid(defect, x)
-            candidates = []
-            for sign in (1.0, -1.0):
-                c, s = np.cos(sign * phi), np.sin(sign * phi)
-                rot = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
-                cand = rot @ root
-                candidates.append((np.abs(self._mixed_defect(x, cand)).max(), cand))
-            _, root = min(candidates, key=lambda t: t[0])
+            c, s = np.cos(phi), np.sin(phi)
+            root = np.array([[c, -s], [s, c]]).transpose(2, 0, 1) @ root
             defect = self._mixed_defect(x, root)
             if np.abs(defect).max() > threshold:
                 i = int(np.argmax(np.abs(defect)))
@@ -221,9 +219,8 @@ class UniversalCoverData:
     def _mixed_defect(self, x, root) -> np.ndarray:
         """(d_x e_l)(e_n#) - (d_x e_n)(e_l#) along the x axis."""
         droot = np.gradient(root, x, axis=0, edge_order=2)
-        hinv = np.linalg.inv(self.hx_samples)
-        a = np.einsum("xi,xij,xj->x", droot[:, 0, :], hinv, root[:, 1, :])
-        b = np.einsum("xi,xij,xj->x", droot[:, 1, :], hinv, root[:, 0, :])
+        a = np.einsum("xi,xij,xj->x", droot[:, 0, :], self._hx_inverse, root[:, 1, :])
+        b = np.einsum("xi,xij,xj->x", droot[:, 1, :], self._hx_inverse, root[:, 0, :])
         return a - b
 
     def coframe_grid(self) -> FieldGrid:

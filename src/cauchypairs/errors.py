@@ -72,10 +72,6 @@ class PairAlgebraViolated(CauchyPairsError):
     """Null/unit/orthogonality algebra of a parabolic pair fails."""
 
 
-class LambdaVanishes(CauchyPairsError):
-    """Lapse function vanishes somewhere on the grid."""
-
-
 class NullDirectionNotParallel(CauchyPairsError):
     """Declared null direction is not parallel; plane-wave check inapplicable."""
 

@@ -4,6 +4,14 @@ Covers the residual evaluation of the comoving flow system, the two diagonal
 solution families on R^3, the two-function pp-wave family in adapted null
 coordinates (x+, x-, y1, y2), and the plane-wave criterion for the latter.
 
+A sampled flow is its coframe grid: `diagonal_solution` returns a `Grid4`
+on (t, x, y, z) with payload (3, 3), the rows (e_u, e_l, e_n) in the
+components (dx, dy, dz), and `comoving_residual` takes it;
+`comoving_metric` is its development metric and `primitive_error_estimate`
+the error of its quadrature.  Every family is sampled by
+`Grid.from_function` (`pp_metric` by `Metric4Grid.from_function`), so a
+malformed sample count is refused before any profile is evaluated.
+
 Every norm skips the `grid.COLLAR` on all four axes.  No node on a spatial
 face reaches the comoving report; the t faces reach `theta_eu_static`, a
 second t-derivative of h, and `max`, and no other key.  The comoving report
@@ -14,7 +22,7 @@ slab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +37,22 @@ from .errors import (
 from .spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid, interior_max4
 
 
-@dataclass
-class FlowSolution:
-    """A time family of spatial coframes sampled on a (t, x, y, z) grid.
-
-    `coframe` is a Grid4 with payload (3, 3): rows (e_u, e_l, e_n) in the
-    coordinate components (dx, dy, dz).  The induced shape operator is
-    Theta_t = -1/2 d_t (sum_a e_a (x) e_a), computed by central differences.
-    """
-
-    interval: tuple
-    coframe: Grid4
-    meta: dict = field(default_factory=dict)
-
-    def spatial_metric(self) -> np.ndarray:
-        """h_ij = sum_a (e_a)_i (e_a)_j, grid-major."""
-        e = fd.to_planes(self.coframe.values, self.coframe.ndim)
-        return fd.from_planes(fd.coframe_metric(e), self.coframe.ndim)
-
-    def metric4(self) -> Metric4Grid:
-        """The comoving development metric -dt (x) dt + h_t on the same grid,
-        Lorentzian wherever the coframe is regular."""
-        h = self.spatial_metric()
-        g = np.zeros(self.coframe.shape + (4, 4))
-        g[..., 0, 0] = -1.0
-        g[..., 1:, 1:] = h
-        return Metric4Grid(self.coframe.box, g)
+def comoving_metric(coframe: Grid4) -> Metric4Grid:
+    """The comoving development metric -dt (x) dt + h_t of a sampled coframe
+    family, h_ij = sum_a (e_a)_i (e_a)_j, on the coframe's nodes; Lorentzian
+    wherever the coframe is regular."""
+    k = coframe.ndim
+    g = np.zeros(coframe.shape + (4, 4))
+    g[..., 0, 0] = -1.0
+    g[..., 1:, 1:] = fd.from_planes(fd.coframe_metric(fd.to_planes(coframe.values, k)), k)
+    return Metric4Grid(coframe.box, g)
 
 
-def comoving_residual(sol: FlowSolution) -> dict:
-    """Max-norms of the comoving flow system for a sampled coframe family.
+def comoving_residual(grid: Grid4) -> dict:
+    """Max-norms of the comoving flow system for a sampled coframe family:
+    a Grid4 on (t, x, y, z) with payload (3, 3), the rows (e_u, e_l, e_n) in
+    the components (dx, dy, dz), whose shape operator is
+    Theta_t = -1/2 d_t (sum_a e_a (x) e_a).
 
     Reports separately: the evolution equation d_t e_a + Theta_t(e_a), the
     spatial exterior system d e_a - Theta_t(e_a) ^ e_u, the closedness of
@@ -71,7 +65,6 @@ def comoving_residual(sol: FlowSolution) -> dict:
     taken, on the one-node shell around them; every node still passes
     `grid.require_regular` and the `SingularMatrix` test of the inverse of h.
     """
-    grid = sol.coframe
     fd.require_regular(grid.values)
     return fd.slab_max(grid.shape, 2, lambda window, box, own: _slab_comoving(
         grid, grid.values[window], box, own))
@@ -150,40 +143,37 @@ class DiagonalFamily:
                 raise ParamOutOfRange("case B_zero requires a = a(x)")
 
 
-def _diag_profiles(fam: DiagonalFamily, grid: Grid4):
-    """Sample (f_u, f_l, f_n) of a diagonal family on the grid, plus an
-    estimate of the primitive quadrature error for case B_zero."""
-    tt, xx, yy, zz = grid.meshgrid()
-    prim_err = 0.0
+def _diag_coframe(fam: DiagonalFamily, t, x, y, z) -> np.ndarray:
+    """The coframe diag(f_u, f_l, f_n) of a diagonal family at the nodes
+    (t, x, y, z), the read-only coordinates of `Grid.from_function`."""
     if fam.case == "B_nonzero":
-        fu = fam.a + fam.b * tt
-        zeta = xx + np.log(np.abs(fu)) / fam.b
+        fu = fam.a + fam.b * t
+        zeta = x + np.log(np.abs(fu)) / fam.b
     else:
-        x = grid.axis(1)
+        x = x[0, :, 0, 0]
         a_x = np.array([float(fam.a(xi)) for xi in x])
-        fu = np.broadcast_to(a_x[None, :, None, None], grid.shape).copy()
         if fam.a_primitive is not None:
             prim = np.array([float(fam.a_primitive(xi)) for xi in x])
         else:
             prim = fd.cumulative_simpson(a_x, x)
-            h = grid.spacing[1]
-            d4 = np.gradient(np.gradient(np.gradient(np.gradient(
-                a_x, h), h), h), h)
-            prim_err = float((x[-1] - x[0]) * h**4 * np.abs(d4).max() / 180)
-        zeta = tt + prim[None, :, None, None]
-    fl = np.asarray(fam.Ll(zeta, yy), dtype=float)
-    fn = np.asarray(fam.Ln(zeta, zz), dtype=float)
-    fl = np.broadcast_to(fl, grid.shape)
-    fn = np.broadcast_to(fn, grid.shape)
-    return fu, fl, fn, prim_err
+        fu = a_x[:, None, None]
+        zeta = t + prim[:, None, None]
+    e = np.zeros(t.shape + (3, 3))
+    e[..., 0, 0] = fu
+    for i, (name, profile, s) in enumerate((("L_l", fam.Ll, y), ("L_n", fam.Ln, z)), 1):
+        e[..., i, i] = profile(zeta, s)
+        if np.any(e[..., i, i] == 0):
+            raise DegenerateCoframe(f"profile {name} vanishes on the grid")
+    return e
 
 
-def diagonal_solution(fam: DiagonalFamily, interval, box, n) -> FlowSolution:
-    """Build the sampled coframe family of a diagonal solution.
+def diagonal_solution(fam: DiagonalFamily, interval, box, n) -> Grid4:
+    """The sampled coframe family of a diagonal solution, as
+    `comoving_residual` takes it.
 
     `interval` is the time range (t0, t1); `box` the spatial box; `n` the
-    samples per axis (scalar or 4-tuple).  For case B_nonzero the interval
-    must avoid the zero t = -a/b of f_u.
+    samples per axis, one count or four (`Grid.from_function`).  For case
+    B_nonzero the interval must avoid the zero t = -a/b of f_u.
     """
     t0, t1 = interval
     if fam.case == "B_nonzero":
@@ -192,21 +182,23 @@ def diagonal_solution(fam: DiagonalFamily, interval, box, n) -> FlowSolution:
             raise IntervalContainsSingularity(
                 f"f_u vanishes at t = {t_sing} inside [{t0}, {t1}]"
             )
-    full_box = ((t0, t1),) + tuple(box)
-    if np.isscalar(n):
-        n = (n,) * 4
-    grid = Grid4(full_box, np.zeros(tuple(n) + (1,)))
-    fu, fl, fn, prim_err = _diag_profiles(fam, grid)
-    for name, f in (("L_l", fl), ("L_n", fn)):
-        if np.any(f == 0):
-            raise DegenerateCoframe(f"profile {name} vanishes on the grid")
-    e = np.zeros(grid.shape + (3, 3))
-    e[..., 0, 0] = fu
-    e[..., 1, 1] = fl
-    e[..., 2, 2] = fn
-    meta = {"family": fam.case, "primitive_error_estimate": prim_err,
-            "completeness_checked": False}
-    return FlowSolution(interval=(t0, t1), coframe=Grid4(full_box, e), meta=meta)
+    return Grid4.from_function(((t0, t1),) + tuple(box), n,
+                               lambda t, x, y, z: _diag_coframe(fam, t, x, y, z))
+
+
+def primitive_error_estimate(fam: DiagonalFamily, coframe: Grid4) -> float:
+    """An estimate of the error of case B_zero's composite-Simpson primitive
+    on the x axis of its sampled `coframe`: (x1 - x0) h^4 max |a^(4)| / 180,
+    with a^(4) by repeated central differences of the samples f_u = a(x).
+    0 where no quadrature is made (case B_nonzero, or an exact
+    `a_primitive`)."""
+    if fam.case == "B_nonzero" or fam.a_primitive is not None:
+        return 0.0
+    x = coframe.axis(1)
+    a_x = coframe.values[0, :, 0, 0, 0, 0]
+    h = coframe.spacing[1]
+    d4 = np.gradient(np.gradient(np.gradient(np.gradient(a_x, h), h), h), h)
+    return float((x[-1] - x[0]) * h**4 * np.abs(d4).max() / 180)
 
 
 def diagonal_ricci_flat_residual(fam: DiagonalFamily, interval, box, n) -> np.ndarray:
@@ -214,8 +206,7 @@ def diagonal_ricci_flat_residual(fam: DiagonalFamily, interval, box, n) -> np.nd
     b (d_t f_l / f_l + d_t f_n / f_n) - d_t d_x f_l / f_l - d_t d_x f_n / f_n,
     reduced to a (t, x) field by max-abs over the transverse directions.
     """
-    sol = diagonal_solution(fam, interval, box, n)
-    grid = sol.coframe
+    grid = diagonal_solution(fam, interval, box, n)
     fl = grid.values[..., 1, 1]
     fn = grid.values[..., 2, 2]
     res = np.zeros(grid.shape)
@@ -279,20 +270,21 @@ class PPWaveData:
 
 
 def pp_metric(data: PPWaveData, box, n) -> Metric4Grid:
-    """Sample g = dx+ (.) dx- + k_{x+} on a 4D grid with axes (x+, x-, y1, y2)."""
-    if np.isscalar(n):
-        n = (n,) * 4
-    grid = Grid4(tuple(box), np.zeros(tuple(n) + (1,)))
-    xp = grid.axis(0)
-    g11, g12, g22 = data.metric_components(xp)
-    if np.any(data.delta(xp) <= 0):
-        raise ParamOutOfRange("pp-wave transverse determinant delta must be positive")
-    g = np.zeros(grid.shape + (4, 4))
-    g[..., 0, 1] = g[..., 1, 0] = 1.0
-    g[..., 2, 2] = g11[:, None, None, None]
-    g[..., 2, 3] = g[..., 3, 2] = g12[:, None, None, None]
-    g[..., 3, 3] = g22[:, None, None, None]
-    return Metric4Grid(grid.box, g)
+    """Sample g = dx+ (.) dx- + k_{x+} on a 4D grid with axes (x+, x-, y1, y2);
+    `n` is one count or four (`Grid.from_function`)."""
+    def sample(xp, xm, y1, y2):
+        x = xp[:, 0, 0, 0]
+        if np.any(data.delta(x) <= 0):
+            raise ParamOutOfRange("pp-wave transverse determinant delta must be positive")
+        g11, g12, g22 = (c[:, None, None, None] for c in data.metric_components(x))
+        g = np.zeros(xp.shape + (4, 4))
+        g[..., 0, 1] = g[..., 1, 0] = 1.0
+        g[..., 2, 2] = g11
+        g[..., 2, 3] = g[..., 3, 2] = g12
+        g[..., 3, 3] = g22
+        return g
+
+    return Metric4Grid.from_function(box, n, sample)
 
 
 def pp_ricci_residual(data: PPWaveData, x):

@@ -76,8 +76,6 @@ class Grid:
         if values.ndim < k:
             raise GridInvalid(f"values must carry {k} leading grid axes")
         _require_samples(values.shape[:k])
-        if not all(-math.inf < a < b < math.inf for a, b in box):
-            raise GridInvalid("box intervals must be finite and nondegenerate")
         _require_finite(values, k)
         self.box = box
         self.values = values
@@ -107,8 +105,9 @@ class Grid:
         are read-only views (`_mesh`), so sampling allocates only what func
         returns.  A result short of the grid's shape (a constant) is
         broadcast into an array of its own, and one that shares memory with
-        the coordinates (a coordinate itself) is copied.  Any other count
-        is refused before func is called."""
+        the coordinates (a coordinate itself) is copied.  Any other count,
+        and a box that `Grid` would refuse, is refused before func is
+        called."""
         k = cls.ndim
         box = _box(box, k)
         try:
@@ -177,13 +176,15 @@ class Grid:
 
 
 def _box(box, k):
-    """`box` as k (lo, hi) pairs of floats."""
+    """`box` as k finite, nondegenerate (lo, hi) pairs of floats."""
     try:
         box = tuple((float(a), float(b)) for a, b in box)
     except (TypeError, ValueError) as exc:
         raise GridInvalid(f"box must be a sequence of (lo, hi) pairs: {exc}") from None
     if len(box) != k:
         raise GridInvalid(f"box must have {k} axis intervals, got {len(box)}")
+    if not all(-math.inf < a < b < math.inf for a, b in box):
+        raise GridInvalid("box intervals must be finite and nondegenerate")
     return box
 
 

@@ -7,7 +7,9 @@ it serves as the oracle for every curvature claim.  Grids are uniform over
 nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
-A `Metric4Grid` inverts itself once, by LAPACK on its grid-major blocks, on
+A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
+refuses a malformed count before it samples and validates the metric once;
+it inverts itself once, by LAPACK on its grid-major blocks, on
 the first call of `inverse`, and every Christoffel set and the pair algebra
 share that inverse.  The FD kernels run on component planes, as the 3x3
 ones do (`grid.plane_christoffel`, `plane_covariant_derivative`,
@@ -27,7 +29,6 @@ import numpy as np
 from . import grid as fd
 from .errors import (
     GridInvalid,
-    LambdaVanishes,
     NotInGHForm,
     PairAlgebraViolated,
     SignatureViolation,
@@ -65,11 +66,6 @@ class Metric4Grid(Grid4):
                 f"first at index {tuple(map(int, bad[0]))}"
             )
         self._inverse = None
-
-    @classmethod
-    def from_metric_function(cls, box, n, gfunc):
-        base = Grid4.from_function(box, n, gfunc)
-        return cls(base.box, base.values)
 
     def inverse(self) -> np.ndarray:
         """g^-1 at every node, by LAPACK on the first call; later calls return
@@ -198,8 +194,6 @@ def gh_decomposition(g: Metric4Grid):
     if np.any(g00 >= 0):
         raise SignatureViolation("g_00 must be negative in the GH decomposition")
     lam = np.sqrt(-g00)
-    if np.any(lam == 0):
-        raise LambdaVanishes("lapse vanishes on the grid")
     h = gv[..., 1:, 1:]
     theta = -g.grad(h, 0) / (2 * lam[..., None, None])
     return lam, h, theta

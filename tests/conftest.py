@@ -149,23 +149,26 @@ def gh_pp_metric_and_pair(data, box, n):
     """
     from cauchypairs import spacetime_verifier as sv
 
-    if np.isscalar(n):
-        n = (n,) * 4
-    grid = sv.Grid4(tuple(box), np.zeros(tuple(n) + (1,)))
-    tt, xx, _, _ = grid.meshgrid()
-    xplus = (xx + tt) / np.sqrt(2.0)
-    g11, g12, g22 = data.metric_components(xplus)
-    g = np.zeros(grid.shape + (4, 4))
-    g[..., 0, 0] = -1.0
-    g[..., 1, 1] = 1.0
-    g[..., 2, 2] = g11
-    g[..., 2, 3] = g[..., 3, 2] = g12
-    g[..., 3, 3] = g22
-    metric = sv.Metric4Grid(grid.box, g)
-    u = np.zeros(grid.shape + (4,))
+    def xplus(t, x):
+        return (x + t) / np.sqrt(2.0)
+
+    def gfun(t, x, y1, y2):
+        g11, g12, g22 = data.metric_components(xplus(t, x))
+        g = np.zeros(t.shape + (4, 4))
+        g[..., 0, 0] = -1.0
+        g[..., 1, 1] = 1.0
+        g[..., 2, 2] = g11
+        g[..., 2, 3] = g[..., 3, 2] = g12
+        g[..., 3, 3] = g22
+        return g
+
+    metric = sv.Metric4Grid.from_function(box, n, gfun)
+    tt, xx, _, _ = metric.meshgrid()
+    xp = xplus(tt, xx)
+    u = np.zeros(metric.shape + (4,))
     u[..., 0] = 1.0
     u[..., 1] = 1.0
-    l = np.zeros(grid.shape + (4,))
-    l[..., 2] = np.exp(data.fl(xplus))
-    l[..., 3] = data.p(xplus)
+    l = np.zeros(metric.shape + (4,))
+    l[..., 2] = np.exp(data.fl(xp))
+    l[..., 3] = data.p(xp)
     return metric, u, l

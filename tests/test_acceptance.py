@@ -147,9 +147,9 @@ def test_acceptance_5_diagonal_flow_families():
     worst_comoving = worst_ricci = 0.0
     for fam, side in ((rf_exponential, 0.0125), (rf_linear, 0.04)):
         box = ((0, side),) * 3
-        sol = flow.diagonal_solution(fam, (0.0, side), box, n)
-        worst_comoving = max(worst_comoving, flow.comoving_residual(sol)["max"])
-        ric = sv.ricci4_fd(sol.metric4())
+        coframe = flow.diagonal_solution(fam, (0.0, side), box, n)
+        worst_comoving = max(worst_comoving, flow.comoving_residual(coframe)["max"])
+        ric = sv.ricci4_fd(flow.comoving_metric(coframe))
         worst_ricci = max(worst_ricci, sv.interior_max4(ric))
     generic = flow.DiagonalFamily(
         case="B_nonzero", a=1.0, b=1.0,

@@ -5,14 +5,17 @@ Each counted function is wrapped in every package module that binds it, as
 here rather than only in the minutes-long benchmark smoke test."""
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cauchypairs import cli, coordinate_fields as cf, flow, grid as fd, spacetime_verifier as sv
+from cauchypairs import classifier, cli, coordinate_fields as cf, flow, grid as fd
+from cauchypairs import spacetime_verifier as sv
 from cauchypairs.errors import NotInGHForm, PairAlgebraViolated
 
 import test_spacetime
+from conftest import row_variants, sample_families
 from test_coordinate_fields import warped_realization
 
 PACKAGE = "cauchypairs"
@@ -45,6 +48,13 @@ def test_two_christoffel_sets_per_single_slab_residual(counter):
     calls = counter(cf, "christoffel3_fd")
     cf.constraint_residual_fd(e, th)
     assert len(calls) == 2
+
+
+def test_no_4d_christoffel_set_in_the_3d_residual(counter):
+    e, th = warped_realization(17)
+    calls = counter(sv, "christoffel_fd")
+    cf.constraint_residual_fd(e, th)
+    assert calls == []
 
 
 def test_one_metric_inverse_per_single_slab_residual(counter):
@@ -171,6 +181,25 @@ def test_no_numpy_gradient_on_the_grid(monkeypatch):
     # the 1-D profile derivatives on coordinate arrays keep numpy's stencil
     flow.pp_ricci_residual(flow.PPWaveData(fl=np.sin, fn=np.cos), np.linspace(0, 1, 9))
     assert len(calls) == 4
+
+
+def test_no_numpy_gradient_in_the_frame_stream(monkeypatch, rng):
+    """enumerate_family -> classify -> normal_form_verify -> verify-pair,
+    in float and in exact arithmetic, once on every classification-table
+    cell: the frame algebra takes no finite difference."""
+    calls = []
+    gradient = np.gradient
+    monkeypatch.setattr(np, "gradient", lambda *a, **kw: calls.append(1) or gradient(*a, **kw))
+    cells = sum(len(row_variants(row)) for row in classifier.ROW_IDS)
+    for fam in sample_families(rng, cells):
+        _, change = classifier.classify(fam.theta)
+        classifier.normal_form_verify(fam.theta, change)
+        theta = {k: float(getattr(fam.theta, k)) for k in cli.THETA_KEYS}
+        cli.run({"mode": "verify-pair", "theta": theta})
+        exact = {k: str(Fraction(v).limit_denominator(10**6)) for k, v in theta.items()}
+        cli.run({"mode": "verify-pair", "theta": exact}, exact=True)
+    assert cells == 13
+    assert calls == []
 
 
 @pytest.mark.parametrize("config", [{"mode": "verify-spacetime"}, MILNE],

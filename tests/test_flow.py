@@ -6,12 +6,13 @@ import pytest
 from cauchypairs import cli, flow, grid as fd, spacetime_verifier as sv
 from cauchypairs.errors import (
     DegenerateCoframe,
+    GridInvalid,
     IntervalContainsSingularity,
     NullDirectionNotParallel,
     ParamOutOfRange,
     SingularMatrix,
 )
-from cauchypairs.flow import DiagonalFamily, FlowSolution, PPWaveData
+from cauchypairs.flow import DiagonalFamily, PPWaveData
 from cauchypairs.spacetime_verifier import Grid4, Metric4Grid
 
 from conftest import christoffel_reference, gradient_partials, riemann4_reference, traced_peak
@@ -23,11 +24,11 @@ def const_profile(s, y):
     return 1.0 + 0.0 * s
 
 
-def grid_major_comoving(sol):
+def grid_major_comoving(grid):
     """`flow.comoving_residual` in the grid-major layout with batched matmul
     contractions, LAPACK's inverse and numpy's gradient: the route that the
     component planes replaced, kept as their oracle."""
-    grid, e = sol.coframe, sol.coframe.values
+    e = grid.values
 
     def d_t(values):
         return np.gradient(values, grid.spacing[0], axis=0, edge_order=2)
@@ -64,21 +65,23 @@ class TestComponentPlanes:
     @staticmethod
     def dense_solution(shape):
         """A coframe family on [0, 1]^4 with every entry nonzero."""
-        grid = Grid4(((0.0, 1.0),) * 4, np.zeros(shape))
-        tt, xx, yy, zz = grid.meshgrid()
-        e = np.empty(grid.shape + (3, 3))
-        for a in range(3):
-            for j in range(3):
-                e[..., a, j] = (a == j) + 0.3 * np.sin((a + 1) * tt + (j + 1) * xx
-                                                       - a * yy + (a + j) * zz + a * j + 0.5 * j + 0.37)
-        assert np.all(e != 0.0)
-        return FlowSolution((0.0, 1.0), grid.like(e))
+        def coframe(tt, xx, yy, zz):
+            e = np.empty(tt.shape + (3, 3))
+            for a in range(3):
+                for j in range(3):
+                    e[..., a, j] = (a == j) + 0.3 * np.sin(
+                        (a + 1) * tt + (j + 1) * xx - a * yy + (a + j) * zz + a * j + 0.5 * j + 0.37)
+            return e
+
+        grid = Grid4.from_function(((0.0, 1.0),) * 4, shape, coframe)
+        assert np.all(grid.values != 0.0)
+        return grid
 
     @pytest.mark.parametrize("shape", [(9, 9, 9, 9), (7, 9, 6, 5)])
     def test_matches_the_grid_major_route(self, shape):
-        sol = self.dense_solution(shape)
-        report = flow.comoving_residual(sol)
-        ref = grid_major_comoving(sol)
+        coframe = self.dense_solution(shape)
+        report = flow.comoving_residual(coframe)
+        ref = grid_major_comoving(coframe)
         assert set(report) == set(ref)
         assert min(ref.values()) > 0.1
         for key in ref:
@@ -90,13 +93,13 @@ class TestComponentPlanes:
         # without the 2-node collar no node with an index 0 or n - 1 on those
         # axes reaches it; theta_eu_static is a second t-derivative of h, so
         # the t faces reach that key, and the max, and nothing else
-        sol = self.dense_solution((9, 9, 9, 9))
-        ref = flow.comoving_residual(sol)
+        coframe = self.dense_solution((9, 9, 9, 9))
+        ref = flow.comoving_residual(coframe)
         shear = np.array([[2.0, 0.3, -0.2], [0.25, 1.5, 0.4], [-0.15, 0.35, 3.0]])
-        e = sol.coframe.values.copy()
+        e = coframe.values.copy()
         face = (slice(None),) * axis + ([0, -1],)
         e[face] = e[face] @ shear
-        report = flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(e)))
+        report = flow.comoving_residual(coframe.like(e))
         assert list(report) == list(ref)
         changed = {key for key in ref if report[key] != ref[key]}
         assert changed == ({"theta_eu_static", "max"} if axis == 0 else set())
@@ -143,20 +146,20 @@ class TestComovingSlabs:
         assert fd._slabs((9,) * 4) == [(0, 4), (4, 9)]
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
-        vals = sol.coframe.values.copy()
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = coframe.values.copy()
         vals[node] = np.ldexp(vals[node], -560)
         with pytest.raises(SingularMatrix):
-            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+            flow.comoving_residual(coframe.like(vals))
 
     def test_degenerate_nodes_counted_over_every_slab(self, monkeypatch):
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
-        vals = sol.coframe.values.copy()
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = coframe.values.copy()
         for node in ((6, 1, 2, 3), (2, 4, 4, 4), (6, 0, 0, 0), (8, 8, 8, 8)):
             vals[node + (1,)] = 0.0
-        bad = FlowSolution(sol.interval, sol.coframe.like(vals))
+        bad = coframe.like(vals)
         for slab_nodes in (2**16, 1):
             monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
             with pytest.raises(DegenerateCoframe,
@@ -170,10 +173,10 @@ class TestComovingSlabs:
         # slabs are read on windows of at most 8 planes of 9^3 nodes
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, (65, 9, 9, 9))
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, (65, 9, 9, 9))
         monkeypatch.setattr(fd, "SLAB_NODES", 4 * 9**3)
-        assert len(fd._slabs(sol.coframe.shape)) == 16
-        assert traced_peak(lambda: flow.comoving_residual(sol)) < 400 * 8 * 9**3
+        assert len(fd._slabs(coframe.shape)) == 16
+        assert traced_peak(lambda: flow.comoving_residual(coframe)) < 400 * 8 * 9**3
 
 
 class TestDiagonalFamilyValidation:
@@ -224,8 +227,8 @@ class TestDiagonalSolution:
             a_primitive=lambda x: x + x * x / 2,
         )
         for fam in (fam1, fam2):
-            sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
-            report = flow.comoving_residual(sol)
+            coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
+            report = flow.comoving_residual(coframe)
             assert report["max"] < 1e-5, (fam.case, report)
 
     def test_comoving_residual_second_order(self):
@@ -235,9 +238,8 @@ class TestDiagonalSolution:
         )
         res = {}
         for n in (17, 33):
-            sol = flow.diagonal_solution(fam, (0.0, 0.05),
-                                         ((0, 0.05),) * 3, n)
-            res[n] = flow.comoving_residual(sol)["max"]
+            coframe = flow.diagonal_solution(fam, (0.0, 0.05), ((0, 0.05),) * 3, n)
+            res[n] = flow.comoving_residual(coframe)["max"]
         assert res[33] < res[17] / 3
 
     def test_comoving_residual_peak_memory_per_node(self):
@@ -249,40 +251,38 @@ class TestDiagonalSolution:
         # ~650 B with them alive on every node
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
-        assert traced_peak(lambda: flow.comoving_residual(sol)) < 600 * 17**4
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
+        assert traced_peak(lambda: flow.comoving_residual(coframe)) < 600 * 17**4
 
     def test_non_solution_detected(self):
         # e^{t + 2x} is not a function of the characteristic variable zeta
-        grid = Grid4(((0, 0.5),) * 4, np.zeros((9, 9, 5, 5, 1)))
-        tt, xx, _, _ = grid.meshgrid()
-        e = np.zeros(grid.shape + (3, 3))
-        e[..., 0, 0] = 1.0
-        e[..., 1, 1] = np.exp(tt + 2 * xx)
-        e[..., 2, 2] = 1.0
-        sol = FlowSolution(interval=(0, 0.5), coframe=Grid4(grid.box, e))
-        report = flow.comoving_residual(sol)
+        def coframe(tt, xx, yy, zz):
+            e = np.zeros(tt.shape + (3, 3))
+            e[..., 0, 0] = 1.0
+            e[..., 1, 1] = np.exp(tt + 2 * xx)
+            e[..., 2, 2] = 1.0
+            return e
+
+        report = flow.comoving_residual(Grid4.from_function(((0, 0.5),) * 4, (9, 9, 5, 5), coframe))
         assert report["exterior_max"] > 0.1
 
     def test_degenerate_coframe_rejected(self):
-        grid = Grid4(((0, 1),) * 4, np.zeros((5, 5, 5, 5, 1)))
-        e = np.zeros(grid.shape + (3, 3))  # identically singular
-        sol = FlowSolution(interval=(0, 1), coframe=Grid4(grid.box, e))
+        e = np.zeros((5, 5, 5, 5, 3, 3))  # identically singular
         with pytest.raises(DegenerateCoframe):
-            flow.comoving_residual(sol)
+            flow.comoving_residual(Grid4(((0, 1),) * 4, e))
 
     @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
     def test_degeneracy_test_is_scale_invariant(self, c):
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
-        vals = c * sol.coframe.values
-        report = flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = c * coframe.values
+        report = flow.comoving_residual(coframe.like(vals))
         assert np.isfinite(report["max"])
         vals[3, 4, 2, 1, 1] = 0.0
         with pytest.raises(DegenerateCoframe,
                            match=r"at 1 nodes, first at index \(3, 4, 2, 1\)$") as err:
-            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+            flow.comoving_residual(coframe.like(vals))
         assert err.value.nodes == [(3, 4, 2, 1)]
         assert all(type(i) is int for i in err.value.nodes[0])
 
@@ -293,11 +293,11 @@ class TestDiagonalSolution:
         # t-collar nodes are read by no norm
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
-        sol = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
-        vals = sol.coframe.values.copy()
+        coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
+        vals = coframe.values.copy()
         vals[node] = np.ldexp(vals[node], -560)
         with pytest.raises(SingularMatrix):
-            flow.comoving_residual(FlowSolution(sol.interval, sol.coframe.like(vals)))
+            flow.comoving_residual(coframe.like(vals))
 
     def test_simpson_primitive_close_to_exact(self):
         common = dict(
@@ -307,8 +307,8 @@ class TestDiagonalSolution:
         with_exact = DiagonalFamily(a_primitive=lambda x: np.expm1(x), **common)
         with_quad = DiagonalFamily(**common)
         box, n = ((0, 0.1),) * 3, 17
-        e1 = flow.diagonal_solution(with_exact, (0, 0.1), box, n).coframe.values
-        e2 = flow.diagonal_solution(with_quad, (0, 0.1), box, n).coframe.values
+        e1 = flow.diagonal_solution(with_exact, (0, 0.1), box, n).values
+        e2 = flow.diagonal_solution(with_quad, (0, 0.1), box, n).values
         assert np.abs(e1 - e2).max() < 1e-9
 
     def test_ricci_flat_choice_vs_generic(self):
@@ -325,6 +325,35 @@ class TestDiagonalSolution:
         res_gen = flow.diagonal_ricci_flat_residual(generic, *args)
         assert res_rf[2:-2, 2:-2].max() < 1e-5
         assert res_gen[2:-2, 2:-2].max() > 1e-2
+
+
+@pytest.mark.parametrize("n", [(9, 9, 9), (9, 5, 5, 5, 5), 9.0],
+                         ids=["three-counts", "five-counts", "float"])
+class TestSampleCounts:
+    """A count that is not one integer or four is refused before any
+    function of the family is evaluated."""
+
+    @staticmethod
+    def recording(calls, f):
+        return lambda *args: calls.append(1) or f(*args)
+
+    def test_diagonal_solution(self, n):
+        calls = []
+        fam = DiagonalFamily(case="B_zero", a=self.recording(calls, lambda x: 1.0 + x), b=0.0,
+                             Ll=self.recording(calls, const_profile),
+                             Ln=self.recording(calls, const_profile))
+        with pytest.raises(GridInvalid):
+            flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, n)
+        assert calls == []
+
+    def test_pp_metric(self, n):
+        calls = []
+        log = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
+        data = PPWaveData(fl=self.recording(calls, log.fl), fn=self.recording(calls, log.fn),
+                          c=0.3)
+        with pytest.raises(GridInvalid):
+            flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), n)
+        assert calls == []
 
 
 class TestPPWave:
@@ -387,7 +416,7 @@ def walker_metric(n, shear):
         out[..., 2, 2] = out[..., 3, 3] = f
         return out
 
-    return Metric4Grid.from_metric_function(((0, 0.5),) * 4, n, gfun)
+    return Metric4Grid.from_function(((0, 0.5),) * 4, n, gfun)
 
 
 def plane_wave_reference(g, antisymmetrise=False, null_axis=1):
@@ -451,7 +480,7 @@ class TestPlaneWaveCheck:
             out[..., 3, 3] = 1.0
             return out
 
-        g = Metric4Grid.from_metric_function(((0, 0.5),) * 4, 9, gfun)
+        g = Metric4Grid.from_function(((0, 0.5),) * 4, 9, gfun)
         with pytest.raises(NullDirectionNotParallel):
             flow.plane_wave_check(g, tol=1e-6)
 

@@ -103,8 +103,12 @@ class TestGridInvalid:
         ((0, 1), (0, 1), (0, 1), (1, 0.5)),
     ])
     def test_4d_box_must_be_nondegenerate(self, box):
+        def func(*x):
+            raise AssertionError("sampled")
         with pytest.raises(GridInvalid):
             Grid4(box, np.zeros((5, 5, 5, 5)))
+        with pytest.raises(GridInvalid):
+            Grid4.from_function(box, 5, func)
 
     def test_bad_magic(self, rng):
         blob = field_blob(rng)
@@ -216,7 +220,7 @@ class TestSerialization:
             out[..., 1, 2] = out[..., 2, 1] = 0.1 * t
             return out
 
-        g = Metric4Grid.from_metric_function(BOX4, (5, 6, 5, 5), gfun)
+        g = Metric4Grid.from_function(BOX4, (5, 6, 5, 5), gfun)
         back = Metric4Grid.from_binary(g.to_binary())
         assert type(back) is Metric4Grid
         assert back.box == g.box
@@ -245,7 +249,7 @@ class TestSliceKernels:
         g3, omega = self.fields()
         om = fd.to_planes(omega, 3)
         nt = 5
-        g4 = Grid4(BOX4, np.zeros((nt,) + g3.shape))
+        g4 = Grid4.from_function(BOX4, (nt,) + g3.shape, lambda t, x, y, z: 0.0 * t)
         om4 = np.broadcast_to(om[:, None], om.shape[:1] + (nt,) + om.shape[1:])
         partial4 = fd.plane_partials(g4, om4, SPATIAL_AXES)
         d4 = partial4 - np.swapaxes(partial4, 0, 1)
@@ -260,8 +264,7 @@ class TestSliceKernels:
         # t-plane of 5, the only one left once the collar is cut
         coframe, _ = self.fields()
         e = coframe.values
-        sol = flow.FlowSolution((0.0, 1.0), Grid4(BOX4, np.broadcast_to(e, (5,) + e.shape)))
-        r4 = flow.comoving_residual(sol)
+        r4 = flow.comoving_residual(Grid4(BOX4, np.broadcast_to(e, (5,) + e.shape)))
         r3 = cf.constraint_residual_fd(coframe, coframe.like(np.zeros(e.shape)))
         keys = ("exterior_u", "exterior_l", "exterior_n", "exterior_max", "theta_eu_closed")
         assert [r4[k].hex() for k in keys] == [r3[k].hex() for k in keys]

@@ -18,7 +18,7 @@ BOX = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.2), (0.0, 0.2))
 
 
 def minkowski(box=BOX, n=9):
-    return Metric4Grid.from_metric_function(
+    return Metric4Grid.from_function(
         box, n,
         lambda t, x, y, z: np.broadcast_to(
             np.diag([-1.0, 1, 1, 1]), t.shape + (4, 4)
@@ -35,7 +35,7 @@ def milne(box=BOX, n=17):
         out[..., 3, 3] = 1.0
         return out
 
-    return Metric4Grid.from_metric_function(box, n, gfun)
+    return Metric4Grid.from_function(box, n, gfun)
 
 
 def generic_metric(n):
@@ -52,13 +52,13 @@ def generic_metric(n):
         out[..., 0, 3] = out[..., 3, 0] = 0.05 * x * y
         return out
 
-    return Metric4Grid.from_metric_function(((0, 0.5),) * 4, n, gfun)
+    return Metric4Grid.from_function(((0, 0.5),) * 4, n, gfun)
 
 
 class TestMetric4Grid:
     def test_signature_enforced(self):
         with pytest.raises(SignatureViolation):
-            Metric4Grid.from_metric_function(
+            Metric4Grid.from_function(
                 BOX, 5,
                 lambda t, x, y, z: np.broadcast_to(np.eye(4), t.shape + (4, 4)),
             )
@@ -208,7 +208,7 @@ class TestGHDecomposition:
             out[..., 3, 3] = 1.0
             return out
 
-        g = Metric4Grid.from_metric_function(((0, 0.1),) * 4, 9, gfun)
+        g = Metric4Grid.from_function(((0, 0.1),) * 4, 9, gfun)
         lam, h, theta = sv.gh_decomposition(g)
         assert np.allclose(lam, 1.0)
         tt, _, _, _ = g.meshgrid()
