@@ -3,7 +3,8 @@
 Usage: cauchypairs <config.json> [--json] [--tolerance X] [--exact]
 
 The config is a single JSON document with a "mode" key selecting the
-operation; unknown keys are rejected.  Exit codes: 0 all requested checks
+operation; unknown keys are rejected, and so are --tolerance and --exact
+in a mode that does not read them.  Exit codes: 0 all requested checks
 passed, 2 invalid configuration, 3 a check failed, 4 internal error.
 """
 
@@ -180,7 +181,7 @@ def make_scalar_function(spec: dict, where: str = "scalar function"):
 # ---------------------------------------------------------------------------
 
 
-def _run_verify_pair(cfg, tol, exact):
+def _run_verify_pair(cfg, tolerance, exact):
     theta = _theta_from(cfg, exact)
     i1, i2 = fc.integrability_residual(theta)
     coh = fc.cohomology_residual(theta)
@@ -188,23 +189,23 @@ def _run_verify_pair(cfg, tol, exact):
     body = {
         "integrability_residual": [i1, i2],
         "cohomology_residual": coh,
-        "is_cauchy": fc.is_cauchy(theta, tol),
-        "is_unimodular": fc.is_unimodular(theta, tol),
+        "is_cauchy": fc.is_cauchy(theta, tolerance),
+        "is_unimodular": fc.is_unimodular(theta, tolerance),
         "scalar_curvature": fc.scalar_curvature(theta),
         "ricci": [list(r) for r in ric],
         "ricci_asymmetry": asym,
         "hamiltonian_residual": fc.hamiltonian_residual(theta),
         "momentum_residual": list(fc.momentum_residual(theta)),
         "constrained_ricci_flat_residual": fc.constrained_ricci_flat_residual(theta),
-        "codazzi": fc.codazzi_predicate(theta, tol),
-        "codazzi_by_conditions": fc.codazzi_predicate_conditions(theta, tol),
+        "codazzi": fc.codazzi_predicate(theta, tolerance),
+        "codazzi_by_conditions": fc.codazzi_predicate_conditions(theta, tolerance),
     }
     return body, bool(body["is_cauchy"])
 
 
-def _run_classify(cfg, tol, exact):
+def _run_classify(cfg, tolerance, exact):
     theta = _theta_from(cfg, exact)
-    group, change = classifier.classify(theta, tol)
+    group, change = classifier.classify(theta, tolerance)
     residual = classifier.normal_form_verify(theta, change)
     body = {
         "group": group.tag,
@@ -216,7 +217,7 @@ def _run_classify(cfg, tol, exact):
     return body, True
 
 
-def _run_curvature(cfg, tol, exact):
+def _run_curvature(cfg, exact):
     theta = _theta_from(cfg, exact)
     ric, asym = fc.ricci_frame(theta)
     body = {
@@ -246,16 +247,18 @@ def _family_from(cfg):
     return fam, interval, box, n
 
 
-def _run_flow_diag(cfg, tol, exact):
+def _run_flow_diag(cfg):
     fam, interval, box, n = _family_from(cfg)
     threshold = _real(cfg, "threshold", 1e-6, nonneg=True)
     coframe = flow.diagonal_solution(fam, interval, box, n)
     report = flow.comoving_residual(coframe)
+    estimate = flow.primitive_error_estimate(fam, coframe)
+    del coframe  # the obstruction samples the family again
     rf = flow.diagonal_ricci_flat_residual(fam, interval, box, n)
     body = {
         "comoving_residual": report,
         "ricci_flat_residual_max": fd.interior_max(rf, 2),
-        "primitive_error_estimate": flow.primitive_error_estimate(fam, coframe),
+        "primitive_error_estimate": estimate,
     }
     return body, report["max"] <= threshold
 
@@ -263,7 +266,7 @@ def _run_flow_diag(cfg, tol, exact):
 PP_DEFAULTS = {"a_l": 0.0, "b_l": -1.0, "a_n": 0.0, "b_n": 1.0, "c": 0.0}
 
 
-def _run_flow_pp(cfg, tol, exact):
+def _run_flow_pp(cfg):
     pp_cfg = _block(cfg, "pp", PP_DEFAULTS)
     data = flow.PPWaveData.log_solution(
         **{k: _real(pp_cfg, k, v, "pp.") for k, v in PP_DEFAULTS.items()}
@@ -287,7 +290,7 @@ def _run_flow_pp(cfg, tol, exact):
     return body, passed
 
 
-def _run_verify_spacetime(cfg, tol, exact):
+def _run_verify_spacetime(cfg):
     metric_cfg = _block(cfg, "metric", ("kind", "a", "b"))
     kind = metric_cfg.get("kind", "minkowski")
     if kind not in ("minkowski", "milne"):
@@ -313,7 +316,7 @@ def _run_verify_spacetime(cfg, tol, exact):
     threshold = _real(cfg, "threshold", 1e-6, nonneg=True)
     u = np.broadcast_to(u_const, g.shape + (4,)).copy()
     l = np.broadcast_to(l_const, g.shape + (4,)).copy()
-    pair = sv.ParabolicPairData(g, u, l, tol=max(tol, 1e-9))
+    pair = sv.ParabolicPairData(g, u, l)
     nab_u, nab_l, kappa = sv.parallel_pair_residual(g, pair)
     body = {
         "nabla_u_max": nab_u,
@@ -407,7 +410,7 @@ PPWAVE_CONFIG = {
 
 
 def _fixture_ppwave():
-    body, passed = _run_flow_pp(PPWAVE_CONFIG, DEFAULT_TOL, False)
+    body, passed = _run_flow_pp(PPWAVE_CONFIG)
     # the log profiles have exact derivatives, so the ODE residuals vanish
     return body, passed and np.max(body["ode_residual_max"]) == 0.0
 
@@ -432,7 +435,7 @@ def _fixture_universal():
     return body, ok
 
 
-def _run_reproduce(cfg, tol, exact):
+def _run_reproduce(cfg):
     fixture = cfg.get("fixture")
     table = {
         "tau3mu": _fixture_tau3mu,
@@ -450,10 +453,12 @@ def _run_reproduce(cfg, tol, exact):
 
 
 FD_KEYS = ("box", "n", "threshold")
-# mode -> (handler, its top-level keys besides "mode" and "tolerance")
+# mode -> (handler, its top-level keys besides "mode"): the whole config
+# schema.  A row that lists "tolerance" reads it (config key or --tolerance),
+# and one that lists "theta" reads --exact; every other mode refuses both.
 HANDLERS = {
-    "verify-pair": (_run_verify_pair, ("theta",)),
-    "classify": (_run_classify, ("theta",)),
+    "verify-pair": (_run_verify_pair, ("theta", "tolerance")),
+    "classify": (_run_classify, ("theta", "tolerance")),
     "curvature": (_run_curvature, ("theta",)),
     "flow-diag": (_run_flow_diag, ("family", "interval") + FD_KEYS),
     "flow-pp": (_run_flow_pp, ("pp",) + FD_KEYS),
@@ -461,6 +466,11 @@ HANDLERS = {
     "reproduce": (_run_reproduce, ("fixture",)),
 }
 MODES = tuple(HANDLERS)
+
+
+def _reading(key: str) -> str:
+    """The modes whose `HANDLERS` row lists `key`."""
+    return ", ".join(mode for mode, (_, keys) in HANDLERS.items() if key in keys)
 
 
 def run(config: dict, tolerance=None, exact: bool = False) -> dict:
@@ -471,19 +481,23 @@ def run(config: dict, tolerance=None, exact: bool = False) -> dict:
     if mode not in MODES:
         _fail(f"mode must be one of {MODES}, got {mode!r}")
     handler, keys = HANDLERS[mode]
-    _check_keys(config, ("mode", "tolerance") + keys, "config")
-    tol = _real(config if tolerance is None else {"tolerance": tolerance},
-                "tolerance", DEFAULT_TOL, nonneg=True)
-    body, passed = handler(config, tol, exact)
+    _check_keys(config, ("mode",) + keys, "config")
+    settings = {}
+    if "tolerance" in keys:
+        source = config if tolerance is None else {"tolerance": tolerance}
+        settings["tolerance"] = _real(source, "tolerance", DEFAULT_TOL, nonneg=True)
+    elif tolerance is not None:
+        _fail(f"only {_reading('tolerance')} read a tolerance, not {mode}")
+    if "theta" in keys:
+        settings["exact"] = exact
+    elif exact:
+        _fail(f"--exact applies only to {_reading('theta')}, not to {mode}")
+    body, passed = handler(config, **settings)
     return {
         "command": {"mode": mode, "config": _fmt(config)},
         "result": _fmt(body),
-        "provenance": {
-            "tool": "cauchypairs",
-            "version": __version__,
-            "tolerance": tol,
-            "exact": exact,
-        },
+        # the settings the mode read, beside the tool
+        "provenance": {"tool": "cauchypairs", "version": __version__, **settings},
         "passed": bool(passed),
     }
 
@@ -500,7 +514,8 @@ def _render_text(report: dict) -> str:
             lines.append(f"  {prefix[:-1]} = {obj}")
 
     walk("", report["result"])
-    lines.append(f"tolerance = {report['provenance']['tolerance']}")
+    if "tolerance" in report["provenance"]:
+        lines.append(f"tolerance = {report['provenance']['tolerance']}")
     lines.append("PASS" if report["passed"] else "FAIL")
     return "\n".join(lines)
 
@@ -514,9 +529,9 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the machine-readable report")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the config tolerance")
+                        help=f"override the config tolerance ({_reading('tolerance')})")
     parser.add_argument("--exact", action="store_true",
-                        help="parse rational inputs exactly")
+                        help=f"parse the theta block exactly ({_reading('theta')})")
     args = parser.parse_args(argv)
 
     try:

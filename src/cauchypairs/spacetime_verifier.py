@@ -145,15 +145,24 @@ def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None) -> np.n
     return fd.from_planes(fd.plane_covariant_derivative(fd.to_planes(gamma, k), partial, omega), k)
 
 
+# The largest residual of the null/unit/orthogonality algebra of a
+# `ParabolicPairData`, the largest |g_0i| (dt-space cross term) that
+# `gh_decomposition` accepts, and the largest |l_0| of a purely spatial l in
+# `parallel_pair_residual`.
+PAIR_TOL = 1e-9
+CROSS_TOL = 1e-9
+SPATIAL_L_TOL = 1e-9
+
+
 class ParabolicPairData:
     """A null covector u and a unit spatial covector l orthogonal to it.
 
     Both are stored as coordinate components on the metric grid; the algebra
     g(u, u) = 0, g(l, l) = 1, g(u, l) = 0 is validated pointwise at
-    construction.
+    construction, to `PAIR_TOL`.
     """
 
-    def __init__(self, g: Metric4Grid, u, l, tol: float = 1e-9):
+    def __init__(self, g: Metric4Grid, u, l):
         u = np.asarray(u, dtype=float)
         l = np.asarray(l, dtype=float)
         if u.shape != g.shape + (4,) or l.shape != g.shape + (4,):
@@ -167,19 +176,13 @@ class ParabolicPairData:
             ll = fd.plane_dot(lp, l_sharp)
             ul = fd.plane_dot(up, l_sharp)
         worst = float(np.max([np.abs(uu).max(), np.abs(ll - 1).max(), np.abs(ul).max()]))
-        if not worst <= tol:
+        if not worst <= PAIR_TOL:
             raise PairAlgebraViolated(
-                f"null/unit/orthogonality algebra residual {worst} exceeds {tol}"
+                f"null/unit/orthogonality algebra residual {worst} exceeds {PAIR_TOL}"
             )
         self.g = g
         self.u = u
         self.l = l
-
-
-# The largest |g_0i| (dt-space cross term) that `gh_decomposition` accepts,
-# and the largest |l_0| of a purely spatial l in `parallel_pair_residual`.
-CROSS_TOL = 1e-9
-SPATIAL_L_TOL = 1e-9
 
 
 def gh_decomposition(g: Metric4Grid):

@@ -2,8 +2,9 @@
 tolerance as a parameter: each is one named module constant beside the code
 that reads it (`grid.COLLAR`, `grid.DEGENERACY_TOL`, ...).  No switch turns
 a check off: `Metric4Grid` always tests its signature.  The only
-tolerances a caller of these layers sets are the `tol` of
-`flow.plane_wave_check` and of `spacetime_verifier.ParabolicPairData`."""
+tolerance a caller of these layers sets is the `tol` of
+`flow.plane_wave_check`; the pair algebra of
+`spacetime_verifier.ParabolicPairData` is held to `PAIR_TOL`."""
 
 import inspect
 
@@ -35,5 +36,6 @@ def test_no_collar_or_tolerance_parameter(module):
               for p in inspect.signature(obj).parameters}
     assert params  # the guard sees the module's callables
     assert [p for p in params
-            if p.endswith(("(include_boundary)", "_tol)", "(check_signature)"))] == []
+            if p.endswith(("(include_boundary)", "_tol)", "(check_signature)"))
+            or p.endswith("(tol)") and p != "plane_wave_check(tol)"] == []
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cauchypairs import cli
 from cauchypairs.errors import CauchyPairsError, ConfigInvalid
 
+from conftest import traced_peak
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -208,6 +210,16 @@ class TestFlowModes:
                             lambda data, x: (np.zeros(len(x)), np.full(len(x), np.nan)))
         assert not cli.run({"mode": "reproduce", "fixture": "ppwave"})["passed"]
 
+    def test_flow_diag_holds_one_sampled_family_at_a_time(self):
+        # the coframe is freed before the obstruction samples the family
+        # again: ~157 B per node, ~184 B with both alive
+        n = 25
+        peak = traced_peak(lambda: cli.run({
+            "mode": "flow-diag", "family": {"case": "B_nonzero", "a": 1.0, "b": 1.0},
+            "interval": [0.0, 0.01], "box": [[0, 0.01]] * 3, "n": n,
+        }))
+        assert peak < 170 * n**4
+
     def test_verify_spacetime_minkowski(self):
         report = cli.run({
             "mode": "verify-spacetime",
@@ -300,6 +312,8 @@ class TestGridArguments:
 
 FD_SMALL = FD_CONFIGS["verify-spacetime"]
 THETA_CONFIG = {"mode": "verify-pair", "theta": {"ll": 2, "ln": 0.5, "nn": 1}}
+REPRODUCE_CONFIG = {"mode": "reproduce", "fixture": "tau3mu"}
+MILNE_CONFIG = dict(FD_SMALL, metric={"kind": "milne", "a": 1, "b": 0.001})
 
 # (config, extra argv, exit code): malformed values exit 2, degenerate input 3
 EXIT_CODE_TABLE = [
@@ -337,6 +351,18 @@ EXIT_CODE_TABLE = [
     (dict(FD_SMALL, metric={"kind": "milne", "a": 1, "b": -1}), [], 3),
     # g^-1(u, u) = 1e400 overflows to inf - inf = NaN, which must not pass
     (dict(FD_SMALL, pair={"u": [1e200, 1e200, 1e200, 0]}), [], 3),
+    # a setting that the mode does not read is refused
+    (FD_CONFIGS["flow-pp"], ["--exact"], 2),
+    (FD_SMALL, ["--exact"], 2),
+    (REPRODUCE_CONFIG, ["--exact"], 2),
+    (dict(FD_CONFIGS["flow-diag"], tolerance=1e-9), [], 2),
+    (dict(THETA_CONFIG, mode="curvature", tolerance=1e-9), [], 2),
+    (dict(REPRODUCE_CONFIG, tolerance=1e-9), [], 2),
+    (FD_CONFIGS["flow-pp"], ["--tolerance", "1e-9"], 2),
+    # g^-1(u, u) = -2.0e-3 on a Milne pair: the pair algebra is held to
+    # PAIR_TOL, and no tolerance loosens it
+    (MILNE_CONFIG, [], 3),
+    (dict(MILNE_CONFIG, tolerance=0.1), [], 2),
 ]
 
 
@@ -345,6 +371,27 @@ def test_exit_code_table(tmp_path, capsys, config, extra, code):
     assert cli.main([write_config(tmp_path, config)] + extra) == code
     err = capsys.readouterr().err
     assert {0: err == "", 2: "config error" in err, 3: "check failed" in err}[code]
+
+
+MODE_CONFIGS = dict(
+    FD_CONFIGS, reproduce=REPRODUCE_CONFIG,
+    **{mode: dict(THETA_CONFIG, mode=mode) for mode in ("verify-pair", "classify", "curvature")},
+)
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_settings_only_in_the_modes_that_read_them(tmp_path, capsys, mode):
+    config, keys = MODE_CONFIGS[mode], cli.HANDLERS[mode][1]
+    reads = {"tolerance": "tolerance" in keys, "exact": "theta" in keys}
+    report = cli.run(config)
+    assert set(report["provenance"]) == {"tool", "version"} | {k for k in reads if reads[k]}
+    assert ("tolerance = " in cli._render_text(report)) == reads["tolerance"]
+    for setting, cfg, extra in [("tolerance", dict(config, tolerance=1e-8), []),
+                                ("tolerance", config, ["--tolerance", "1e-8"]),
+                                ("exact", config, ["--exact"])]:
+        code = cli.main([write_config(tmp_path, cfg)] + extra)
+        err = capsys.readouterr().err
+        assert (code == 2 and "config error" in err) != reads[setting], (setting, err)
 
 
 # small valid configs with every key of their blocks and profiles present
@@ -363,7 +410,7 @@ FUZZ_BASES = [
          pp={"a_l": 0.0, "b_l": -1.0, "a_n": 0.0, "b_n": 1.0, "c": 0.3}),
     dict(FD_SMALL, threshold=1e-6, metric={"kind": "milne", "a": 1.0, "b": 0.0},
          pair={"u": [1, 1, 0, 0], "l": [0, 0, 1, 0]}),
-    {"mode": "reproduce", "fixture": "tau3mu", "tolerance": 1e-9},
+    REPRODUCE_CONFIG,
 ]
 
 

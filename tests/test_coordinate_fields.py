@@ -11,6 +11,7 @@ from cauchypairs.errors import (
     DegenerateCoframe,
     GridInvalid,
     GridTooSmall,
+    MixedConditionViolated,
     SingularMatrix,
     WDerivativeVanishes,
     YZDependence,
@@ -469,6 +470,20 @@ class TestUniversalCover:
             residuals[n] = report["max"]
         # rotation repair leaves only the O(h^2) discretization floor
         assert residuals[65] < residuals[33] / 3
+
+    def test_unrepaired_mixed_defect_raises(self):
+        # an eigenframe turning ten radians per unit x: at 9 samples the
+        # repaired defect (0.932 at x = 0.125) is FD error above the O(h^2) floor
+        def hx(x):
+            c, s = np.cos(10 * x), np.sin(10 * x)
+            r = np.array([[c, -s], [s, c]])
+            return r @ np.diag([1.0, 4.0]) @ r.T
+
+        g = FieldGrid.from_function(((0, 1),) * 3, 9, lambda x, y, z: 0.0 * x)
+        with pytest.raises(MixedConditionViolated) as info:
+            UniversalCoverData(g, hx=hx, F=lambda x: 0.0)
+        assert info.value.max_residual > 0
+        assert info.value.location in g.axis(0)
 
     def test_warped_F_reproduces_constant(self):
         g = self.scalar_grid()

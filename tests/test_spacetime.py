@@ -301,7 +301,7 @@ class TestParabolicPair:
         g, u, l = gh_pp_metric_and_pair(
             data, ((0, 0.1), (0, 0.1), (0, 1), (0, 1)), (9, 9, 5, 5)
         )
-        pair = sv.ParabolicPairData(g, u, l, tol=1e-9)
+        pair = sv.ParabolicPairData(g, u, l)
         nab_u, nab_l, kappa = sv.parallel_pair_residual(g, pair)
         # metric components are quadratic in (t, x), so FD is exact
         assert nab_u < 1e-11
