@@ -14,7 +14,9 @@ malformed sample count is refused before any profile is evaluated.
 
 Every norm skips the `grid.COLLAR` on all four axes.  No node on a spatial
 face reaches the comoving report; the t faces reach `theta_eu_static`, a
-second t-derivative of h, and `max`, and no other key.  The comoving report
+second t-derivative of h, and `max`, and no other key.  `plane_wave_check`
+builds each term only on the nodes its norm reads, `INTERIOR`, and the
+Riemann block also on the one-node shell that its partials there read.  The comoving report
 runs in t-slabs with a two-plane halo (`grid.slab_max`), as the 3D
 constraint residual runs in x-slabs, so its working set is bounded by a
 slab.
@@ -34,7 +36,7 @@ from .errors import (
     NullDirectionNotParallel,
     ParamOutOfRange,
 )
-from .spacetime_verifier import SPATIAL_AXES, Grid4, Metric4Grid, interior_max4
+from .spacetime_verifier import INTERIOR, SPATIAL_AXES, Grid4, Metric4Grid
 
 
 def comoving_metric(coframe: Grid4) -> Metric4Grid:
@@ -334,16 +336,25 @@ def plane_wave_check(g: Metric4Grid, tol: float = 1e-6) -> dict:
     every such vector vanishes, both to `tol`.  Raises
     NullDirectionNotParallel if the metric dual of the null direction is not
     parallel to `tol`.
+
+    Every term is built only on the nodes its norm reads, `INTERIOR`, and R
+    also on the one-node shell that its partials there read.  The
+    eliminated coordinate, and whether R is differentiated along it, are
+    still decided on the whole grid.
     """
+    norm = fd.max_abs
     u_cov = g.values[..., :, NULL_AXIS]
-    nab_u = sv.covariant_derivative4(g, u_cov)
-    u_res = interior_max4(nab_u)
+    u_res = norm(sv.covariant_derivative4(g, u_cov, own=INTERIOR))
     if u_res > tol:
         raise NullDirectionNotParallel(
             f"nabla of the declared null covector has norm {u_res} > {tol}"
         )
 
-    riem = sv.riemann4_fd(g)  # R_AB on the bivector pairs A, B
+    # R_AB on the bivector pairs A, B, on the shell of INTERIOR: `inner` is
+    # INTERIOR in shell indices
+    shell, inner = fd.grow(INTERIOR, g.shape)
+    riem = sv.riemann4_fd(g, shell)
+    riem_box = riem[inner]
 
     # spanning set of the orthogonal complement: eliminate the coordinate
     # carrying the largest component of the null covector
@@ -358,13 +369,14 @@ def plane_wave_check(g: Metric4Grid, tol: float = 1e-6) -> dict:
         v[..., big] = -u_cov[..., m] / u_cov[..., big]
         perp.append(v)
     perp = np.stack(perp, axis=-2)  # (..., 3, 4)
+    perp_box = perp[INTERIOR]
 
     # R(v_a, v_b, v_c, v_d) is the entry (ab, cd) of V R V^T, whose rows are
     # the bivectors v_a ^ v_b, a < b
     lo, hi = (list(i) for i in zip(*sv.PAIRS))
-    first, second = perp[..., [0, 0, 1], :], perp[..., [1, 2, 2], :]
+    first, second = perp_box[..., [0, 0, 1], :], perp_box[..., [1, 2, 2], :]
     wedge = first[..., lo] * second[..., hi] - first[..., hi] * second[..., lo]
-    perp_riemann = interior_max4(wedge @ riem @ np.swapaxes(wedge, -1, -2))
+    perp_riemann = norm(wedge @ riem_box @ np.swapaxes(wedge, -1, -2))
 
     # nabla_{v_a} R = v_a(R) - W_a R - R W_a^T, with W_a the action on bivectors
     # of Gamma_a, (Gamma_a)^q_x = v_a^l Gamma^q_lx, one spanning vector at a
@@ -372,18 +384,19 @@ def plane_wave_check(g: Metric4Grid, tol: float = 1e-6) -> dict:
     # Where every c_a is zero (-0.0 on a pp-wave's null covector) d_big R is
     # neither built nor added: wherever it is finite, adding c_a d_big R = +-0
     # changes no magnitude
-    gam = np.swapaxes(sv.christoffel_fd(g), -3, -2).reshape(g.shape + (4, 16))
-    action = ((perp @ gam) @ _BIVECTOR_ACTION).reshape(g.shape + (3, 6, 6))  # W_a
-    d_big = g.grad(riem, big) if np.any(perp[..., big]) else None
+    nodes = perp_box.shape[:g.ndim]
+    gam = np.swapaxes(sv.christoffel_fd(g, INTERIOR), -3, -2).reshape(nodes + (4, 16))
+    action = ((perp_box @ gam) @ _BIVECTOR_ACTION).reshape(nodes + (3, 6, 6))  # W_a
+    d_big = fd.box_grad(g, riem, big, inner) if np.any(perp[..., big]) else None
     nabla_riemann = []
     for a, m in enumerate(m for m in range(4) if m != big):
         w = action[..., a, :, :]
-        term = g.grad(riem, m)
+        term = fd.box_grad(g, riem, m, inner)
         if d_big is not None:
-            term += perp[..., a, big, None, None] * d_big
-        term -= w @ riem
-        term -= riem @ np.swapaxes(w, -1, -2)
-        nabla_riemann.append(interior_max4(term))
+            term += perp_box[..., a, big, None, None] * d_big
+        term -= w @ riem_box
+        term -= riem_box @ np.swapaxes(w, -1, -2)
+        nabla_riemann.append(norm(term))
     nabla_riemann = float(np.max(nabla_riemann))  # NaN propagates
 
     return {

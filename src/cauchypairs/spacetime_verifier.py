@@ -20,6 +20,16 @@ curvature R^k_n(p, s) on the index pairs of `PAIRS`, built with batched
 4x4 matmuls on grid-major blocks: `riemann4_fd` lowers it to an operator
 on bivectors (symmetric, for the exact tensor), the 6x6 block on those
 pairs; `ricci4_fd` is its trace.
+
+Each kernel (`christoffel_fd`, `ricci4_fd`, `riemann4_fd`,
+`covariant_derivative4`) takes a box `own`, one slice per grid axis, as
+`grid.plane_partials` does, and returns its whole-grid result cut to that
+box, bit for bit; by default the box is every node.  It copies and
+differentiates only the shell of the box that its partials read
+(`grid.grow`), and g^-1 on the box.  `parallel_pair_residual` builds its
+Christoffel set and covariant derivatives on `INTERIOR`, the nodes its
+norms read.  The metric's symmetry and signature test, its inverse, the
+pair algebra and kappa stay on every node.
 """
 
 from __future__ import annotations
@@ -43,9 +53,21 @@ class Grid4(fd.Grid):
     ndim = 4
 
 
+# The nodes that every 4D norm reads: the grid less the `grid.COLLAR`, as a
+# box (one slice per grid axis) that the kernels below take as `own`.
+INTERIOR = (slice(fd.COLLAR, -fd.COLLAR),) * 4
+
+
 def interior_max4(values) -> float:
     """Max |values| over a 4D grid less the `grid.COLLAR`."""
     return fd.interior_max(values, 4)
+
+
+def _shell(g: Grid4, own):
+    """The box `own` (every node if None) of g's grid, the shell around it
+    that partials on it read (`grid.grow`), and `own` in shell indices."""
+    own = (slice(None),) * g.ndim if own is None else tuple(own)
+    return (own,) + fd.grow(own, g.shape)
 
 
 class Metric4Grid(Grid4):
@@ -77,11 +99,15 @@ class Metric4Grid(Grid4):
         return self._inverse
 
 
-def christoffel_fd(g: Metric4Grid) -> np.ndarray:
-    """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho}),
-    the grid-major view of `grid.plane_christoffel`'s planes."""
+def christoffel_fd(g: Metric4Grid, own=None) -> np.ndarray:
+    """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho})
+    on the box `own`, one slice per grid axis (every node by default), the
+    grid-major view of `grid.plane_christoffel`'s planes.  Only g on the
+    box's shell and g^-1 on the box are copied."""
     k = g.ndim
-    planes = fd.plane_christoffel(g, fd.to_planes(g.values, k), fd.to_planes(g.inverse(), k))
+    own, shell, inner = _shell(g, own)
+    planes = fd.plane_christoffel(g, fd.to_planes(g.values[shell], k),
+                                  fd.to_planes(g.inverse()[own], k), inner)
     return fd.from_planes(planes, k)
 
 
@@ -89,17 +115,21 @@ def christoffel_fd(g: Metric4Grid) -> np.ndarray:
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _pair_curvature(g: Metric4Grid) -> np.ndarray:
+def _pair_curvature(g: Metric4Grid, own) -> np.ndarray:
     """R^k_n(p, s) = d_p Gamma_s - d_s Gamma_p + [Gamma_p, Gamma_s], with
     (Gamma_p)^k_n = Gamma^k_pn, as curv[..., B, k, n] on the pairs B = (p, s)
-    of `PAIRS`: the one curvature route of `riemann4_fd` and `ricci4_fd`."""
-    gam = np.ascontiguousarray(np.swapaxes(christoffel_fd(g), -3, -2))  # [p, k, n]
-    curv = np.empty(g.shape + (len(PAIRS), 4, 4))
+    of `PAIRS`, on the box `own`: the one curvature route of `riemann4_fd`
+    and `ricci4_fd`.  Gamma is built on the box's shell."""
+    _, shell, inner = _shell(g, own)
+    gam = np.ascontiguousarray(np.swapaxes(christoffel_fd(g, shell), -3, -2))  # [p, k, n]
+    box = np.ascontiguousarray(gam[inner])
+    curv = np.empty(box.shape[:g.ndim] + (len(PAIRS), 4, 4))
     for b, (p, s) in enumerate(PAIRS):
         out = curv[..., b, :, :]
-        np.subtract(g.grad(gam[..., s, :, :], p), g.grad(gam[..., p, :, :], s), out=out)
-        out += gam[..., p, :, :] @ gam[..., s, :, :]
-        out -= gam[..., s, :, :] @ gam[..., p, :, :]
+        np.subtract(fd.box_grad(g, gam[..., s, :, :], p, inner),
+                    fd.box_grad(g, gam[..., p, :, :], s, inner), out=out)
+        out += box[..., p, :, :] @ box[..., s, :, :]
+        out -= box[..., s, :, :] @ box[..., p, :, :]
     return curv
 
 
@@ -118,31 +148,40 @@ def _pair_matrices():
 _ANTISYMMETRISER, _RICCI_TRACE = _pair_matrices()
 
 
-def ricci4_fd(g: Metric4Grid) -> np.ndarray:
+def ricci4_fd(g: Metric4Grid, own=None) -> np.ndarray:
     """Ric_ij = R^m_jmi = d_m Gamma^m_ij - d_i Gamma^m_mj + Gamma^m_ms Gamma^s_ij
-    - Gamma^m_is Gamma^s_mj, the trace of the pair curvature."""
-    ric = _pair_curvature(g).reshape(g.shape + (len(PAIRS) * 16,)) @ _RICCI_TRACE
-    return ric.reshape(g.shape + (4, 4))
+    - Gamma^m_is Gamma^s_mj, the trace of the pair curvature, on the box
+    `own` (every node by default)."""
+    curv = _pair_curvature(g, own)
+    nodes = curv.shape[:g.ndim]
+    return (curv.reshape(nodes + (len(PAIRS) * 16,)) @ _RICCI_TRACE).reshape(nodes + (4, 4))
 
 
-def riemann4_fd(g: Metric4Grid) -> np.ndarray:
-    """The Riemann tensor as a 6x6 operator on bivectors, (..., 6, 6):
-    R_AB = (1/2)(R_mnps - R_nmps) for A = (m, n), B = (p, s) in `PAIRS`,
-    with R_mnps = g_mk R^k_nps from the pair curvature.  The FD tensor is
-    antisymmetric in (p, s) exactly but in (m, n) only to discretisation
-    error, which the antisymmetrisation drops."""
-    low = g.values[..., None, :, :] @ _pair_curvature(g)  # low[..., B, m, n] = R_mnB
+def riemann4_fd(g: Metric4Grid, own=None) -> np.ndarray:
+    """The Riemann tensor as a 6x6 operator on bivectors, (..., 6, 6), on the
+    box `own` (every node by default): R_AB = (1/2)(R_mnps - R_nmps) for
+    A = (m, n), B = (p, s) in `PAIRS`, with R_mnps = g_mk R^k_nps from the
+    pair curvature.  The FD tensor is antisymmetric in (p, s) exactly but
+    in (m, n) only to discretisation error, which the antisymmetrisation
+    drops."""
+    own = _shell(g, own)[0]
+    low = g.values[own][..., None, :, :] @ _pair_curvature(g, own)  # low[..., B, m, n] = R_mnB
     return np.swapaxes(low.reshape(low.shape[:-2] + (16,)) @ _ANTISYMMETRISER, -1, -2)
 
 
-def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None) -> np.ndarray:
-    """(nabla omega)_{mu nu} = d_mu omega_nu - Gamma^l_{mu nu} omega_l."""
+def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None, own=None) -> np.ndarray:
+    """(nabla omega)_{mu nu} = d_mu omega_nu - Gamma^l_{mu nu} omega_l on the
+    box `own` (every node by default), with `gamma` the Christoffel set on
+    that box (built here if not given).  Only omega on the box's shell is
+    copied."""
+    own, shell, inner = _shell(g, own)
     if gamma is None:
-        gamma = christoffel_fd(g)
+        gamma = christoffel_fd(g, own)
     k = g.ndim
-    omega = fd.to_planes(omega, k)
-    partial = fd.plane_partials(g, omega)
-    return fd.from_planes(fd.plane_covariant_derivative(fd.to_planes(gamma, k), partial, omega), k)
+    omega = fd.to_planes(omega[shell], k)
+    partial = fd.plane_partials(g, omega, own=inner)
+    return fd.from_planes(fd.plane_covariant_derivative(
+        fd.to_planes(gamma, k), partial, omega[(Ellipsis,) + inner]), k)
 
 
 # The largest residual of the null/unit/orthogonality algebra of a
@@ -210,7 +249,9 @@ def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
     Theta(l#)/u0 with u0 = u_0/lambda.  Requires the metric in GH form with
     a purely spatial representative l (|l_0| <= `SPATIAL_L_TOL`).  Returns
     (max |nabla u|, max |nabla l - kappa (x) u|, kappa grid).  Every refusal
-    comes before any Christoffel symbol is built.
+    comes before any Christoffel symbol is built.  kappa is built on every
+    node; the Christoffel set and both covariant derivatives only on the
+    nodes the norms read, `INTERIOR`.
     """
     if float(np.abs(pair.l[..., 0]).max()) > SPATIAL_L_TOL:
         raise PairAlgebraViolated("l must be a purely spatial representative")
@@ -228,8 +269,9 @@ def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
     kappa[1:] = fd.plane_matvec(fd.to_planes(theta, k), l_sharp) / u0
     kappa = fd.from_planes(kappa, k)
 
-    gamma = christoffel_fd(g)
-    nab_u = covariant_derivative4(g, pair.u, gamma)
-    res_l = covariant_derivative4(g, pair.l, gamma) - kappa[..., :, None] * pair.u[..., None, :]
-    return interior_max4(nab_u), interior_max4(res_l), kappa
+    gamma = christoffel_fd(g, INTERIOR)
+    nab_u = covariant_derivative4(g, pair.u, gamma, INTERIOR)
+    res_l = covariant_derivative4(g, pair.l, gamma, INTERIOR)
+    res_l -= kappa[INTERIOR][..., :, None] * pair.u[INTERIOR][..., None, :]
+    return fd.max_abs(nab_u), fd.max_abs(res_l), kappa
 

@@ -99,16 +99,46 @@ def test_four_christoffel_sets_per_flow_pp_metric(counter, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.fixture
+def christoffel_shapes(monkeypatch):
+    """The shapes of the Christoffel planes that each 4D set is built on."""
+    shapes = []
+    christoffel = fd.plane_christoffel
+
+    def recorded(*args, **kwargs):
+        gamma = christoffel(*args, **kwargs)
+        shapes.append(gamma.shape)
+        return gamma
+
+    monkeypatch.setattr(fd, "plane_christoffel", recorded)
+    return shapes
+
+
+def test_verify_spacetime_builds_its_christoffel_set_on_the_interior(christoffel_shapes):
+    # 9^4 less the 2-node collar
+    cli.run({"mode": "verify-spacetime", "n": 9})
+    assert christoffel_shapes == [(4, 4, 4) + (5,) * 4]
+
+
+def test_flow_pp_christoffel_sets_cover_their_boxes(christoffel_shapes):
+    # B, the interior of (9, 7, 7, 7) less the collar, is (5, 3, 3, 3).  Ric
+    # on B takes Gamma on grow(B); nabla u and W_a take it on B; R on
+    # grow(B), whose partials on B are taken, takes it on grow(grow(B))
+    cli.run({**FLOW_PP, "n": [9, 7, 7, 7]})
+    assert christoffel_shapes == [(4, 4, 4) + n for n in
+                                  ((7, 5, 5, 5), (5, 3, 3, 3), (9, 7, 7, 7), (5, 3, 3, 3))]
+
+
 def test_ricci_differentiates_gamma_one_axis_per_pair_slot(monkeypatch):
     # Ric is the trace of riemann4_fd's pair curvature: each pair (p, s)
-    # takes d_p Gamma_s and d_s Gamma_p
+    # takes d_p Gamma_s and d_s Gamma_p, one single-axis partial on a box each
     g = test_spacetime.generic_metric(5)
     gamma = sv.christoffel_fd(g)
-    monkeypatch.setattr(sv, "christoffel_fd", lambda metric: gamma)
+    monkeypatch.setattr(sv, "christoffel_fd", lambda metric, own: gamma[own])
     axes = []
-    grad = fd.Grid.grad
-    monkeypatch.setattr(fd.Grid, "grad",
-                        lambda self, values, axis: axes.append(axis) or grad(self, values, axis))
+    box_grad = fd.box_grad
+    monkeypatch.setattr(fd, "box_grad", lambda grid, values, axis, own:
+                        axes.append(axis) or box_grad(grid, values, axis, own))
     sv.ricci4_fd(g)
     assert sorted(axes) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
 
@@ -215,7 +245,8 @@ def test_no_einsum_in_verify_spacetime(monkeypatch, config):
 
 
 def test_counter_sees_calls_through_every_binding(counter):
-    calls = counter(sv, "interior_max4")
-    flow.interior_max4(np.zeros((5, 5, 5, 5)))  # bound by name in flow
-    sv.interior_max4(np.zeros((5, 5, 5, 5)))
+    g = test_spacetime.minkowski(n=5)
+    calls = counter(sv, "Metric4Grid")
+    flow.Metric4Grid(g.box, g.values)  # bound by name in flow
+    sv.Metric4Grid(g.box, g.values)
     assert len(calls) == 2

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cauchypairs import cli
+from cauchypairs import cli, flow, spacetime_verifier as sv
 from cauchypairs.errors import CauchyPairsError, ConfigInvalid
 
 from conftest import traced_peak
+from test_flow import whole_grid_plane_wave
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -187,7 +188,7 @@ class TestFlowModes:
     def stub_fd_checks(monkeypatch):
         """Let the FD Ricci and plane-wave checks of flow-pp pass, so that its
         ODE residuals alone decide the verdict."""
-        monkeypatch.setattr(cli.sv, "ricci4_fd", lambda g: np.zeros(g.shape + (4, 4)))
+        monkeypatch.setattr(cli.sv, "ricci4_fd", lambda g, own: np.zeros(g.values[own].shape))
         monkeypatch.setattr(cli.flow, "plane_wave_check", lambda g, tol: {"passed": True})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -220,6 +221,17 @@ class TestFlowModes:
         }))
         assert peak < 170 * n**4
 
+    def test_flow_pp_builds_its_terms_on_the_interior(self):
+        # every term but g, its inverse and its whole-grid checks lives on
+        # the nodes the norms read and their shell: ~1.46 kB per node, where
+        # building every term on the whole grid took ~3.26 kB
+        n = (17, 9, 9, 9)
+        peak = traced_peak(lambda: cli.run({
+            "mode": "flow-pp", "pp": {"c": 0.3},
+            "box": [[-0.0005, 0.0005], [0, 1], [0, 1], [0, 1]], "n": n,
+        }))
+        assert peak < 1.8e3 * np.prod(n)
+
     def test_verify_spacetime_minkowski(self):
         report = cli.run({
             "mode": "verify-spacetime",
@@ -229,6 +241,57 @@ class TestFlowModes:
         })
         assert report["passed"]
         assert report["result"]["nabla_u_max"] == 0.0
+
+
+class TestBoxRoute:
+    """The 4D modes build each term only on the nodes its norm reads; every
+    reported value equals the one rebuilt from the whole-grid kernels plus
+    `interior_max4`."""
+
+    PP = {"a_l": 0.1, "b_l": -1.5, "a_n": -0.2, "b_n": 1.2, "c": 0.4}
+
+    @pytest.mark.parametrize("n", [(9, 7, 6, 8), (5, 5, 5, 5)])
+    def test_flow_pp_report(self, n):
+        box = ((-0.3, 0.3), (0, 1), (0, 1), (0, 1))
+        report = cli.run({"mode": "flow-pp", "pp": self.PP, "box": box, "n": n})
+        data = flow.PPWaveData.log_solution(**self.PP)
+        g = flow.pp_metric(data, box, n)
+        r_l, r_n = flow.pp_ricci_residual(data, g.axis(0))
+        expected = {
+            "ode_residual_max": [float(np.abs(r_l).max()), float(np.abs(r_n).max())],
+            "ricci4_max": sv.interior_max4(sv.ricci4_fd(g)),
+            "plane_wave": whole_grid_plane_wave(g, 1e-6),
+        }
+        assert expected["ricci4_max"] > 0 and expected["plane_wave"]["nabla_riemann"] > 0
+        assert report["result"] == cli._fmt(expected)
+        # and unrounded, from the kernels on the interior
+        assert float(np.abs(sv.ricci4_fd(g, sv.INTERIOR)).max()) == expected["ricci4_max"]
+
+    @pytest.mark.parametrize("n", [(9, 8, 7, 6), (5, 5, 5, 5)])
+    def test_verify_spacetime_milne_report(self, n):
+        a, b = 1.0, 0.5
+        report = cli.run({"mode": "verify-spacetime", "metric": {"kind": "milne", "a": a, "b": b},
+                          "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": n})
+
+        def gfun(t, x, y, z):
+            out = np.zeros(t.shape + (4, 4))
+            out[..., 0, 0] = -1.0
+            out[..., 1, 1] = (a + b * t) ** 2
+            out[..., 2, 2] = out[..., 3, 3] = 1.0
+            return out
+
+        g = sv.Metric4Grid.from_function(((0, 1),) * 4, n, gfun)
+        u = np.broadcast_to([1.0, 0, 0, 1], g.shape + (4,)).copy()
+        l = np.broadcast_to([0.0, 0, 1, 0], g.shape + (4,)).copy()
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        expected_u = sv.interior_max4(sv.covariant_derivative4(g, u))
+        expected_l = sv.interior_max4(sv.covariant_derivative4(g, l)
+                                      - kappa[..., :, None] * u[..., None, :])
+        assert expected_u > 0  # l = dy is parallel on Milne space: expected_l is 0
+        assert (nab_u, nab_l) == (expected_u, expected_l)
+        assert report["result"] == cli._fmt({"nabla_u_max": expected_u,
+                                             "nabla_l_residual_max": expected_l,
+                                             "kappa_max": float(np.abs(kappa).max())})
 
 
 class TestReproduceFixtures:

@@ -184,6 +184,47 @@ class TestCurvature:
         assert np.allclose(nab[..., 1, 0], 1.0)
 
 
+# An anisotropic grid and boxes on it, one slice per grid axis: boxes that
+# touch faces (and so read one-sided stencils), inside ones, a corner and
+# the nodes every 4D norm reads
+KERNEL_SHAPE = (9, 7, 5, 8)
+KERNEL_BOXES = {
+    "faces": (slice(0, 4), slice(3, 7), slice(None), slice(5, 8)),
+    "inside": (slice(2, 7), slice(2, 5), slice(1, 4), slice(3, 4)),
+    "corner": (slice(8, 9), slice(0, 1), slice(4, 5), slice(0, 2)),
+    "interior": sv.INTERIOR,
+}
+
+
+@pytest.fixture(scope="module")
+def kernel_metric():
+    return generic_metric(KERNEL_SHAPE)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("box", KERNEL_BOXES.values(), ids=KERNEL_BOXES)
+class TestKernelsOnABox:
+    """Each 4D kernel on a box `own` is its whole-grid result cut to that
+    box, bit for bit, -0.0 included."""
+
+    @pytest.mark.parametrize("kernel", [sv.christoffel_fd, sv.ricci4_fd, sv.riemann4_fd],
+                             ids=["christoffel", "ricci", "riemann"])
+    def test_curvature_kernels(self, kernel_metric, box, kernel):
+        assert same_bits(kernel(kernel_metric, box), kernel(kernel_metric)[box])
+
+    def test_covariant_derivative(self, kernel_metric, box):
+        g = kernel_metric
+        tt, xx, yy, zz = g.meshgrid()
+        omega = np.stack([np.sin(xx + 2 * tt), tt * zz, np.exp(yy - xx), xx * yy * zz], axis=-1)
+        whole = sv.covariant_derivative4(g, omega)[box]
+        assert same_bits(sv.covariant_derivative4(g, omega, own=box), whole)
+        gamma = sv.christoffel_fd(g, box)
+        assert same_bits(sv.covariant_derivative4(g, omega, gamma, box), whole)
+
+
 class TestGHDecomposition:
     def test_rejects_cross_terms(self):
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
@@ -290,6 +331,18 @@ class TestParabolicPair:
         nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
         assert nab_u == pytest.approx(nabla_u, rel=1e-9)
         assert nab_l == 0.0 and np.abs(kappa).max() == 0.0
+
+    def test_residuals_match_the_whole_grid_kernels(self):
+        # the Christoffel set and both covariant derivatives are built on
+        # INTERIOR only, and report the whole-grid values bit for bit
+        data = flow.PPWaveData.log_solution(0.0, -2.0, 0.1, 2.0, c=0.2)
+        g, u, l = gh_pp_metric_and_pair(data, ((0, 0.3), (0, 0.4), (0, 1), (0, 1)), (9, 7, 6, 5))
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        expected_l = sv.interior_max4(sv.covariant_derivative4(g, l)
+                                      - kappa[..., :, None] * u[..., None, :])
+        assert nab_u == sv.interior_max4(sv.covariant_derivative4(g, u)) and nab_u > 0
+        assert nab_l == expected_l and nab_l > 0
+        assert kappa.shape == g.shape + (4,)
 
     def test_comoving_diagonal_pair_with_scaled_u_is_not_null(self):
         g, u, l = self.comoving_diag_pair(17, scale=1.01)
