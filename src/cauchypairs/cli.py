@@ -314,10 +314,9 @@ def _run_verify_spacetime(cfg):
     u_const = _vector(pair_cfg.get("u", (1, 1, 0, 0)), 4, "pair.u")
     l_const = _vector(pair_cfg.get("l", (0, 0, 1, 0)), 4, "pair.l")
     threshold = _real(cfg, "threshold", 1e-6, nonneg=True)
-    u = np.broadcast_to(u_const, g.shape + (4,)).copy()
-    l = np.broadcast_to(l_const, g.shape + (4,)).copy()
-    pair = sv.ParabolicPairData(g, u, l)
-    nab_u, nab_l, kappa = sv.parallel_pair_residual(g, pair)
+    u = np.broadcast_to(u_const, g.shape + (4,))  # read-only views
+    l = np.broadcast_to(l_const, g.shape + (4,))
+    nab_u, nab_l, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(g, u, l))
     body = {
         "nabla_u_max": nab_u,
         "nabla_l_residual_max": nab_l,

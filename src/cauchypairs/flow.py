@@ -387,11 +387,11 @@ def plane_wave_check(g: Metric4Grid, tol: float = 1e-6) -> dict:
     nodes = perp_box.shape[:g.ndim]
     gam = np.swapaxes(sv.christoffel_fd(g, INTERIOR), -3, -2).reshape(nodes + (4, 16))
     action = ((perp_box @ gam) @ _BIVECTOR_ACTION).reshape(nodes + (3, 6, 6))  # W_a
-    d_big = fd.box_grad(g, riem, big, inner) if np.any(perp[..., big]) else None
+    d_big = g.grad(riem, big, inner) if np.any(perp[..., big]) else None
     nabla_riemann = []
     for a, m in enumerate(m for m in range(4) if m != big):
         w = action[..., a, :, :]
-        term = fd.box_grad(g, riem, m, inner)
+        term = g.grad(riem, m, inner)
         if d_big is not None:
             term += perp_box[..., a, big, None, None] * d_big
         term -= w @ riem_box

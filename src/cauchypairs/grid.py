@@ -14,7 +14,7 @@ blocks by LAPACK on grid-major blocks (`inverse`), and the caller hands the
 inverse to `plane_christoffel`, so each pipeline inverts, and so tests, its
 metric once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
 grid-major with batched matmuls and takes single partials on a box with
-`box_grad`.
+`Grid.grad`.
 
 Every derivative, on either layout, comes from one stencil, `_difference`:
 second-order central differences, one-sided at the boundary.  Every residual
@@ -136,10 +136,15 @@ class Grid:
         new.spacing = self.spacing
         return new
 
-    def grad(self, values, axis):
-        """d/dx_axis of an array whose leading axes are this grid's."""
-        out = np.empty(values.shape)
-        _difference(values, self.spacing[axis], axis, out)
+    def grad(self, values, axis, own=None):
+        """d/dx_axis of grid-major `values`, whose leading axes are this grid's
+        (or a box of them), on the box `own` as in `plane_partials`, every
+        node by default: it reads the box and its neighbours along `axis`."""
+        own = (slice(None),) * self.ndim if own is None else tuple(own)
+        lo, hi, _ = own[axis].indices(values.shape[axis])
+        out = np.empty(values[own].shape)
+        line = values[own[:axis] + (slice(None),) + own[axis + 1:]]
+        _difference(line, self.spacing[axis], axis, out, lo, hi)
         return out
 
     # -- serialization ------------------------------------------------------
@@ -267,17 +272,6 @@ def plane_partials(grid: Grid, planes, axes=None, own=None) -> np.ndarray:
         lo, hi, _ = own[i].indices(planes.shape[i - k])
         line = planes[(Ellipsis,) + own[:i] + (slice(None),) + own[i + 1:]]
         _difference(line, grid.spacing[i], i - k, out[slot], lo, hi)
-    return out
-
-
-def box_grad(grid: Grid, values, axis: int, own) -> np.ndarray:
-    """d/dx_axis of grid-major `values`, whose leading axes are the grid's,
-    on the box `own`: `Grid.grad` cut to a box, as `plane_partials` is on
-    planes.  It reads the box and its neighbours along `axis` only."""
-    lo, hi, _ = own[axis].indices(values.shape[axis])
-    out = np.empty(values[own].shape)
-    line = values[own[:axis] + (slice(None),) + own[axis + 1:]]
-    _difference(line, grid.spacing[axis], axis, out, lo, hi)
     return out
 
 

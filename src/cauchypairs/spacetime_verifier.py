@@ -9,10 +9,11 @@ and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
 refuses a malformed count before it samples and validates the metric once;
-it inverts itself once, by LAPACK on its grid-major blocks, on
-the first call of `inverse`, and every Christoffel set and the pair algebra
-share that inverse.  The FD kernels run on component planes, as the 3x3
-ones do (`grid.plane_christoffel`, `plane_covariant_derivative`,
+it inverts itself once, by LAPACK on its grid-major blocks, on the first
+call of `inverse`, and every Christoffel set, the pair algebra and kappa
+share that inverse: kappa reads the g^-1 l that the pair algebra raised.
+The FD kernels run on component planes, as the 3x3 ones do
+(`grid.plane_christoffel`, `plane_covariant_derivative`,
 `plane_partials`), and so do the null/unit/orthogonality algebra and kappa
 of a parabolic pair; `christoffel_fd` and `covariant_derivative4` return
 grid-major views of their planes.  Curvature has one route, the mixed
@@ -126,8 +127,8 @@ def _pair_curvature(g: Metric4Grid, own) -> np.ndarray:
     curv = np.empty(box.shape[:g.ndim] + (len(PAIRS), 4, 4))
     for b, (p, s) in enumerate(PAIRS):
         out = curv[..., b, :, :]
-        np.subtract(fd.box_grad(g, gam[..., s, :, :], p, inner),
-                    fd.box_grad(g, gam[..., p, :, :], s, inner), out=out)
+        np.subtract(g.grad(gam[..., s, :, :], p, inner),
+                    g.grad(gam[..., p, :, :], s, inner), out=out)
         out += box[..., p, :, :] @ box[..., s, :, :]
         out -= box[..., s, :, :] @ box[..., p, :, :]
     return curv
@@ -196,9 +197,10 @@ SPATIAL_L_TOL = 1e-9
 class ParabolicPairData:
     """A null covector u and a unit spatial covector l orthogonal to it.
 
-    Both are stored as coordinate components on the metric grid; the algebra
-    g(u, u) = 0, g(l, l) = 1, g(u, l) = 0 is validated pointwise at
-    construction, to `PAIR_TOL`.
+    Both are stored as coordinate components on the metric grid `g`; the
+    algebra g(u, u) = 0, g(l, l) = 1, g(u, l) = 0 is validated pointwise at
+    construction, to `PAIR_TOL`, and the raised l it tests is kept as the
+    read-only planes `l_sharp` of g^-1 l, (4, *grid).
     """
 
     def __init__(self, g: Metric4Grid, u, l):
@@ -219,9 +221,11 @@ class ParabolicPairData:
             raise PairAlgebraViolated(
                 f"null/unit/orthogonality algebra residual {worst} exceeds {PAIR_TOL}"
             )
+        l_sharp.flags.writeable = False
         self.g = g
         self.u = u
         self.l = l
+        self.l_sharp = l_sharp
 
 
 def gh_decomposition(g: Metric4Grid):
@@ -241,29 +245,31 @@ def gh_decomposition(g: Metric4Grid):
     return lam, h, theta
 
 
-def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
+def parallel_pair_residual(pair: ParabolicPairData):
     """Residuals of the parallelism conditions nabla u = 0, nabla l = kappa (x) u.
 
     kappa is extracted in closed form from the globally hyperbolic
-    decomposition: kappa(dt-slot) = -dlambda(l#)/u0, spatial part
-    Theta(l#)/u0 with u0 = u_0/lambda.  Requires the metric in GH form with
-    a purely spatial representative l (|l_0| <= `SPATIAL_L_TOL`).  Returns
+    decomposition of `pair.g`: kappa(dt-slot) = -dlambda(l#)/u0, spatial part
+    Theta(l#)/u0 with u0 = u_0/lambda and l# the spatial part of
+    `pair.l_sharp`, h^-1 l to O(`CROSS_TOL` (`CROSS_TOL` + `SPATIAL_L_TOL`)).
+    Requires the metric in GH form with a purely spatial representative l
+    (|l_0| <= `SPATIAL_L_TOL`).  Returns
     (max |nabla u|, max |nabla l - kappa (x) u|, kappa grid).  Every refusal
     comes before any Christoffel symbol is built.  kappa is built on every
     node; the Christoffel set and both covariant derivatives only on the
     nodes the norms read, `INTERIOR`.
     """
+    g = pair.g
     if float(np.abs(pair.l[..., 0]).max()) > SPATIAL_L_TOL:
         raise PairAlgebraViolated("l must be a purely spatial representative")
 
-    lam, h, theta = gh_decomposition(g)
+    lam, _, theta = gh_decomposition(g)
     # the 3x3 algebra on component planes; lam and u0 are planes already
     k = g.ndim
-    hinv = fd.plane_inverse(fd.to_planes(h, k))
     u0 = pair.u[..., 0] / lam
     if np.any(np.abs(u0) < 1e-14):
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")
-    l_sharp = fd.plane_matvec(hinv, fd.to_planes(pair.l[..., 1:], k))
+    l_sharp = pair.l_sharp[1:]
     kappa = np.empty((4,) + g.shape)
     kappa[0] = -fd.plane_dot(fd.plane_partials(g, lam, SPATIAL_AXES), l_sharp) / u0
     kappa[1:] = fd.plane_matvec(fd.to_planes(theta, k), l_sharp) / u0
@@ -274,4 +280,3 @@ def parallel_pair_residual(g: Metric4Grid, pair: ParabolicPairData):
     res_l = covariant_derivative4(g, pair.l, gamma, INTERIOR)
     res_l -= kappa[INTERIOR][..., :, None] * pair.u[INTERIOR][..., None, :]
     return fd.max_abs(nab_u), fd.max_abs(res_l), kappa
-

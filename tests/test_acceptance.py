@@ -191,7 +191,7 @@ def test_acceptance_6_pp_wave_suite():
             exp_data, ((0, 0.1), (0, 0.15), (0, 1), (0, 1)), (n, n, 5, 5)
         )
         pair = sv.ParabolicPairData(gh, u, l)
-        nab_u, nab_l, _ = sv.parallel_pair_residual(gh, pair)
+        nab_u, nab_l, _ = sv.parallel_pair_residual(pair)
         res[n] = max(nab_u, nab_l)
     orders = [math.log2(res[17] / res[33]), math.log2(res[33] / res[65])]
     order_ok = all(o >= 1.9 for o in orders) or res[65] < 1e-12
@@ -202,7 +202,7 @@ def test_acceptance_6_pp_wave_suite():
         ((0, 0.1), (0, 0.1), (0, 1), (0, 1)), (17, 17, 5, 5),
     )
     pair = sv.ParabolicPairData(gh, u, l)
-    _, _, kappa = sv.parallel_pair_residual(gh, pair)
+    _, _, kappa = sv.parallel_pair_residual(pair)
     tt, xx, _, _ = gh.meshgrid()
     f = 0.3 * xx + 0.1 * tt
     df = np.zeros(gh.shape + (4,))
@@ -241,12 +241,8 @@ def test_acceptance_7_property_suite():
         ((0, 0.1), (0, 0.1), (0, 1), (0, 1)), (17, 17, 5, 5),
     )
     c = 2.5
-    nab_u, _, kappa = sv.parallel_pair_residual(
-        gh, sv.ParabolicPairData(gh, u, l)
-    )
-    nab_uc, _, kappa_c = sv.parallel_pair_residual(
-        gh, sv.ParabolicPairData(gh, c * u, l)
-    )
+    nab_u, _, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(gh, u, l))
+    nab_uc, _, kappa_c = sv.parallel_pair_residual(sv.ParabolicPairData(gh, c * u, l))
     u_norm = sv.interior_max4(u)
     ratio_inv = abs(nab_uc / (c * u_norm) - nab_u / u_norm) < 1e-12
     # the extracted kappa rescales by 1/c so that kappa (x) u is unchanged

@@ -4,6 +4,7 @@ Each counted function is wrapped in every package module that binds it, as
 `bench/spans.py` traces it, so a refactor that changes a pinned count fails
 here rather than only in the minutes-long benchmark smoke test."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 
 from cauchypairs import classifier, cli, coordinate_fields as cf, flow, grid as fd
 from cauchypairs import spacetime_verifier as sv
-from cauchypairs.errors import NotInGHForm, PairAlgebraViolated
+from cauchypairs.errors import NotInGHForm, PairAlgebraViolated, SignatureViolation
 
 import test_spacetime
 from conftest import row_variants, sample_families
@@ -136,40 +137,43 @@ def test_ricci_differentiates_gamma_one_axis_per_pair_slot(monkeypatch):
     gamma = sv.christoffel_fd(g)
     monkeypatch.setattr(sv, "christoffel_fd", lambda metric, own: gamma[own])
     axes = []
-    box_grad = fd.box_grad
-    monkeypatch.setattr(fd, "box_grad", lambda grid, values, axis, own:
-                        axes.append(axis) or box_grad(grid, values, axis, own))
+    grad = fd.Grid.grad
+    monkeypatch.setattr(fd.Grid, "grad", lambda grid, values, axis, own=None:
+                        axes.append(axis) or grad(grid, values, axis, own))
     sv.ricci4_fd(g)
     assert sorted(axes) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
 
 
 def refused_pairs():
-    """(metric, pair, error) triples that `parallel_pair_residual` refuses:
-    a pair stored without validation on Minkowski space, with l not purely
-    spatial or with u_0 = 0, and a valid pair on a metric with a dt-dx
-    cross term."""
+    """(pair, error) couples that `parallel_pair_residual` refuses, each pair
+    built through validation: on Minkowski space with l not purely spatial
+    (l + u/2 is still unit and orthogonal to the null u) or with u = 0, on a
+    metric with a dt-dx cross term, and on a Lorentzian metric whose g_00 is
+    positive."""
     g = test_spacetime.minkowski(n=5)
     u = np.zeros(g.shape + (4,))
     u[..., 0] = u[..., 1] = 1.0
     l = np.zeros(g.shape + (4,))
     l[..., 2] = 1.0
-    not_spatial, no_u0 = sv.ParabolicPairData(g, u, l), sv.ParabolicPairData(g, u, l)
-    not_spatial.l = l + 0.5 * u
-    no_u0.u = u * [0.0, 1.0, 1.0, 1.0]
     cross = g.values.copy()
     cross[..., 0, 1] = cross[..., 1, 0] = 0.1
-    return {"spatial-l": (g, not_spatial, PairAlgebraViolated),
-            "u0": (g, no_u0, PairAlgebraViolated),
-            "cross-term": (sv.Metric4Grid(g.box, cross), sv.ParabolicPairData(g, u, l),
-                           NotInGHForm)}
+    # dt + (sqrt(1.01) - 0.1) dx is null for -dt^2 + 0.2 dt dx + dx^2 + ...
+    u_cross = u * [1.0, math.sqrt(1.01) - 0.1, 0.0, 0.0]
+    flipped = g.values * [-1.0, -1.0, 1.0, 1.0]  # diag(1, -1, 1, 1)
+    return {"spatial-l": (sv.ParabolicPairData(g, u, l + 0.5 * u), PairAlgebraViolated),
+            "u0": (sv.ParabolicPairData(g, 0 * u, l), PairAlgebraViolated),
+            "cross-term": (sv.ParabolicPairData(sv.Metric4Grid(g.box, cross), u_cross, l),
+                           NotInGHForm),
+            "g00": (sv.ParabolicPairData(sv.Metric4Grid(g.box, flipped), u, l),
+                    SignatureViolation)}
 
 
-@pytest.mark.parametrize("case", ["spatial-l", "u0", "cross-term"])
+@pytest.mark.parametrize("case", ["spatial-l", "u0", "cross-term", "g00"])
 def test_refused_pair_builds_no_christoffel_set(counter, case):
-    g, pair, error = refused_pairs()[case]
+    pair, error = refused_pairs()[case]
     calls = counter(sv, "christoffel_fd")
     with pytest.raises(error):
-        sv.parallel_pair_residual(g, pair)
+        sv.parallel_pair_residual(pair)
     assert calls == []
 
 
@@ -177,15 +181,19 @@ MILNE = {"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 
          "pair": {"u": [1, 0, 0, 1], "l": [0, 0, 1, 0]}, "n": 5}
 
 
-@pytest.mark.parametrize("config", [FLOW_PP, MILNE], ids=["flow-pp", "verify-spacetime"])
-def test_one_lapack_inverse_per_4d_run(monkeypatch, config):
-    # the metric inverts itself once; every Christoffel set and the pair
-    # algebra take that inverse
+@pytest.mark.parametrize("config", [FLOW_PP, MILNE, {"mode": "verify-spacetime"}],
+                         ids=["flow-pp", "verify-spacetime", "minkowski"])
+def test_one_lapack_inverse_per_4d_run(counter, monkeypatch, config):
+    # the metric inverts itself once; every Christoffel set, the pair algebra
+    # and kappa (through the pair's g^-1 l) take that inverse, and no 3x3
+    # inverse of h is built beside it
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda *a, **kw: calls.append(1) or inv(*a, **kw))
+    closed_form = counter(fd, "plane_inverse")
     cli.run(config)
     assert len(calls) == 1
+    assert closed_form == []
 
 
 def test_two_diagonal_solutions_per_flow_diag_run(counter):

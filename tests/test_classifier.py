@@ -94,6 +94,17 @@ class TestClassify:
         assert group.tag == TAU3_MU
         assert group.mu == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("diag, mu, case", [
+        ((0, 1, 2), 0.5, "tau3-diag-n"),
+        ((0, -1, 2), -0.5, "tau3-diag-n"),
+        ((0, 2, 1), 0.5, "tau3-diag-l"),
+    ])
+    def test_diagonal_tau3_divides_by_the_larger_entry(self, diag, mu, case):
+        theta = ShapeOperator.diagonal(*diag)
+        group, change = classifier.classify(theta)
+        assert (group.tag, group.mu, change.case) == (TAU3_MU, mu, case)
+        assert classifier.normal_form_verify(theta, change) == 0.0
+
     def test_tau3_mu_independent_of_block_presentation(self, rng):
         # rotating the (l, n) block leaves the eigenvalue ratio unchanged
         lam, mev = 2.0, 0.6

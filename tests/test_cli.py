@@ -49,6 +49,54 @@ class TestConfigValidation:
             cli.run({"mode": "reproduce", "fixture": "nope"})
 
 
+class TestProfiles:
+    """Every named profile and scalar-function kind, evaluated on arrays
+    against its closed form, and run through a flow-diag config."""
+
+    S, Y = np.array([0.0, 0.5, 2.0]), np.array([2.0, 2.0, -1.0])
+
+    @pytest.mark.parametrize("spec, closed", [
+        ({"kind": "const", "value": 1.5}, lambda s, y: 1.5 + 0 * s),
+        ({"kind": "affine", "w1": 0.5, "w2": 1.0, "w1_y": 0.1, "w2_y": 0.2},
+         lambda s, y: (0.5 + 0.1 * y) * s + 1.0 + 0.2 * y),
+        ({"kind": "exp_affine", "w1": 2.0, "w2": -1.0, "rate": 0.3, "w1_y": 0.1},
+         lambda s, y: (2.0 + 0.1 * y) * np.exp(0.3 * s) - 1.0),
+        ({"kind": "exp", "rate": 0.3}, lambda s, y: np.exp(0.3 * s)),
+    ], ids=["const", "affine", "exp_affine", "exp"])
+    def test_profile_closed_form(self, spec, closed):
+        values = cli.make_profile(spec)(self.S, self.Y)
+        np.testing.assert_allclose(values, closed(self.S, self.Y), rtol=1e-15)
+        assert values.shape == self.S.shape
+
+    def test_profile_examples(self):
+        affine = {"kind": "affine", "w1": 0.5, "w2": 1.0, "w1_y": 0.1, "w2_y": 0.2}
+        assert cli.make_profile(affine)(0.5, 2.0) == pytest.approx(1.75, rel=1e-15)
+        assert cli.make_profile({"kind": "exp", "rate": 0.3})(0.5, 0.0) \
+            == pytest.approx(np.exp(0.15), rel=1e-15)
+
+    @pytest.mark.parametrize("spec, closed", [
+        ({"kind": "const", "value": 1.5}, lambda x: 1.5 + 0 * x),
+        ({"kind": "affine", "w1": 0.5, "w2": 1.0}, lambda x: 0.5 * x + 1.0),
+        ({"kind": "exp", "rate": 0.3}, lambda x: np.exp(0.3 * x)),
+    ], ids=["const", "affine", "exp"])
+    def test_scalar_function_closed_form(self, spec, closed):
+        values = cli.make_scalar_function(spec)(self.S)
+        np.testing.assert_allclose(values, closed(self.S), rtol=1e-15)
+        assert values.shape == self.S.shape
+
+    @pytest.mark.parametrize("family", [
+        {"case": "B_nonzero", "a": 1.0, "b": 1.0,
+         "Ll": {"kind": "affine", "w1": 0.5, "w2": 1.0, "w1_y": 0.1, "w2_y": 0.2}},
+        {"case": "B_nonzero", "a": 1.0, "b": 1.0, "Ln": {"kind": "exp", "rate": 0.3}},
+        {"case": "B_zero", "a": {"kind": "const", "value": 1.5}, "b": 0.0},
+        {"case": "B_zero", "a": {"kind": "exp", "rate": 0.3}, "b": 0.0},
+    ], ids=["profile-affine", "profile-exp", "scalar-const", "scalar-exp"])
+    def test_flow_diag_runs_each_kind(self, family):
+        report = cli.run(dict(FD_CONFIGS["flow-diag"], family=family))
+        assert report["passed"]
+        assert report["result"]["comoving_residual"]["max"] < 1e-6
+
+
 class TestVerifyPair:
     def test_zero_theta_passes(self):
         report = cli.run({"mode": "verify-pair", "theta": {}})
@@ -283,7 +331,7 @@ class TestBoxRoute:
         g = sv.Metric4Grid.from_function(((0, 1),) * 4, n, gfun)
         u = np.broadcast_to([1.0, 0, 0, 1], g.shape + (4,)).copy()
         l = np.broadcast_to([0.0, 0, 1, 0], g.shape + (4,)).copy()
-        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(g, u, l))
         expected_u = sv.interior_max4(sv.covariant_derivative4(g, u))
         expected_l = sv.interior_max4(sv.covariant_derivative4(g, l)
                                       - kappa[..., :, None] * u[..., None, :])
@@ -426,6 +474,8 @@ EXIT_CODE_TABLE = [
     # PAIR_TOL, and no tolerance loosens it
     (MILNE_CONFIG, [], 3),
     (dict(MILNE_CONFIG, tolerance=0.1), [], 2),
+    # e^(f_l + f_n) underflows to 0: the transverse determinant delta <= 0
+    ({"mode": "flow-pp", "pp": {"a_l": -400, "a_n": -400}}, [], 3),
 ]
 
 

@@ -188,6 +188,12 @@ class TestSampling:
         grid.values[...] = 0.0
         assert y[0, -1, 0] == BOX3[1][1]
 
+    def test_a_constant_is_broadcast_into_an_array_of_its_own(self):
+        grid = FieldGrid.from_function(BOX3, 5, lambda x, y, z: 2.5)
+        assert grid.values.shape == (5, 5, 5)
+        assert grid.values.flags.writeable and grid.values.flags.owndata
+        assert (grid.values == 2.5).all()
+
 
 class TestSerialization:
     def test_field_grid_header_layout(self, rng):
@@ -303,6 +309,7 @@ class TestPlaneStencil:
         rest = (slice(None),) * (ndim - 1)
         boxes = [(own,) + rest for own in (slice(0, 3), slice(1, nx - 1), slice(2, nx))]
         boxes += [(slice(2, -2),) * ndim, (slice(0, 1), slice(1, 2), slice(-1, None)) + rest[2:]]
+        major = fd.from_planes(planes, ndim)
         for own in boxes + [None]:
             on = (Ellipsis,) + (own or ())
             part = fd.plane_partials(grid, planes, own=own)
@@ -310,6 +317,11 @@ class TestPlaneStencil:
             shell, inner = fd.grow(own or rest + (slice(None),), shape[-ndim:])
             assert fd.plane_partials(grid, planes[(Ellipsis,) + shell], own=inner).tobytes() \
                 == part.tobytes()
+            # grid-major, on the box and from the shell
+            for axis in range(ndim):
+                cut = grid.grad(major, axis, own)
+                assert cut.tobytes() == fd.from_planes(part[axis], ndim).copy().tobytes()
+                assert grid.grad(major[shell], axis, inner).tobytes() == cut.tobytes()
 
 
 class TestSlabs:

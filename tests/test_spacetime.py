@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cauchypairs import flow, spacetime_verifier as sv
+from cauchypairs import flow, grid as fd, spacetime_verifier as sv
 from cauchypairs.errors import (
     GridInvalid,
     NotInGHForm,
@@ -95,6 +95,10 @@ class TestMetric4Grid:
         vals[2, 3, 1, 4, 1, 2] = 0.5 * c
         with pytest.raises(GridInvalid, match="symmetric"):
             Metric4Grid(BOX, vals)
+
+    def test_payload_must_be_4x4(self):
+        with pytest.raises(GridInvalid, match="4x4"):
+            Metric4Grid(BOX, np.broadcast_to(np.eye(3), (5, 5, 5, 5, 3, 3)))
 
     def test_inverse(self):
         g = milne(n=5)
@@ -274,6 +278,17 @@ class TestParabolicPair:
         with pytest.raises(GridInvalid):
             sv.ParabolicPairData(g, u[..., :3], l)  # not a 4-covector grid
 
+    def test_pair_keeps_its_raised_l(self):
+        # g^-1 l from the metric's one inverse, read-only as that inverse is
+        data = flow.PPWaveData.log_solution(0.0, -2.0, 0.1, 2.0, c=0.2)
+        g, u, l = gh_pp_metric_and_pair(data, ((0, 0.3), (0, 0.4), (0, 1), (0, 1)), (9, 7, 6, 5))
+        pair = sv.ParabolicPairData(g, u, l)
+        assert pair.g is g
+        expected = fd.to_planes((g.inverse() @ l[..., None])[..., 0], 4)
+        assert np.abs(expected - fd.to_planes(l, 4)).max() > 1  # raising moves l
+        np.testing.assert_allclose(pair.l_sharp, expected, rtol=1e-14, atol=1e-15)
+        assert not pair.l_sharp.flags.writeable
+
     def test_overflowing_algebra_is_rejected(self):
         # g^-1(u, u) = 1e400 overflows to inf - inf = NaN, the first of the
         # three residuals; a NaN must fail the check, not pass it
@@ -292,7 +307,7 @@ class TestParabolicPair:
         l = np.zeros(g.shape + (4,))
         l[..., 2] = 1.0
         pair = sv.ParabolicPairData(g, u, l)
-        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, pair)
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(pair)
         assert nab_u == 0.0 and nab_l == 0.0
         assert np.abs(kappa).max() == 0.0
 
@@ -302,11 +317,11 @@ class TestParabolicPair:
         u[..., 0] = u[..., 1] = 1.0
         l = np.zeros(g.shape + (4,))
         l[..., 2] = 1.0
-        pair = sv.ParabolicPairData(g, u, l)
-        # bypass validation by mutating the stored representative
-        pair.l = pair.l + 0.5 * u
+        # l + u/2 is still unit and orthogonal to the null u, so the pair
+        # passes validation, but its l_0 is 1/2
+        pair = sv.ParabolicPairData(g, u, l + 0.5 * u)
         with pytest.raises(PairAlgebraViolated):
-            sv.parallel_pair_residual(g, pair)
+            sv.parallel_pair_residual(pair)
 
     @staticmethod
     def comoving_diag_pair(n, scale=1.0):
@@ -328,7 +343,7 @@ class TestParabolicPair:
         # h is quadratic in t, so only e^x carries FD error, falling at second
         # order; kappa = 0, as l = dy is parallel
         g, u, l = self.comoving_diag_pair(n)
-        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(g, u, l))
         assert nab_u == pytest.approx(nabla_u, rel=1e-9)
         assert nab_l == 0.0 and np.abs(kappa).max() == 0.0
 
@@ -337,7 +352,7 @@ class TestParabolicPair:
         # INTERIOR only, and report the whole-grid values bit for bit
         data = flow.PPWaveData.log_solution(0.0, -2.0, 0.1, 2.0, c=0.2)
         g, u, l = gh_pp_metric_and_pair(data, ((0, 0.3), (0, 0.4), (0, 1), (0, 1)), (9, 7, 6, 5))
-        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, sv.ParabolicPairData(g, u, l))
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(g, u, l))
         expected_l = sv.interior_max4(sv.covariant_derivative4(g, l)
                                       - kappa[..., :, None] * u[..., None, :])
         assert nab_u == sv.interior_max4(sv.covariant_derivative4(g, u)) and nab_u > 0
@@ -355,7 +370,7 @@ class TestParabolicPair:
             data, ((0, 0.1), (0, 0.1), (0, 1), (0, 1)), (9, 9, 5, 5)
         )
         pair = sv.ParabolicPairData(g, u, l)
-        nab_u, nab_l, kappa = sv.parallel_pair_residual(g, pair)
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(pair)
         # metric components are quadratic in (t, x), so FD is exact
         assert nab_u < 1e-11
         assert nab_l < 1e-11
