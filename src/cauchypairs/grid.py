@@ -25,11 +25,11 @@ all by default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial
 partials on every t-slice.
 
 Both coframe residuals, the 3D constraint system and the 4D comoving flow,
-run in slabs of grid axis 0 of about `SLAB_NODES` nodes (`slab_max`): each
-slab reads its own planes and a halo of planes on either side, and its
-report is max-reduced into the grid's, bit for bit the whole-grid one.  So
-their working set is bounded by a slab, not by the grid.  The degeneracy
-test walks the same slabs.
+run in slabs of grid axis 0 of about `SLAB_NODES` nodes, down to a single
+plane (`slab_max`): each slab reads its own planes and a halo of planes on
+either side, and its report is max-reduced into the grid's, bit for bit the
+whole-grid one.  So their working set is bounded by a slab, not by the
+grid.  The degeneracy test walks the same slabs.
 
 Sampling and checking a grid cost only its payload.  `Grid.meshgrid` and
 `Grid.from_function` hand out the node coordinates as read-only broadcast
@@ -458,29 +458,30 @@ def cumulative_simpson(y, x) -> np.ndarray:
     return out
 
 
-# Nodes per slab of grid axis 0 of `slab_max` and `require_regular`.  The 3D
-# constraint residual's traced working set is ~800 B per node of a slab's own
-# planes at n = 65 and ~710 B at n = 129 (four-plane slabs), so 48 and 57 MiB:
-# e and h take 144 B per window node (own planes and a one-plane halo), h^-1
-# 72 B per own node until it is cut to the box, and every other term lives
-# on the nodes the norms read.  The comoving residual's is ~300 B per node of
-# a slab's window (own planes and a two-plane halo).  Grids of up to 33^3 or
-# (17, 17, 5, 5) nodes are one slab, and 17^4 is two, of 13 and 4 planes.
-SLAB_NODES = 2**16
+# Nodes per slab of grid axis 0 of `slab_max` and `require_regular`, not
+# counting the collar planes folded into the end slabs.  The 3D constraint
+# residual's traced working set is then ~20 MiB above its inputs at n = 129
+# (one-plane slabs) and ~24 MiB at n = 65 (seven-plane slabs): e and h take
+# 144 B per window node (own planes and a one-plane halo), h^-1 72 B per own
+# node until it is cut to the box, and every other term lives on the nodes
+# the norms read.  The comoving residual's is ~300 B per node of a slab's
+# window (own planes and a two-plane halo).  2**15 is the largest power of
+# two that keeps 17^3 and 33^3 one slab each; 17^4 is three, of 8, 6 and 3
+# planes.
+SLAB_NODES = 2**15
 
 
 def _slabs(shape):
-    """Plane ranges [a, b) covering grid axis 0 of a grid of `shape` once,
-    about SLAB_NODES nodes each, at prod(shape[1:]) nodes per plane.  Every
-    slab has >= 4 planes, so that its window in `slab_max`, with a halo of a
-    plane or more, holds >= 5; a shorter last slab is folded into its
-    neighbour."""
+    """Plane ranges [a, b) covering grid axis 0 of a grid of `shape` once.
+    The planes that the residual norms read, all but the `COLLAR` at each
+    end, are cut into runs of about SLAB_NODES nodes at prod(shape[1:])
+    nodes per plane, down to a single plane; the collar planes are folded
+    into the first and the last slab, so that every slab holds a plane that
+    the norms read."""
     n = shape[0]
-    step = max(4, SLAB_NODES // math.prod(shape[1:]))
-    cuts = list(range(0, n, step))
-    if len(cuts) > 1 and n - cuts[-1] < 4:
-        cuts.pop()
-    return list(zip(cuts, cuts[1:] + [n]))
+    step = max(1, SLAB_NODES // math.prod(shape[1:]))
+    cuts = list(range(COLLAR, n - COLLAR, step))[1:]
+    return list(zip([0] + cuts, cuts + [n]))
 
 
 def slab_max(shape, halo, residual) -> dict:
@@ -491,9 +492,11 @@ def slab_max(shape, halo, residual) -> dict:
     either side, clipped to the grid; `box`, one slice per grid axis in
     window indices, holds the nodes that its norms read, the slab's planes
     less the `COLLAR` (cut in grid indices) and the collar of every other
-    axis; `own` slices the window to the slab's planes.  A residual whose
-    terms on `box` read at most `halo` planes beyond it along axis 0 (one
-    per derivative along that axis) reports its whole-grid values exactly."""
+    axis, and is never empty, as the collar planes belong to the end slabs;
+    `own` slices the window to the slab's planes.  A slab may be a single
+    plane, read on a window of 2 halo + 1 planes.  A residual whose terms on
+    `box` read at most `halo` planes beyond it along axis 0 (one per
+    derivative along that axis) reports its whole-grid values exactly."""
     n = shape[0]
     parts = []
     for a, b in _slabs(shape):
@@ -550,9 +553,19 @@ def require_regular(rows) -> None:
 
 def is_symmetric(m) -> bool:
     """Whether every trailing square block of `m` is symmetric to 1e-8 of
-    its own largest |entry|, a test invariant under m -> c m; a NaN fails."""
-    scale = np.abs(m).max(axis=(-2, -1))[..., None, None]
-    return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2)) <= 1e-8 * scale))
+    its own largest |entry|, a test invariant under m -> c m; a NaN, or an
+    inf on the diagonal, fails."""
+    n = m.shape[-1]
+    # an elementwise maximum over the n^2 entries, as in `_neg_exponents3`,
+    # and only the pairs i < j: numpy's max over the two short trailing axes
+    # and the full m - m^T took 1.9 ms where this takes 0.35 ms at 9^4 nodes
+    # of 4x4 blocks
+    tol = 1e-8 * functools.reduce(np.maximum, (np.abs(m[..., i, j])
+                                               for i in range(n) for j in range(n)))
+    # a diagonal entry fails |m_ii - m_ii| <= tol only where it is inf or NaN
+    return (all(np.isfinite(m[..., i, i]).all() for i in range(n))
+            and all((np.abs(m[..., i, j] - m[..., j, i]) <= tol).all()
+                    for i in range(n) for j in range(i + 1, n)))
 
 
 def max_abs(values) -> float:

@@ -8,10 +8,11 @@ nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
-refuses a malformed count before it samples and validates the metric once;
-it inverts itself once, by LAPACK on its grid-major blocks, on the first
-call of `inverse`, and every Christoffel set, the pair algebra and kappa
-share that inverse: kappa reads the g^-1 l that the pair algebra raised.
+refuses a malformed count before it samples and validates the metric once,
+after which its values are read-only; it inverts itself once, by LAPACK on
+its grid-major blocks, on the first call of `inverse`, and every
+Christoffel set, the pair algebra and kappa share that inverse: kappa reads
+the g^-1 l that the pair algebra raised.
 The FD kernels run on component planes, as the 3x3 ones do
 (`grid.plane_christoffel`, `plane_covariant_derivative`,
 `plane_partials`), and so do the null/unit/orthogonality algebra and kappa
@@ -88,12 +89,16 @@ class Metric4Grid(Grid4):
                 f"signature is not (-,+,+,+) at {len(bad)} nodes, "
                 f"first at index {tuple(map(int, bad[0]))}"
             )
+        # a read-only view of the caller's array, not a copy: the validated
+        # metric, from which the inverse is built, cannot be written through
+        # the grid
+        self.values = self.values.view()
+        self.values.flags.writeable = False
         self._inverse = None
 
     def inverse(self) -> np.ndarray:
         """g^-1 at every node, by LAPACK on the first call; later calls return
-        that same read-only array (`values` is never written after
-        construction)."""
+        that same read-only array."""
         if self._inverse is None:
             self._inverse = fd.inverse(self.values)
             self._inverse.flags.writeable = False
@@ -200,12 +205,16 @@ class ParabolicPairData:
     Both are stored as coordinate components on the metric grid `g`; the
     algebra g(u, u) = 0, g(l, l) = 1, g(u, l) = 0 is validated pointwise at
     construction, to `PAIR_TOL`, and the raised l it tests is kept as the
-    read-only planes `l_sharp` of g^-1 l, (4, *grid).
+    read-only planes `l_sharp` of g^-1 l, (4, *grid).  A pair is immutable:
+    no attribute can be rebound, and neither g's values nor u, l and
+    `l_sharp` can be written through it; u and l are read-only views of the
+    caller's arrays, not copies.
     """
 
+    __slots__ = ("g", "u", "l", "l_sharp")
+
     def __init__(self, g: Metric4Grid, u, l):
-        u = np.asarray(u, dtype=float)
-        l = np.asarray(l, dtype=float)
+        u, l = (np.asarray(v, dtype=float).view() for v in (u, l))
         if u.shape != g.shape + (4,) or l.shape != g.shape + (4,):
             raise GridInvalid("u and l must be 4-covector grids on the metric grid")
         k = g.ndim
@@ -221,11 +230,13 @@ class ParabolicPairData:
             raise PairAlgebraViolated(
                 f"null/unit/orthogonality algebra residual {worst} exceeds {PAIR_TOL}"
             )
-        l_sharp.flags.writeable = False
-        self.g = g
-        self.u = u
-        self.l = l
-        self.l_sharp = l_sharp
+        for v in (u, l, l_sharp):
+            v.flags.writeable = False
+        for name, value in (("g", g), ("u", u), ("l", l), ("l_sharp", l_sharp)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def gh_decomposition(g: Metric4Grid):

@@ -208,16 +208,18 @@ class TestConstraintResidual:
         monkeypatch.setattr(fd, "SLAB_NODES", n**3)
         assert fd._slabs(e.shape) == [(0, n)]
         whole = [cf.constraint_residual_fd(*c) for c in cases]
-        # 4-plane slabs: the first window holds the minimum of 5 planes, and
-        # the 1- or 3-plane remainder is folded into the last slab
+        # one-plane slabs, the first and last with the 2-plane collar folded
+        # in, read on 3-plane windows between 4-plane ones at the ends; and
+        # 3-plane slabs with a shorter remainder
         monkeypatch.setattr(fd, "SLAB_NODES", 1)
-        slabs = fd._slabs(e.shape)
-        assert slabs[0] == (0, 4) and len(slabs) == (n - 1) // 4
-        assert slabs[-1][1] - slabs[-1][0] in (5, 7)
-        for (coframe, theta), ref in zip(cases, whole):
-            report = cf.constraint_residual_fd(coframe, theta)
-            assert list(report) == list(ref)
-            assert report == ref
+        assert fd._slabs(e.shape) == ([(0, 3)] + [(i, i + 1) for i in range(3, n - 3)]
+                                      + [(n - 3, n)])
+        for slab_nodes in (1, 3 * n**2):
+            monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
+            for (coframe, theta), ref in zip(cases, whole):
+                report = cf.constraint_residual_fd(coframe, theta)
+                assert list(report) == list(ref)
+                assert [v.hex() for v in report.values()] == [v.hex() for v in ref.values()]
         assert min(whole[1].values()) > 0
 
     @staticmethod
@@ -251,16 +253,23 @@ class TestConstraintResidual:
     @pytest.mark.parametrize("node,slab_nodes", [
         ((0, 0, 0), None), ((8, 0, 8), None), ((8, 1, 8), None), ((16, 8, 16), None),
         ((8, 8, 8), None),
-        # y and z collar nodes on the first plane of slab 2, the halo plane of
-        # slab 1, and on the last plane of slab 1
-        ((4, 1, 8), 1), ((3, 8, 0), 1),
+        # one-plane slabs [0, 3), [3, 4), ..., [14, 17): an x-collar node of
+        # the first and of the last slab, a y-collar node on the first own
+        # plane of slab 2, which is the halo plane of slabs 1 and 3, and a
+        # z-collar node on the last plane of slab 1
+        ((1, 8, 8), 1), ((15, 8, 8), 1), ((3, 1, 8), 1), ((2, 8, 0), 1),
+        # slabs of 4 planes that the norms read, [0, 6), [6, 10), ...: the
+        # same on the first plane of slab 2, the halo plane of slab 1, and on
+        # the last plane of slab 1
+        ((6, 1, 8), 4 * 17**2), ((5, 8, 0), 4 * 17**2),
     ])
     def test_unrepresentable_metric_inverse_on_any_node(self, monkeypatch, node, slab_nodes):
         # rows scaled by 2^-560 stay regular under Hadamard's bound, but
         # h = e^T e underflows to 0 there, so h^-1 is not representable
         if slab_nodes:
             monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
-            assert (0, 4) in fd._slabs((17, 17, 17))
+            assert fd._slabs((17, 17, 17))[:2] == ([(0, 3), (3, 4)] if slab_nodes == 1
+                                                   else [(0, 6), (6, 10)])
         e, th = self.off_solution(17)
         vals = e.values.copy()
         vals[node] = np.ldexp(vals[node], -560)
@@ -268,8 +277,10 @@ class TestConstraintResidual:
             cf.constraint_residual_fd(e.like(vals), th)
 
     def test_residual_memory_is_bounded_by_the_slab(self):
+        # nine slabs of 7 planes that the norms read, the first and last with
+        # the 2-plane collar folded in: ~23.7 MiB
         e, th = warped_realization(65)
-        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 170 * 2**20
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 29 * 2**20
 
     def test_christoffel_peak_memory_per_node(self):
         # ~432 B per node: the six partials d_i g_jl, the output, and three

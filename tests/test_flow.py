@@ -126,24 +126,28 @@ class TestComovingSlabs:
         monkeypatch.setattr(fd, "SLAB_NODES", 2**30)
         assert fd._slabs((17,) * 4) == [(0, 17)]
         whole = [run() for run in self.solutions()]
-        # 4-plane slabs, each read on a window with a two-plane halo
+        # one-plane slabs, the first and last with the 2-plane collar folded
+        # in, each read on a window with a two-plane halo; and 2-plane slabs
         monkeypatch.setattr(fd, "SLAB_NODES", 1)
-        assert fd._slabs((17,) * 4) == [(0, 4), (4, 8), (8, 12), (12, 17)]
-        for run, ref in zip(self.solutions(), whole):
-            report = run()
-            assert list(report) == list(ref)
-            assert [v.hex() for v in report.values()] == [v.hex() for v in ref.values()]
+        assert fd._slabs((17,) * 4) == [(0, 3)] + [(i, i + 1) for i in range(3, 14)] + [(14, 17)]
+        for slab_nodes in (1, 2 * 9**3):
+            monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
+            for run, ref in zip(self.solutions(), whole):
+                report = run()
+                assert list(report) == list(ref)
+                assert [v.hex() for v in report.values()] == [v.hex() for v in ref.values()]
         assert min(min(ref.values()) for ref in whole[2:]) > 0.1
 
     @pytest.mark.parametrize("node", [
-        (1, 4, 4, 4), (8, 4, 4, 4),  # t-collar planes
-        (5, 4, 4, 4), (3, 4, 4, 4),  # a halo plane of the first slab, and of the second
-        (4, 4, 1, 4),  # the first plane of the second slab, on a y-collar
+        (1, 4, 4, 4), (8, 4, 4, 4),  # t-collar planes, of the first and the last slab
+        (4, 4, 4, 4), (2, 4, 4, 4),  # a halo plane of the first slab, and of the second
+        (3, 4, 1, 4),  # the first plane of the second slab, on a y-collar
     ])
     def test_unrepresentable_metric_inverse_in_any_slab(self, monkeypatch, node):
-        # slabs of planes [0, 4) and [4, 9), read on [0, 6) and [2, 9)
+        # slabs of planes [0, 3), [3, 4), [4, 5), [5, 6) and [6, 9), read on
+        # [0, 5), [1, 6), [2, 7), [3, 8) and [4, 9)
         monkeypatch.setattr(fd, "SLAB_NODES", 1)
-        assert fd._slabs((9,) * 4) == [(0, 4), (4, 9)]
+        assert fd._slabs((9,) * 4) == [(0, 3), (3, 4), (4, 5), (5, 6), (6, 9)]
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
         coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 9)
@@ -160,17 +164,18 @@ class TestComovingSlabs:
         for node in ((6, 1, 2, 3), (2, 4, 4, 4), (6, 0, 0, 0), (8, 8, 8, 8)):
             vals[node + (1,)] = 0.0
         bad = coframe.like(vals)
-        for slab_nodes in (2**16, 1):
+        for slab_nodes in (2**15, 1):
             monkeypatch.setattr(fd, "SLAB_NODES", slab_nodes)
             with pytest.raises(DegenerateCoframe,
                                match=r"at 4 nodes, first at index \(2, 4, 4, 4\)$") as err:
                 flow.comoving_residual(bad)
             assert err.value.nodes == [(2, 4, 4, 4), (6, 0, 0, 0), (6, 1, 2, 3), (8, 8, 8, 8)]
-        assert len(fd._slabs((9,) * 4)) == 2
+        assert len(fd._slabs((9,) * 4)) == 5
 
     def test_residual_memory_is_bounded_by_the_slab(self, monkeypatch):
-        # one slab of 65 planes peaks at ~310 B per grid node, 14.6 MB; 4-plane
-        # slabs are read on windows of at most 8 planes of 9^3 nodes
+        # one slab of 65 planes peaks at ~310 B per grid node, 14.6 MB; slabs
+        # of 4 planes that the norms read are read on windows of at most 8
+        # planes of 9^3 nodes
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
         coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, (65, 9, 9, 9))
@@ -243,16 +248,16 @@ class TestDiagonalSolution:
         assert res[33] < res[17] / 3
 
     def test_comoving_residual_peak_memory_per_node(self):
-        # the 17^4 grid is two t-slabs, of 13 and 4 planes, read on windows of
-        # 15 and 6 planes; in a window, h, its inverse and Theta_t are freed
-        # once Theta_t(e_a) is built, and d_t e + Theta_t(e) once reduced, and
-        # every term but h and its inverse lives on the nodes the norms read:
-        # ~300 B per node of the larger window, ~260 B per grid node, against
-        # ~650 B with them alive on every node
+        # the 17^4 grid is three t-slabs, of 8, 6 and 3 planes, read on windows
+        # of 10, 10 and 5 planes; in a window, h, its inverse and Theta_t are
+        # freed once Theta_t(e_a) is built, and d_t e + Theta_t(e) once
+        # reduced, and every term but h and its inverse lives on the nodes the
+        # norms read: ~300 B per node of the larger window, ~172 B per grid
+        # node, against ~650 B with them alive on every node
         fam = DiagonalFamily(case="B_nonzero", a=1.0, b=1.0,
                              Ll=lambda s, y: np.exp(0.5 * s), Ln=const_profile)
         coframe = flow.diagonal_solution(fam, (0.0, 0.02), SMALL_BOX, 17)
-        assert traced_peak(lambda: flow.comoving_residual(coframe)) < 600 * 17**4
+        assert traced_peak(lambda: flow.comoving_residual(coframe)) < 210 * 17**4
 
     def test_non_solution_detected(self):
         # e^{t + 2x} is not a function of the characteristic variable zeta

@@ -330,17 +330,31 @@ class TestSlabs:
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(shape=st.lists(st.integers(5, 40), min_size=3, max_size=4).map(tuple),
-           slab_nodes=st.sampled_from([1, 7, 100, 2000, 2**16]))
+           slab_nodes=st.sampled_from([1, 7, 100, 2000, 2**15]))
     def test_plan_tiles_axis_0(self, shape, slab_nodes):
+        n, c = shape[0], fd.COLLAR
+        boxes = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fd, "SLAB_NODES", slab_nodes)
             slabs = fd._slabs(shape)
-        step = max(4, slab_nodes // math.prod(shape[1:]))
-        assert [i for a, b in slabs for i in range(a, b)] == list(range(shape[0]))
-        # every slab but the last has `step` planes; the last takes a
-        # remainder of fewer than 4 planes into its own
-        assert all(b - a == step for a, b in slabs[:-1])
-        assert 4 <= slabs[-1][1] - slabs[-1][0] < step + 4
+            fd.slab_max(shape, 1, lambda window, box, own: boxes.append(box[0]) or {"k": 0.0})
+        step = max(1, slab_nodes // math.prod(shape[1:]))
+        assert [i for a, b in slabs for i in range(a, b)] == list(range(n))
+        # the planes the norms read come in runs of `step`, the last one
+        # shorter or not; the collar planes are folded into the end slabs
+        inner = [(max(a, c), min(b, n - c)) for a, b in slabs]
+        assert all(b - a == step for a, b in inner[:-1])
+        assert 1 <= inner[-1][1] - inner[-1][0] <= step
+        assert slabs[0][0] == 0 and slabs[-1][1] == n
+        # so every slab's box is non-empty
+        assert len(boxes) == len(slabs) and all(b.start < b.stop for b in boxes)
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_bench_grids_are_one_slab(self, n):
+        # the benchmark's smoke test (`bench/test_smoke.py`) pins fd3-ladder's
+        # `christoffel3_fd.per_residual == 2` on the 17^3 and 33^3 grids that
+        # `--size tiny` runs: two Christoffel sets per slab, one slab each
+        assert fd._slabs((n,) * 3) == [(0, n)]
 
     @pytest.mark.parametrize("halo", [1, 2])
     @pytest.mark.parametrize("shape", [(17, 5, 6), (23, 5, 5, 7), (5, 9, 9, 9)])
@@ -429,6 +443,44 @@ class TestClosedForms:
         np.testing.assert_array_equal(fd.inverse(g), lapack(g))
         plane_inverse(spd_batch(rng, (5, 6)))
         assert calls == [(5, 6, 4, 4)]
+
+
+def whole_block_symmetric(m):
+    """`is_symmetric` as a max over every block and its full transpose
+    difference: the oracle of the plane-by-plane test."""
+    scale = np.abs(m).max(axis=(-2, -1))[..., None, None]
+    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal
+        return bool(np.all(np.abs(m - np.swapaxes(m, -1, -2)) <= 1e-8 * scale))
+
+
+class TestSymmetry:
+    """`is_symmetric` compares the entries ij, i < j, against an elementwise
+    maximum over each block; it answers as the whole-block test does."""
+
+    @staticmethod
+    def cases(rng, n):
+        sym = spd_batch(rng, (3, 4), n) - 0.7 * np.eye(n)  # entries of either sign
+        yield sym
+        tol = 1e-8 * np.abs(sym[1, 2]).max()
+        for i, j in [(a, b) for a in range(n) for b in range(n)]:
+            for d in (0.5 * tol, tol, 2 * tol, 1.0):
+                one = sym.copy()
+                one[1, 2, i, j] += d  # one asymmetric entry, if i != j
+                yield one
+            for bad in (np.nan, np.inf, -np.inf):
+                one = sym.copy()
+                one[0, 3, i, j] = bad
+                yield one
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, -600, 600])
+    def test_matches_the_whole_block_test(self, rng, n, k):
+        verdicts = []
+        for m in self.cases(rng, n):
+            m = np.ldexp(m, k)
+            verdicts.append(fd.is_symmetric(m))
+            assert verdicts[-1] is whole_block_symmetric(m)
+        assert True in verdicts and (n == 1 or False in verdicts)
 
 
 class TestDenseChristoffel:

@@ -111,6 +111,28 @@ class TestMetric4Grid:
         assert g.inverse() is inv
         assert not inv.flags.writeable
 
+    def test_validated_values_are_read_only_views(self):
+        # a write into a validated metric would bypass its symmetry and
+        # signature test and leave its inverse stale
+        sampled = []
+
+        def gfun(t, x, y, z):
+            sampled.append(np.broadcast_to(np.diag([-1.0, 1, 1, 1]), t.shape + (4, 4)).copy())
+            return sampled[-1]
+
+        vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
+        coframe = sv.Grid4(BOX, np.broadcast_to(np.eye(3), (5, 5, 5, 5, 3, 3)))
+        for g, source in ((Metric4Grid.from_function(BOX, 5, gfun), sampled),
+                          (Metric4Grid(BOX, vals), [vals]),
+                          (flow.comoving_metric(coframe), [])):
+            g.inverse()
+            with pytest.raises(ValueError, match="read-only"):
+                g.values[..., 1, 1] = 2.0
+            assert g.values[..., 1, 1].min() == 1.0
+            # neither sampling nor construction copies the payload
+            for a in source:
+                assert np.shares_memory(g.values, a) and a.flags.writeable
+
 
 class TestCurvature:
     def test_minkowski_flat(self):
@@ -288,6 +310,28 @@ class TestParabolicPair:
         assert np.abs(expected - fd.to_planes(l, 4)).max() > 1  # raising moves l
         np.testing.assert_allclose(pair.l_sharp, expected, rtol=1e-14, atol=1e-15)
         assert not pair.l_sharp.flags.writeable
+
+    def test_pair_is_immutable(self):
+        # a rebound l would reach the residual unvalidated: 2 l (not unit)
+        # reports (0.0, 0.0), and dz is checked against the l_sharp of dy
+        g = minkowski(n=7)
+        u = np.zeros(g.shape + (4,))
+        u[..., 0] = u[..., 1] = 1.0
+        l = np.zeros(g.shape + (4,))
+        l[..., 2] = 1.0
+        pair = sv.ParabolicPairData(g, u, l)
+        with pytest.raises(AttributeError, match="immutable"):
+            pair.l = 2 * l
+        for name in ("g", "u", "l_sharp"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(pair, name, getattr(pair, name))
+        for field in (pair.u, pair.l, pair.l_sharp, pair.g.values):
+            with pytest.raises(ValueError, match="read-only"):
+                field[..., 0] = 2.0
+        # u and l are views of the caller's arrays, not copies
+        assert np.shares_memory(pair.u, u) and np.shares_memory(pair.l, l)
+        assert u.flags.writeable and l.flags.writeable
+        assert sv.parallel_pair_residual(pair)[:2] == (0.0, 0.0)
 
     def test_overflowing_algebra_is_rejected(self):
         # g^-1(u, u) = 1e400 overflows to inf - inf = NaN, the first of the
