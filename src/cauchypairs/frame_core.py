@@ -83,7 +83,8 @@ class ShapeOperator(_Frozen):
 
     Entries may be int/Fraction (exact mode) or float.  NaN/inf entries, float
     entries above THETA_MAX in magnitude and asymmetric input are rejected at
-    construction.
+    construction: exact entries must be symmetric, float ones to 1e-12 of
+    the largest |entry|, and that round-off is symmetrised away.
     """
 
     __slots__ = ("entries",)
@@ -103,7 +104,9 @@ class ShapeOperator(_Frozen):
                 if rows[a][b] != rows[b][a]:
                     da = rows[a][b] - rows[b][a]
                     scale = max(abs(float(x)) for r in rows for x in r)
-                    if _is_exact(da) or abs(da) > 1e-12 * max(1.0, scale):
+                    # relative to the largest |entry|, so the verdict does
+                    # not change when Theta is rescaled
+                    if _is_exact(da) or abs(da) > 1e-12 * scale:
                         raise CauchyPairsError("shape operator must be symmetric")
         # symmetrize away float round-off so invariants hold exactly
         object.__setattr__(self, "entries", _symmetrized(rows))

@@ -8,11 +8,13 @@ per-node contraction is a few whole-array multiply-adds.  A pipeline converts
 its fields once at entry (`to_planes`); `from_planes` gives a grid-major view
 back, and `to_planes` of that view is the original array, not a copy.  The
 3x3 and 4x4 paths share the kernels (`plane_partials`, `plane_christoffel`,
-`plane_covariant_derivative`).  Only the inverse depends on the block size:
-3x3 blocks are inverted in closed form on planes (`plane_inverse`), 4x4
-blocks by LAPACK on grid-major blocks (`inverse`), and the caller hands the
-inverse to `plane_christoffel`, so each pipeline inverts, and so tests, its
-metric once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
+`plane_covariant_derivative`).  Only the inverse depends on the block size,
+and each size has one closed-form route, with no LAPACK call: 3x3 blocks of
+planes (`plane_inverse`), and grid-major 4x4 blocks to planes (`inverse4`),
+in one pass that also tests each block's Lorentzian signature, so a 4D
+metric is validated and inverted at once.  The caller hands the inverse to
+`plane_christoffel`, so each pipeline inverts, and so tests, its metric
+once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
 grid-major with batched matmuls and takes single partials on a box with
 `Grid.grad`.
 
@@ -556,7 +558,7 @@ def is_symmetric(m) -> bool:
     its own largest |entry|, a test invariant under m -> c m; a NaN, or an
     inf on the diagonal, fails."""
     n = m.shape[-1]
-    # an elementwise maximum over the n^2 entries, as in `_neg_exponents3`,
+    # an elementwise maximum over the n^2 entries, as in `_neg_exponents`,
     # and only the pairs i < j: numpy's max over the two short trailing axes
     # and the full m - m^T took 1.9 ms where this takes 0.35 ms at 9^4 nodes
     # of 4x4 blocks
@@ -578,19 +580,21 @@ def interior_max(values, naxes: int) -> float:
     return max_abs(np.asarray(values)[(slice(COLLAR, -COLLAR),) * naxes])
 
 
-# The 3x3 blocks of component planes m[r, c] are inverted and reduced in
-# closed form.  Each block is first divided by 2**k, the power of two of its
-# largest |entry|, in one `ldexp` over the nine planes.  That is exact: the
+# The 3x3 and 4x4 blocks of component planes m[r, c] are inverted and reduced
+# in closed form.  Each block is first divided by 2**k, the power of two of
+# its largest |entry|, in one `ldexp` over its planes.  That is exact: the
 # result is bit for bit that of the unscaled closed form wherever that form
 # neither over- nor underflows, and no finite block makes it do so.  The
-# scaled copy takes nine floats per node while an inverse is built.
+# scaled copy takes n^2 floats per node while an inverse is built.
 
 
-def _neg_exponents3(m):
-    """-k per 3x3 block of planes m, 2**k <= max |entry| < 2**(k + 1)."""
-    # an elementwise maximum over the nine entries; numpy's max over the two
-    # short trailing axes took 0.37 ms where this takes 0.09 ms at 7225 nodes
-    top = functools.reduce(np.maximum, (np.abs(m[i, j]) for i in range(3) for j in range(3)))
+def _neg_exponents(m):
+    """-k per n x n block of planes m, 2**k <= max |entry| < 2**(k + 1)."""
+    # an elementwise maximum over the n^2 entries; numpy's max over the two
+    # short trailing axes took 0.37 ms where this takes 0.09 ms at 7225
+    # nodes of 3x3 blocks
+    n = len(m)
+    top = functools.reduce(np.maximum, (np.abs(m[i, j]) for i in range(n) for j in range(n)))
     return -np.frexp(top)[1]
 
 
@@ -617,7 +621,7 @@ def _inverse3(m, adj):
     """The inverse of each 3x3 block of planes m, written to the planes `adj`
     (may be inf or NaN where a block is singular)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nk = _neg_exponents3(m)
+        nk = _neg_exponents(m)
         m = np.ldexp(m, nk)
         for i in range(3):
             for j in range(3):
@@ -626,25 +630,103 @@ def _inverse3(m, adj):
         np.ldexp(adj, nk, out=adj)
 
 
+# the column pairs (p, q), p < q, of the 2x2 minors of a 4x4 block
+_COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _minors4(m, r, s):
+    """The 2x2 minors of rows (r, s) of each 4x4 block of planes m, keyed by
+    their column pair (p, q) of `_COLUMN_PAIRS`."""
+    out = {}
+    for p, q in _COLUMN_PAIRS:
+        out[p, q] = minor = np.multiply(m[r, p], m[s, q])
+        minor -= m[s, p] * m[r, q]
+    return out
+
+
+def _adjugate4(m, top, bottom, adj):
+    """The adjugate of each 4x4 block of planes m, written to the planes
+    `adj`, from the 2x2 minors `top` of rows (0, 1) and `bottom` of rows
+    (2, 3).  The cofactor C_ij expands the 3x3 minor without row i and
+    column j along the other row of i's half, against the minors of the
+    other half; that row is the first or the last of the minor, so the
+    expansion's sign is (-1)**pos of the column's place in it."""
+    tmp = np.empty(adj.shape[2:])
+    for i in range(4):
+        minors, row = (bottom, 1 - i) if i < 2 else (top, 5 - i)
+        for j in range(4):
+            cols = [c for c in range(4) if c != j]
+            out = adj[j, i, ...]
+            for pos, c in enumerate(cols):
+                term = np.multiply(m[row, c], minors[tuple(x for x in cols if x != c)],
+                                   out=tmp if pos else out)
+                if pos == 1:
+                    out -= term
+                elif pos == 2:
+                    out += term
+            if (i + j) % 2:
+                np.negative(out, out=out)
+
+
+def inverse4(m, on_signature) -> np.ndarray:
+    """Inverses of the 4x4 blocks of grid-major `m` (*grid, 4, 4), as
+    component planes (4, 4, *grid), in one closed-form pass that also tests
+    each block's signature.  Raises SingularMatrix (a LinAlgError) where a
+    block is singular or its inverse is not representable; never returns
+    inf or NaN.
+
+    The pass scales a planes copy of `m` in place and forms the twelve 2x2
+    minors of rows (0, 1) and (2, 3) once.  From them come det m, the
+    adjugate, so m^-1, and the coefficients of the characteristic
+    polynomial x^4 - e1 x^3 + e2 x^2 - e3 x + e4: e1 = tr m, e2 the sum of
+    the principal 2-minors, e3 = tr adj m and e4 = det m.  Like the
+    inverse, they read all 16 entries of a block, both triangles: they are
+    the block's own, not those of one triangle's symmetric completion
+    (LAPACK's eigvalsh read the lower).
+
+    `on_signature` is called with the boolean planes (*grid) of the test
+    lambda_0 < 0 < lambda_1 on each block's ascending eigenvalues before
+    the inverse is tested, so that a caller can refuse a block for its
+    signature (every singular block fails the test) before it is refused
+    as singular.  The test is e4 < 0 and exactly three sign
+    changes in (1, -e1, e2, -e3, e4), zeros skipped: by Descartes' rule of
+    signs, exact for a real-rooted polynomial such as a symmetric block's,
+    three positive eigenvalues, and by the sign of their product with the
+    fourth, one negative."""
+    a = to_planes(m, m.ndim - 2)
+    inv = np.empty(a.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nk = _neg_exponents(a)
+        np.ldexp(a, nk, out=a)
+        top, bottom = _minors4(a, 0, 1), _minors4(a, 2, 3)
+        _adjugate4(a, top, bottom, inv)
+        # Laplace's expansion along rows (0, 1), of sign (-1)**(1 + p + q)
+        det = np.zeros(a.shape[2:])
+        for p, q in _COLUMN_PAIRS:
+            term = top[p, q] * bottom[tuple(c for c in range(4) if c not in (p, q))]
+            if (p + q) % 2 == 0:
+                det -= term
+            else:
+                det += term
+        e1 = a[0, 0] + a[1, 1] + a[2, 2] + a[3, 3]
+        e2 = top[0, 1] + bottom[2, 3]
+        for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            e2 += a[i, i] * a[j, j] - a[i, j] * a[j, i]
+        e3 = inv[0, 0] + inv[1, 1] + inv[2, 2] + inv[3, 3]
+        # with e4 < 0 the sign changes are odd, 1 or 3: 1 where the nonzero
+        # signs of (-e1, e2, -e3) run + before -, 3 where a - comes before a +
+        on_signature((det < 0) & (((e1 > 0) & ((e2 > 0) | (e3 < 0)))
+                                  | ((e2 < 0) & (e3 < 0))))
+        del top, bottom, a
+        inv /= det
+        np.ldexp(inv, nk, out=inv)
+    return _finite(inv)
+
+
 def _finite(inv):
     if not np.isfinite(inv).all():
         raise SingularMatrix("Singular matrix")
     return inv
-
-
-def inverse(m) -> np.ndarray:
-    """Inverses of the trailing square blocks of grid-major `m`, by LAPACK:
-    the 4x4 route (`plane_inverse` is the 3x3 closed form on planes).  Raises
-    SingularMatrix (a LinAlgError) where a block is singular or its inverse
-    is not representable; never returns inf or NaN."""
-    # a 4x4 closed form measured only 1.5-2x faster at 5^4-9^4 nodes, and
-    # moved the narrow-box pp-wave nabla_riemann by 3.25e-13, nearly its
-    # whole 1-ulp floor of 3.3e-13
-    try:
-        inv = np.linalg.inv(np.asarray(m, dtype=float))
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("Singular matrix") from None
-    return _finite(inv)
 
 
 def plane_inverse(m) -> np.ndarray:

@@ -8,11 +8,13 @@ nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
-refuses a malformed count before it samples and validates the metric once,
-after which its values are read-only; it inverts itself once, by LAPACK on
-its grid-major blocks, on the first call of `inverse`, and every
-Christoffel set, the pair algebra and kappa share that inverse: kappa reads
-the g^-1 l that the pair algebra raised.
+refuses a malformed count before it samples.  It tests its symmetry, then
+validates its signature and inverts itself in one closed-form pass on
+component planes (`grid.inverse4`), after which its values are read-only
+and g^-1 is kept as read-only planes; `inverse` returns their grid-major
+view, whose `to_planes` is those planes again.  Every Christoffel set, the
+pair algebra and kappa share that inverse: kappa reads the g^-1 l that the
+pair algebra raised.
 The FD kernels run on component planes, as the 3x3 ones do
 (`grid.plane_christoffel`, `plane_covariant_derivative`,
 `plane_partials`), and so do the null/unit/orthogonality algebra and kappa
@@ -30,8 +32,8 @@ box, bit for bit; by default the box is every node.  It copies and
 differentiates only the shell of the box that its partials read
 (`grid.grow`), and g^-1 on the box.  `parallel_pair_residual` builds its
 Christoffel set and covariant derivatives on `INTERIOR`, the nodes its
-norms read.  The metric's symmetry and signature test, its inverse, the
-pair algebra and kappa stay on every node.
+norms read.  The metric's symmetry test, its one pass of signature test
+and inverse, the pair algebra and kappa stay on every node.
 """
 
 from __future__ import annotations
@@ -81,27 +83,30 @@ class Metric4Grid(Grid4):
             raise GridInvalid("metric payload must be 4x4")
         if not fd.is_symmetric(self.values):
             raise GridInvalid("metric must be symmetric at every node")
-        # ascending eigenvalues: exactly one negative, three positive
-        eig = np.linalg.eigvalsh(self.values)
-        bad = np.argwhere(~((eig[..., 0] < 0) & (eig[..., 1] > 0)))
+        # one closed-form pass tests the signature and inverts every block
+        planes = fd.inverse4(self.values, self._require_lorentzian)
+        planes.flags.writeable = False
+        self._inverse = fd.from_planes(planes, self.ndim)
+        # a read-only view of the caller's array, not a copy: the validated
+        # metric, from which the inverse was built, cannot be written through
+        # the grid
+        self.values = self.values.view()
+        self.values.flags.writeable = False
+
+    @staticmethod
+    def _require_lorentzian(lorentzian):
+        """Raise SignatureViolation unless every node's ascending eigenvalues
+        have lambda_0 < 0 < lambda_1 (the boolean planes `lorentzian`)."""
+        bad = np.argwhere(~lorentzian)
         if bad.size:
             raise SignatureViolation(
                 f"signature is not (-,+,+,+) at {len(bad)} nodes, "
                 f"first at index {tuple(map(int, bad[0]))}"
             )
-        # a read-only view of the caller's array, not a copy: the validated
-        # metric, from which the inverse is built, cannot be written through
-        # the grid
-        self.values = self.values.view()
-        self.values.flags.writeable = False
-        self._inverse = None
 
     def inverse(self) -> np.ndarray:
-        """g^-1 at every node, by LAPACK on the first call; later calls return
-        that same read-only array."""
-        if self._inverse is None:
-            self._inverse = fd.inverse(self.values)
-            self._inverse.flags.writeable = False
+        """g^-1 at every node: the read-only, grid-major view of the planes
+        that validation built; every call returns that same array."""
         return self._inverse
 
 

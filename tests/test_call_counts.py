@@ -183,17 +183,22 @@ MILNE = {"mode": "verify-spacetime", "metric": {"kind": "milne", "a": 1.0, "b": 
 
 @pytest.mark.parametrize("config", [FLOW_PP, MILNE, {"mode": "verify-spacetime"}],
                          ids=["flow-pp", "verify-spacetime", "minkowski"])
-def test_one_lapack_inverse_per_4d_run(counter, monkeypatch, config):
-    # the metric inverts itself once; every Christoffel set, the pair algebra
-    # and kappa (through the pair's g^-1 l) take that inverse, and no 3x3
-    # inverse of h is built beside it
-    calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda *a, **kw: calls.append(1) or inv(*a, **kw))
-    closed_form = counter(fd, "plane_inverse")
+def test_one_metric_inverse_per_4d_run(counter, monkeypatch, config):
+    # the metric's one closed-form pass tests its signature and inverts it;
+    # every Christoffel set, the pair algebra and kappa (through the pair's
+    # g^-1 l) take that inverse, no 3x3 inverse of h is built beside it,
+    # and LAPACK is not called
+    lapack = []
+    for name in ("inv", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **kw:
+                            lapack.append(_n) or _f(*a, **kw))
+    closed_form = counter(fd, "inverse4")
+    closed_form3 = counter(fd, "plane_inverse")
     cli.run(config)
-    assert len(calls) == 1
-    assert closed_form == []
+    assert len(closed_form) == 1
+    assert lapack == []
+    assert closed_form3 == []
 
 
 def test_two_diagonal_solutions_per_flow_diag_run(counter):

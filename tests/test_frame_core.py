@@ -39,6 +39,16 @@ class TestShapeOperator:
         with pytest.raises(CauchyPairsError):
             ShapeOperator([[0, 1, 0], [2, 0, 0], [0, 0, 0]])
 
+    @pytest.mark.parametrize("k", range(-12, 7))
+    def test_symmetry_verdict_is_scale_invariant(self, k):
+        # a 50% asymmetry is refused and a 1e-13 round-off one admitted at
+        # every scale; an absolute 1e-12 floor let the first through at 1e-12
+        s = 10.0**k
+        with pytest.raises(CauchyPairsError, match="symmetric"):
+            ShapeOperator([[s, 0.5 * s, 0], [0, s, 0], [0, 0, s]])
+        roundoff = ShapeOperator([[s, 0.5 * s * (1 + 1e-13), 0], [0.5 * s, s, 0], [0, 0, s]])
+        assert roundoff.ul == roundoff[1, 0]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(CauchyPairsError):
             ShapeOperator.from_components(uu=float("nan"))

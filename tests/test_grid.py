@@ -393,10 +393,31 @@ def plane_inverse(m):
     return fd.from_planes(fd.plane_inverse(fd.to_planes(m, k)), k)
 
 
+def inverse4(m):
+    """`inverse4` of grid-major 4x4 blocks, read back grid-major, and the
+    verdict of its signature test."""
+    verdict = []
+    return fd.from_planes(fd.inverse4(m, verdict.append), m.ndim - 2), verdict[0]
+
+
+def lorentzian_batch(rng, shape):
+    """Dense symmetric 4x4 blocks over `shape` with one negative eigenvalue."""
+    g = spd_batch(rng, shape, 4)
+    g[..., 0, 0] -= 2 * np.abs(g).sum(axis=(-2, -1))
+    return g
+
+
+def lapack_verdict(m):
+    """lambda_0 < 0 < lambda_1 on LAPACK's ascending eigenvalues of each
+    block (eigvalsh reads the lower triangle)."""
+    eig = np.linalg.eigvalsh(m)
+    return (eig[..., 0] < 0) & (eig[..., 1] > 0)
+
+
 class TestClosedForms:
-    """The 3x3 closed-form inverse on planes: accurate on dense blocks, exact
-    under power-of-two rescaling, and never inf or NaN; grid-major blocks go
-    through LAPACK."""
+    """The 3x3 and 4x4 closed-form inverses on planes: accurate on dense
+    blocks, exact under power-of-two rescaling, never inf or NaN, and free
+    of LAPACK."""
 
     def test_inverse_of_dense_spd_blocks(self, rng):
         m = spd_batch(rng, (7, 6, 5))
@@ -422,7 +443,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_singular_matrix_is_typed(self, n):
-        invert = plane_inverse if n == 3 else fd.inverse
+        invert = plane_inverse if n == 3 else lambda m: fd.inverse4(m, lambda lorentzian: None)
         with pytest.raises(SingularMatrix) as err:
             invert(np.zeros((2, n, n)))
         assert isinstance(err.value, CauchyPairsError)
@@ -431,18 +452,114 @@ class TestClosedForms:
     def test_unrepresentable_inverse_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             plane_inverse(np.eye(3) * 1e-310)
+        with pytest.raises(SingularMatrix):
+            inverse4(np.diag([-1.0, 1, 1, 1]) * 1e-310)
 
-    def test_4x4_blocks_go_through_lapack(self, rng, monkeypatch):
+    def test_4x4_closed_form_matches_lapack_and_calls_none(self, rng, monkeypatch):
+        g = lorentzian_batch(rng, (5, 6))
+        assert lapack_verdict(g).all()
+        lapack = np.linalg.inv(g)
         calls = []
-        lapack = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or lapack(m))
-        g = spd_batch(rng, (5, 6), 4)
-        g[..., 0, 0] -= 2 * np.abs(g).sum(axis=(-2, -1))  # one negative eigenvalue
-        eig = np.linalg.eigvalsh(g)
-        assert np.all((eig[..., 0] < 0) & (eig[..., 1] > 0))
-        np.testing.assert_array_equal(fd.inverse(g), lapack(g))
-        plane_inverse(spd_batch(rng, (5, 6)))
-        assert calls == [(5, 6, 4, 4)]
+        for name in ("inv", "eigvalsh", "eigh", "eigvals", "det", "slogdet", "solve"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, **kw: calls.append(_n))
+        inv, lorentzian = inverse4(g)
+        assert calls == []
+        assert lorentzian.all()
+        scale = np.abs(lapack).max(axis=(-2, -1))
+        assert (np.abs(inv - lapack).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+
+    def test_4x4_inverse_reads_every_entry(self, rng):
+        # a block that `is_symmetric` admits need not be exactly symmetric:
+        # the inverse is that of the block as given, as LAPACK's was
+        g = lorentzian_batch(rng, (3,))
+        unperturbed = inverse4(g)[0]
+        for i in range(4):
+            for j in range(4):
+                one = g.copy()
+                one[1, i, j] *= 1 + 1e-9
+                lapack = np.linalg.inv(one)
+                inv = inverse4(one)[0]
+                assert np.abs(inv - lapack).max() <= 1e-13 * np.abs(lapack).max()
+                assert not np.array_equal(inv[1], unperturbed[1])
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_4x4_power_of_two_rescaling_is_exact(self, rng, k):
+        g = lorentzian_batch(rng, (50,))
+        inv, lorentzian = inverse4(g)
+        scaled_inv, scaled_lorentzian = inverse4(2.0**k * g)
+        np.testing.assert_array_equal(scaled_inv, inv / 2.0**k)
+        np.testing.assert_array_equal(scaled_lorentzian, lorentzian)
+
+    def test_4x4_singular_node_fails_the_signature_first(self, rng):
+        g = lorentzian_batch(rng, (4, 5))
+        g[2, 3] = np.diag([-1.0, 0, 1, 1])
+        verdicts = []
+        with pytest.raises(SingularMatrix):
+            fd.inverse4(g, verdicts.append)
+        assert np.argwhere(~verdicts[0]).tolist() == [[2, 3]]
+
+
+class TestSignature:
+    """`inverse4`'s signature test, e4 < 0 and three sign changes in
+    (1, -e1, e2, -e3, e4), against LAPACK's eigenvalues on symmetric blocks
+    with min |lambda| >= 1e-6 max |lambda|, at every power-of-two scale."""
+
+    @staticmethod
+    def blocks(kind, negatives, exponents, seed):
+        """32 symmetric 4x4 blocks with `negatives` negative eigenvalues.
+        "rotated": the spectrum +-10**`exponents`, scaled to a largest
+        |lambda| of 1, so every |lambda| is in [1e-6, 1], under random
+        orthogonal changes of basis; "near": those blocks with an asymmetry
+        below `is_symmetric`'s 1e-8 of the largest |entry| added to the
+        upper triangle; "minkowski": for 1 or 3 negatives, e2 = 0 exactly,
+        +-diag(-1, 1, 1, 1) or a null pair [[0, 1], [1, 0]] with a signed
+        unit pair, permuted and scaled by 3/4, 1 or 3/2 (exact squares)."""
+        rng = np.random.default_rng(seed)
+        if kind == "minkowski":
+            pair = 1.0 if negatives == 1 else -1.0
+            null = np.zeros((4, 4))
+            null[0, 1] = null[1, 0] = 1.0
+            null[2, 2] = null[3, 3] = pair
+            base = (pair * np.diag([-1.0, 1, 1, 1]), null)
+            out = []
+            for _ in range(32):
+                perm = rng.permutation(4)
+                b = base[rng.integers(2)]
+                out.append(b[np.ix_(perm, perm)] * rng.choice([0.75, 1.0, 1.5]))
+            return np.array(out)
+        spectrum = np.where(np.arange(4) < negatives, -1.0, 1.0) * 10.0 ** np.array(exponents)
+        spectrum /= np.abs(spectrum).max()
+        q = np.linalg.qr(rng.standard_normal((32, 4, 4)))[0]
+        out = (q * spectrum) @ np.swapaxes(q, -1, -2)
+        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+        if kind == "near":
+            top = np.abs(out).max(axis=(-2, -1))[:, None, None]
+            out += np.triu(rng.uniform(-0.9e-8, 0.9e-8, out.shape), 1) * top
+        return out
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["rotated", "near", "minkowski"]),
+           negatives=st.integers(0, 4),
+           exponents=st.lists(st.floats(-6.0, 0.0), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1),
+           k=st.integers(-500, 500))
+    def test_matches_lapack_at_every_scale(self, kind, negatives, exponents, seed, k):
+        if kind == "minkowski":
+            negatives = 1 + 2 * (negatives % 2)  # one or three
+        m = self.blocks(kind, negatives, exponents, seed)
+        assert fd.is_symmetric(m)
+        eig = np.abs(np.linalg.eigvalsh(m))
+        assert (eig.min(axis=-1) >= 0.99e-6 * eig.max(axis=-1)).all()
+        if kind == "near":
+            assert not np.array_equal(m, np.swapaxes(m, -1, -2))
+        if kind == "minkowski":
+            e2 = sum(m[:, i, i] * m[:, j, j] - m[:, i, j] * m[:, j, i]
+                     for i in range(4) for j in range(i + 1, 4))
+            assert (e2 == 0.0).all()
+        _, verdict = inverse4(m)
+        np.testing.assert_array_equal(verdict, lapack_verdict(m))
+        assert verdict.all() == (negatives == 1)
+        np.testing.assert_array_equal(inverse4(np.ldexp(m, k))[1], verdict)
 
 
 def whole_block_symmetric(m):
@@ -509,7 +626,7 @@ class TestDenseChristoffel:
         metric = self.dense_metric(grid, n, sign)
         k = grid.ndim
         planes = fd.to_planes(metric, k)
-        inverse = fd.plane_inverse(planes) if n == 3 else fd.to_planes(fd.inverse(metric), k)
+        inverse = fd.plane_inverse(planes) if n == 3 else fd.to_planes(inverse4(metric)[0], k)
         gam = fd.from_planes(fd.plane_christoffel(grid, planes, inverse), k)
         if sign < 0:
             # the signature is Lorentzian, and the 4D entry point is this route
