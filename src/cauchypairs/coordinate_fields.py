@@ -105,7 +105,8 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     Christoffel sets take it cut to the box."""
     norm = fd.max_abs
     e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
-    h = fd.coframe_metric(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = fd.coframe_metric(e)
     # raises SingularMatrix wherever an inverse on the own planes is not representable
     hinv = fd.slab_inverse(h, own, box)
     e_box = e[(Ellipsis,) + box]

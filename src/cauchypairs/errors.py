@@ -24,7 +24,7 @@ class ParamOutOfRange(CauchyPairsError, ValueError):
 
 
 class GridInvalid(CauchyPairsError, ValueError):
-    """Grid box or samples are malformed, or a serialized grid blob is corrupt."""
+    """Grid box, sample counts or samples are malformed."""
 
 
 class GridTooSmall(CauchyPairsError):

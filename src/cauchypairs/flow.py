@@ -82,7 +82,8 @@ def _slab_comoving(grid: Grid4, rows, box, own) -> dict:
     e = fd.to_planes(rows, grid.ndim)  # e[a, i] = (e_a)_i on the window
     shell, inner = fd.grow(box, e.shape[2:])
     norm = fd.max_abs
-    h = fd.coframe_metric(e)
+    with np.errstate(over="ignore", invalid="ignore"):  # slab_inverse refuses a non-finite h
+        h = fd.coframe_metric(e)
     hinv = fd.slab_inverse(h, own, shell)
     theta = fd.plane_partials(grid, h, (0,), shell)[0]
     theta *= -0.5

@@ -18,8 +18,13 @@ once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
 grid-major with batched matmuls and takes single partials on a box with
 `Grid.grad`.
 
-Every derivative, on either layout, comes from one stencil, `_difference`:
-second-order central differences, one-sided at the boundary.  Every residual
+Every derivative on a grid, on either layout, comes from one stencil,
+`_difference`: second-order central differences, one-sided at the boundary.
+Only 1-D derivatives of samples along one coordinate array keep numpy's
+`np.gradient`: `flow.primitive_error_estimate` (edge_order 1), the fallback
+of `flow.pp_ricci_residual` for profiles without exact derivatives, and the
+three universal-cover derivatives of `coordinate_fields` (`_mixed_defect`,
+`build_universal_theta`, `warped_F_for_ricci_flat`).  Every residual
 norm skips the `COLLAR` nodes at each end of each grid axis, and every
 coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
 neither is a parameter.  `plane_partials` acts over a tuple of grid axes,
@@ -35,10 +40,12 @@ grid.  The degeneracy test walks the same slabs.
 
 Sampling and checking a grid cost only its payload.  `Grid.meshgrid` and
 `Grid.from_function` hand out the node coordinates as read-only broadcast
-views of the axes, never as dense copies, and `from_function` copies a
-sampled result only where it must own it.  Every grid tests its values for
-inf and NaN in blocks of at most `FINITE_BLOCK` entries, with no full-size
-temporary, and a refusal names the first bad node and component.
+views of the axes, never as dense copies, and sampling makes no copy: a
+constant stays a broadcast view, a coordinate the view it is.  Every grid
+tests its values for inf and NaN in blocks of at most `FINITE_BLOCK`
+entries, with no full-size temporary, and a refusal names the first bad node
+and component.  Every grid then keeps a read-only view of the values it
+validated, so they cannot be written through it.
 """
 
 from __future__ import annotations
@@ -46,13 +53,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import struct
 
 import numpy as np
 
 from .errors import DegenerateCoframe, GridInvalid, GridTooSmall, SingularMatrix
-
-MAGIC = b"CPGRID1\n"
 
 # Nodes skipped at each end of each grid axis by every residual norm: no
 # first or second difference quotient in a report then reads the one-sided
@@ -68,18 +72,21 @@ class Grid:
     """A field sampled on a uniform box grid with `ndim` (fixed by each
     subclass) leading grid axes.  `box` holds one (lo, hi) interval per grid
     axis; `values` has shape (*grid_shape, *component_shape), with at least 5
-    samples per grid axis."""
+    samples per grid axis.  The grid keeps a read-only view of the values it
+    validated, not a copy, so nothing written through the grid escapes its
+    checks."""
 
     ndim = 0
 
     def __init__(self, box, values):
         k = self.ndim
         box = _box(box, k)
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values, dtype=float).view()
         if values.ndim < k:
             raise GridInvalid(f"values must carry {k} leading grid axes")
         _require_samples(values.shape[:k])
         _require_finite(values, k)
+        values.flags.writeable = False
         self.box = box
         self.values = values
         self.spacing = tuple((b - a) / (n - 1) for (a, b), n in zip(box, self.shape))
@@ -106,11 +113,11 @@ class Grid:
         """Sample func(*coordinates) (broadcasting over arrays) with n samples
         per axis: one count for every axis or one per axis.  The coordinates
         are read-only views (`_mesh`), so sampling allocates only what func
-        returns.  A result short of the grid's shape (a constant) is
-        broadcast into an array of its own, and one that shares memory with
-        the coordinates (a coordinate itself) is copied.  Any other count,
-        and a box that `Grid` would refuse, is refused before func is
-        called."""
+        returns: a result short of the grid's shape (a constant) becomes a
+        broadcast view, and a coordinate itself stays the view it is.  func
+        runs with numpy's floating-point warnings off, as the finiteness test
+        of `Grid` refuses a non-finite sample by name.  Any other count, and
+        a box that `Grid` would refuse, is refused before func is called."""
         k = cls.ndim
         box = _box(box, k)
         try:
@@ -121,12 +128,10 @@ class Grid:
             raise GridInvalid(f"need {k} sample counts, got {len(counts)}")
         _require_samples(counts)
         axes = [np.linspace(a, b, c) for (a, b), c in zip(box, counts)]
-        mesh = _mesh(axes)
-        vals = np.asarray(func(*mesh), dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = np.asarray(func(*_mesh(axes)), dtype=float)
         if vals.shape[:k] != counts:
-            vals = np.broadcast_to(vals, counts).copy()
-        elif any(np.may_share_memory(vals, x) for x in axes):
-            vals = vals.copy()
+            vals = np.broadcast_to(vals, counts)
         return cls(box, vals)
 
     def like(self, values):
@@ -135,7 +140,6 @@ class Grid:
         new = type(self)(self.box, values)
         if new.shape != self.shape:
             raise GridInvalid(f"values on grid {new.shape} do not fit grid {self.shape}")
-        new.spacing = self.spacing
         return new
 
     def grad(self, values, axis, own=None):
@@ -148,39 +152,6 @@ class Grid:
         line = values[own[:axis] + (slice(None),) + own[axis + 1:]]
         _difference(line, self.spacing[axis], axis, out, lo, hi)
         return out
-
-    # -- serialization ------------------------------------------------------
-
-    def to_binary(self) -> bytes:
-        """Flat little-endian layout: magic, ndim int64 axis sizes, 2 ndim
-        float64 box bounds, int64 payload rank and dims, row-major float64 data."""
-        k, comp = self.ndim, self.component_shape
-        bounds = (v for ab in self.box for v in ab)
-        head = struct.pack(f"<{k}q{2 * k}dq{len(comp)}q", *self.shape, *bounds, len(comp), *comp)
-        return MAGIC + head + np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-
-    @classmethod
-    def from_binary(cls, blob: bytes):
-        """Inverse of `to_binary`; every size is checked against the blob
-        length before anything is allocated."""
-        k = cls.ndim
-        if blob[: len(MAGIC)] != MAGIC:
-            raise GridInvalid("not a grid binary blob")
-        head = struct.Struct(f"<{k}q{2 * k}dq")
-        off = len(MAGIC) + head.size
-        if len(blob) < off:
-            raise GridInvalid(f"truncated header: {len(blob)} bytes, need {off}")
-        fields = head.unpack_from(blob, len(MAGIC))
-        shape, bounds, rank = fields[:k], fields[k: 3 * k], fields[3 * k]
-        if not 0 <= rank <= (len(blob) - off) // 8:
-            raise GridInvalid(f"payload rank {rank} does not fit a {len(blob)}-byte blob")
-        full = shape + struct.unpack_from(f"<{rank}q", blob, off)
-        off += 8 * rank
-        if any(d < 0 for d in full) or 8 * math.prod(full) != len(blob) - off:
-            raise GridInvalid(f"{len(blob) - off} data bytes do not fit shape {full}")
-        values = np.frombuffer(blob, dtype="<f8", offset=off).reshape(full)
-        box = tuple(zip(bounds[0::2], bounds[1::2]))
-        return cls(box, values.copy())
 
 
 def _box(box, k):
@@ -533,8 +504,7 @@ def require_regular(rows) -> None:
     bad = []
     for a, b in _slabs(rows.shape[:-2]):
         part = to_planes(rows[a:b], rows.ndim - 2)  # part[r, j] = (e_r)_j
-        # every row's largest |entry|, an elementwise maximum over the components
-        top = functools.reduce(np.maximum, (np.abs(part[:, j]) for j in range(3)))
+        top = _max_abs_entry(part[:, j] for j in range(3))  # over each row
         part = np.ldexp(part, -np.frexp(top)[1][:, None], out=part)
         del top
         # the product of the row norms, one row at a time
@@ -558,16 +528,19 @@ def is_symmetric(m) -> bool:
     its own largest |entry|, a test invariant under m -> c m; a NaN, or an
     inf on the diagonal, fails."""
     n = m.shape[-1]
-    # an elementwise maximum over the n^2 entries, as in `_neg_exponents`,
-    # and only the pairs i < j: numpy's max over the two short trailing axes
-    # and the full m - m^T took 1.9 ms where this takes 0.35 ms at 9^4 nodes
-    # of 4x4 blocks
-    tol = 1e-8 * functools.reduce(np.maximum, (np.abs(m[..., i, j])
-                                               for i in range(n) for j in range(n)))
-    # a diagonal entry fails |m_ii - m_ii| <= tol only where it is inf or NaN
+    tol = 1e-8 * _max_abs_entry(m[..., i, j] for i in range(n) for j in range(n))
+    # only the pairs i < j: a diagonal entry fails |m_ii - m_ii| <= tol only
+    # where it is inf or NaN
     return (all(np.isfinite(m[..., i, i]).all() for i in range(n))
             and all((np.abs(m[..., i, j] - m[..., j, i]) <= tol).all()
                     for i in range(n) for j in range(i + 1, n)))
+
+
+def _max_abs_entry(entries) -> np.ndarray:
+    """max |entry| over the arrays `entries`, elementwise, one array at a time
+    (a NaN propagates).  numpy's max over two short trailing axes took 0.37 ms
+    where this takes 0.09 ms at 7225 nodes of 3x3 blocks."""
+    return functools.reduce(np.maximum, (np.abs(x) for x in entries))
 
 
 def max_abs(values) -> float:
@@ -590,12 +563,8 @@ def interior_max(values, naxes: int) -> float:
 
 def _neg_exponents(m):
     """-k per n x n block of planes m, 2**k <= max |entry| < 2**(k + 1)."""
-    # an elementwise maximum over the n^2 entries; numpy's max over the two
-    # short trailing axes took 0.37 ms where this takes 0.09 ms at 7225
-    # nodes of 3x3 blocks
     n = len(m)
-    top = functools.reduce(np.maximum, (np.abs(m[i, j]) for i in range(n) for j in range(n)))
-    return -np.frexp(top)[1]
+    return -np.frexp(_max_abs_entry(m[i, j] for i in range(n) for j in range(n)))[1]
 
 
 def _cofactor3(m, i, j, out=None):
@@ -670,10 +639,10 @@ def _adjugate4(m, top, bottom, adj):
 
 def inverse4(m, on_signature) -> np.ndarray:
     """Inverses of the 4x4 blocks of grid-major `m` (*grid, 4, 4), as
-    component planes (4, 4, *grid), in one closed-form pass that also tests
-    each block's signature.  Raises SingularMatrix (a LinAlgError) where a
-    block is singular or its inverse is not representable; never returns
-    inf or NaN.
+    read-only component planes (4, 4, *grid), in one closed-form pass that
+    also tests each block's signature.  Raises SingularMatrix (a LinAlgError)
+    where a block is singular or its inverse is not representable; never
+    returns inf or NaN.
 
     The pass scales a planes copy of `m` in place and forms the twelve 2x2
     minors of rows (0, 1) and (2, 3) once.  From them come det m, the
@@ -720,7 +689,9 @@ def inverse4(m, on_signature) -> np.ndarray:
         del top, bottom, a
         inv /= det
         np.ldexp(inv, nk, out=inv)
-    return _finite(inv)
+    inv = _finite(inv)
+    inv.flags.writeable = False
+    return inv
 
 
 def _finite(inv):

@@ -8,13 +8,13 @@ nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
-refuses a malformed count before it samples.  It tests its symmetry, then
-validates its signature and inverts itself in one closed-form pass on
-component planes (`grid.inverse4`), after which its values are read-only
-and g^-1 is kept as read-only planes; `inverse` returns their grid-major
-view, whose `to_planes` is those planes again.  Every Christoffel set, the
-pair algebra and kappa share that inverse: kappa reads the g^-1 l that the
-pair algebra raised.
+refuses a malformed count before it samples, and its values are read-only,
+as every grid's are.  It tests its symmetry, then validates its signature
+and inverts itself in one closed-form pass on component planes
+(`grid.inverse4`), which returns g^-1 as read-only planes; `inverse`
+returns their grid-major view, whose `to_planes` is those planes again.
+Every Christoffel set, the pair algebra and kappa share that inverse: kappa
+reads the g^-1 l that the pair algebra raised.
 The FD kernels run on component planes, as the 3x3 ones do
 (`grid.plane_christoffel`, `plane_covariant_derivative`,
 `plane_partials`), and so do the null/unit/orthogonality algebra and kappa
@@ -84,14 +84,8 @@ class Metric4Grid(Grid4):
         if not fd.is_symmetric(self.values):
             raise GridInvalid("metric must be symmetric at every node")
         # one closed-form pass tests the signature and inverts every block
-        planes = fd.inverse4(self.values, self._require_lorentzian)
-        planes.flags.writeable = False
-        self._inverse = fd.from_planes(planes, self.ndim)
-        # a read-only view of the caller's array, not a copy: the validated
-        # metric, from which the inverse was built, cannot be written through
-        # the grid
-        self.values = self.values.view()
-        self.values.flags.writeable = False
+        self._inverse = fd.from_planes(fd.inverse4(self.values, self._require_lorentzian),
+                                       self.ndim)
 
     @staticmethod
     def _require_lorentzian(lorentzian):

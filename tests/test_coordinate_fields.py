@@ -58,16 +58,6 @@ class TestFieldGrid:
         assert g.spacing == (0.25, 0.25, 0.5)
         assert g.axis(2)[0] == 0 and g.axis(2)[-1] == 3
 
-    def test_binary_round_trip(self, rng):
-        g = FieldGrid(BOX, rng.standard_normal((5, 6, 7, 3, 3)))
-        back = FieldGrid.from_binary(g.to_binary())
-        assert back.box == g.box
-        assert np.array_equal(back.values, g.values)
-
-    def test_binary_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            FieldGrid.from_binary(b"not a grid")
-
 
 class TestExteriorCalculus:
     def test_d_of_affine_covector_exact(self):

@@ -1,9 +1,8 @@
-"""Tests for the shared N-axis grid: typed errors, the binary layout of every
-grid dimension, and the per-slice kernels against the 3D ones."""
+"""Tests for the shared N-axis grid: typed errors, sampling, the read-only
+values of every grid type, and the per-slice kernels against the 3D ones."""
 
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -21,10 +20,6 @@ from conftest import christoffel_reference, traced_peak
 
 BOX3 = ((0.0, 0.1), (0.0, 0.2), (0.0, 0.3))
 BOX4 = ((0.0, 1.0),) + BOX3
-
-
-def field_blob(rng):
-    return FieldGrid(BOX3, rng.standard_normal((5, 6, 7, 3))).to_binary()
 
 
 class TestGridInvalid:
@@ -110,40 +105,6 @@ class TestGridInvalid:
         with pytest.raises(GridInvalid):
             Grid4.from_function(box, 5, func)
 
-    def test_bad_magic(self, rng):
-        blob = field_blob(rng)
-        with pytest.raises(GridInvalid):
-            FieldGrid.from_binary(b"CPGRID2\n" + blob[8:])
-
-    @pytest.mark.parametrize("cut", [8, 20, 79])
-    def test_truncated_header(self, rng, cut):
-        with pytest.raises(GridInvalid, match="truncated header"):
-            FieldGrid.from_binary(field_blob(rng)[:cut])
-
-    @pytest.mark.parametrize("cut", [88, 100, -8, -1])
-    def test_truncated_data(self, rng, cut):
-        with pytest.raises(GridInvalid):
-            FieldGrid.from_binary(field_blob(rng)[:cut])
-
-    def test_trailing_bytes(self, rng):
-        with pytest.raises(GridInvalid):
-            FieldGrid.from_binary(field_blob(rng) + b"\0" * 8)
-
-    @pytest.mark.parametrize("offset", [8, 16, 88])
-    def test_forged_size(self, rng, offset):
-        # offsets 8 and 16 are axis sizes, 88 the payload dimension
-        blob = bytearray(field_blob(rng))
-        struct.pack_into("<q", blob, offset, 2**40)
-        with pytest.raises(GridInvalid):
-            FieldGrid.from_binary(bytes(blob))
-
-    @pytest.mark.parametrize("rank", [2**40, -1])
-    def test_forged_rank(self, rng, rank):
-        blob = bytearray(field_blob(rng))
-        struct.pack_into("<q", blob, 80, rank)
-        with pytest.raises(GridInvalid):
-            FieldGrid.from_binary(bytes(blob))
-
 
 class TestSampling:
     """Sampling and checking a grid costs only its payload: the coordinates
@@ -178,59 +139,77 @@ class TestSampling:
         with pytest.raises(ValueError, match="read-only"):
             cls.from_function(box, n, lambda *x: x[-1].__iadd__(1.0))
 
-    @pytest.mark.parametrize("func", [lambda x, y, z: y, lambda x, y, z: y[..., None]])
-    def test_a_coordinate_is_sampled_into_an_array_of_its_own(self, func):
+    @pytest.mark.parametrize("func", [lambda x, y, z: y, lambda x, y, z: y[..., None]],
+                             ids=["y", "y_column"])
+    def test_a_coordinate_is_sampled_as_its_read_only_view(self, func):
         seen = []
         grid = FieldGrid.from_function(BOX3, (7, 8, 9), lambda *x: seen.append(x) or func(*x))
         y = seen[0][1]
-        assert not np.shares_memory(grid.values, y)
+        assert np.shares_memory(grid.values, y)
         np.testing.assert_array_equal(grid.values.reshape(y.shape), y)
-        grid.values[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[...] = 0.0
         assert y[0, -1, 0] == BOX3[1][1]
 
-    def test_a_constant_is_broadcast_into_an_array_of_its_own(self):
-        grid = FieldGrid.from_function(BOX3, 5, lambda x, y, z: 2.5)
-        assert grid.values.shape == (5, 5, 5)
-        assert grid.values.flags.writeable and grid.values.flags.owndata
+    def test_a_constant_is_sampled_as_a_read_only_broadcast(self):
+        box = ((0.0, 1.0),) * 3
+        grid = FieldGrid.from_function(box, 65, lambda x, y, z: 2.5)
+        assert grid.values.shape == (65, 65, 65)
+        assert not grid.values.flags.writeable
         assert (grid.values == 2.5).all()
+        # no grid-sized array: the payload would take 2.2 MB, and the
+        # finiteness test's blocks take ~0.13 MB
+        peak = traced_peak(lambda: FieldGrid.from_function(box, 65, lambda x, y, z: 2.5))
+        assert peak <= 65**3 * 8 / 8
 
 
-class TestSerialization:
-    def test_field_grid_header_layout(self, rng):
-        vals = rng.standard_normal((5, 6, 7, 3, 2))
-        blob = FieldGrid(BOX3, vals).to_binary()
-        header = 8 + 3 * 8 + 6 * 8 + 8 + 2 * 8
-        assert len(blob) == header + vals.size * 8
-        assert blob[:8] == b"CPGRID1\n"
-        assert struct.unpack_from("<3q", blob, 8) == (5, 6, 7)
-        assert struct.unpack_from("<6d", blob, 32) == (0.0, 0.1, 0.0, 0.2, 0.0, 0.3)
-        assert struct.unpack_from("<3q", blob, 80) == (2, 3, 2)
-        assert blob[header:] == vals.astype("<f8").tobytes()
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
-    def test_grid4_round_trip(self, rng):
-        g = Grid4(BOX4, rng.standard_normal((5, 6, 5, 7, 3)))
-        blob = g.to_binary()
-        assert len(blob) == 8 + 4 * 8 + 8 * 8 + 8 + 8 + g.values.size * 8
-        back = Grid4.from_binary(blob)
-        assert type(back) is Grid4
-        assert back.box == g.box
-        np.testing.assert_array_equal(back.values, g.values)
 
-    def test_metric4_round_trip(self):
-        def gfun(t, x, y, z):
-            out = np.zeros(t.shape + (4, 4))
-            out[..., 0, 0] = -1.0 - t**2
-            out[..., 1, 1] = 1.0 + x * y
-            out[..., 2, 2] = 1.0
-            out[..., 3, 3] = np.exp(z)
-            out[..., 1, 2] = out[..., 2, 1] = 0.1 * t
-            return out
+def _milne(t, x, y, z):
+    g = np.zeros(t.shape + (4, 4))
+    g[...] = ETA
+    g[..., 1, 1] = (1.0 + t) ** 2
+    return g
 
-        g = Metric4Grid.from_function(BOX4, (5, 6, 5, 5), gfun)
-        back = Metric4Grid.from_binary(g.to_binary())
-        assert type(back) is Metric4Grid
-        assert back.box == g.box
-        np.testing.assert_array_equal(back.values, g.values)
+
+# grid type -> box, sample counts and func of each `from_function` route; a
+# 4x4 payload is never a coordinate itself
+SAMPLED = {
+    FieldGrid: (BOX3, (7, 8, 9), {"dense": lambda x, y, z: x * y + z,
+                                  "constant": lambda *x: 2.5,
+                                  "coordinate": lambda x, y, z: y}),
+    Grid4: (BOX4, (5, 6, 7, 8), {"dense": lambda t, x, y, z: t * x + y * z,
+                                 "constant": lambda *x: -0.5,
+                                 "coordinate": lambda t, x, y, z: z}),
+    Metric4Grid: (BOX4, (5, 6, 5, 7), {"dense": _milne,
+                                       "constant": lambda t, *x: np.broadcast_to(
+                                           ETA, t.shape + (4, 4))}),
+}
+
+
+@pytest.mark.parametrize("cls, route", [
+    (cls, route) for cls, (_, _, funcs) in SAMPLED.items()
+    for route in ("constructor", *funcs, "like")
+])
+def test_every_grid_holds_read_only_values(cls, route):
+    # a validated grid cannot be written, whichever route built it; the
+    # caller's own array stays writable, and every route gives the spacing
+    # that the box and counts fix
+    box, n, funcs = SAMPLED[cls]
+    source = cls.from_function(box, n, funcs["dense"])
+    own = source.values.copy()
+    if route == "constructor":
+        grid = cls(box, own)
+    elif route == "like":
+        grid = source.like(own)
+    else:
+        grid = cls.from_function(box, n, funcs[route])
+    assert type(grid) is cls and grid.shape == source.shape
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[(0,) * grid.values.ndim] = 1.0
+    assert own.flags.writeable
+    assert [h.hex() for h in grid.spacing] == [h.hex() for h in source.spacing]
 
 
 class TestSliceKernels:
