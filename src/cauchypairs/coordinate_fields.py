@@ -5,8 +5,11 @@ Fields are sampled on 3-axis grids over a box in R^3 with the coordinate
 order (x, y, z).  The grid type, the stencils, the residual collar
 `grid.COLLAR`, the coframe degeneracy test at `grid.DEGENERACY_TOL` and the
 slab driver `grid.slab_max`, which runs the constraint residual in x-slabs,
-are those of `cauchypairs.grid`, shared with the 4D modules.  The
-universal-cover checks have one tolerance each, `MIXED_TOL`, `YZ_TOL` and
+are those of `cauchypairs.grid`, shared with the 4D modules.  The universal
+cover takes its x-derivatives from the same stencil (`grid.derivative`) and
+factors h_x once: `spd_sqrt` gives the transverse rows B, one inverse gives
+B^-1, whose columns are the frame vectors, and the mixed defect and Theta both
+read it.  Its checks have one tolerance each, `MIXED_TOL`, `YZ_TOL` and
 `DERIV_TOL`.
 """
 
@@ -147,8 +150,11 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
 
 def spd_sqrt(m) -> np.ndarray:
     """The symmetric positive definite square root of each trailing SPD
-    block of `m`, v diag(sqrt(w)) v^T from its eigendecomposition."""
+    block of `m`, v diag(sqrt(w)) v^T from its eigendecomposition; raises
+    GridInvalid where a block is not positive definite."""
     w, v = np.linalg.eigh(m)
+    if np.any(w <= 0):
+        raise GridInvalid("hx must be positive definite at every x sample")
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
@@ -178,20 +184,16 @@ class UniversalCoverData:
             raise GridInvalid("hx must produce 2x2 matrices")
         if not fd.is_symmetric(hx_samples):
             raise GridInvalid("hx must be symmetric")
-        eig = np.linalg.eigvalsh(hx_samples)
-        if np.any(eig <= 0):
-            raise GridInvalid("hx must be positive definite at every x sample")
+        root = spd_sqrt(hx_samples)
         self.hx_samples = hx_samples
-        self._hx_inverse = np.linalg.inv(hx_samples)
         self.F_samples = np.array([float(F(xi)) for xi in x])
-        self.transverse = self._factorize()
+        self.transverse, self._transverse_inverse = self._factorize(x, root)
 
-    def _factorize(self) -> np.ndarray:
-        """Rows (e_l, e_n) of a square-root factorization satisfying the
-        mixed condition; symmetric SPD root, then a rotation repair."""
-        x = self.u_grid.axis(0)
-        root = spd_sqrt(self.hx_samples)
-        defect = self._mixed_defect(x, root)
+    def _factorize(self, x, root):
+        """Rows B = (e_l, e_n) of a square-root factorization satisfying the
+        mixed condition, and B^-1: the symmetric SPD `root`, then a rotation
+        repair."""
+        defect, binv = self._mixed_defect(root)
         scale = max(1.0, float(np.abs(root).max()))
         # the defect is measured with second-order finite differences, so it
         # cannot be resolved below an O(h^2) floor on any smooth family
@@ -206,31 +208,28 @@ class UniversalCoverData:
             phi = 0.5 * fd.cumulative_trapezoid(defect, x)
             c, s = np.cos(phi), np.sin(phi)
             root = np.array([[c, -s], [s, c]]).transpose(2, 0, 1) @ root
-            defect = self._mixed_defect(x, root)
+            defect, binv = self._mixed_defect(root)
             if np.abs(defect).max() > threshold:
                 i = int(np.argmax(np.abs(defect)))
                 raise MixedConditionViolated(
                     "mixed symmetry condition fails after rotation repair",
-                    max_residual=float(np.abs(defect).max()),
-                    location=float(x[i]),
-                )
+                    max_residual=float(np.abs(defect).max()), location=float(x[i]))
         self.mixed_residual = float(np.abs(defect).max())
-        return root
+        return root, binv
 
-    def _mixed_defect(self, x, root) -> np.ndarray:
-        """(d_x e_l)(e_n#) - (d_x e_n)(e_l#) along the x axis."""
-        droot = np.gradient(root, x, axis=0, edge_order=2)
-        a = np.einsum("xi,xij,xj->x", droot[:, 0, :], self._hx_inverse, root[:, 1, :])
-        b = np.einsum("xi,xij,xj->x", droot[:, 1, :], self._hx_inverse, root[:, 0, :])
-        return a - b
+    def _mixed_defect(self, rows):
+        """(d_x e_l)(e_n#) - (d_x e_n)(e_l#) along the x axis of the rows B,
+        and B^-1.  With h_x = B^T B, e_a# is column a of B^-1, so the defect
+        is the antisymmetric part of B' B^-1, its (l, n) entry less (n, l)."""
+        binv = np.linalg.inv(rows)
+        m = fd.derivative(rows, self.u_grid.spacing[0]) @ binv
+        return m[:, 0, 1] - m[:, 1, 0], binv
 
     def coframe_grid(self) -> FieldGrid:
         """Coordinate components of (e_u, e_l, e_n) on the full grid."""
-        nx, ny, nz = self.u_grid.shape
-        e = np.zeros((nx, ny, nz, 3, 3))
+        e = np.zeros(self.u_grid.shape + (3, 3))
         e[..., 0, 0] = np.exp(self.u_grid.values)
-        e[..., 1, 1:] = self.transverse[:, None, None, 0, :]
-        e[..., 2, 1:] = self.transverse[:, None, None, 1, :]
+        e[..., 1:, 1:] = self.transverse[:, None, None]
         return self.u_grid.like(e)
 
 
@@ -243,29 +242,23 @@ def build_universal_theta(data: UniversalCoverData) -> FieldGrid:
     """
     g = data.u_grid
     u = g.values
-    x = g.axis(0)
     eu_exp = np.exp(-u)
 
     du = [g.grad(u, i) for i in range(3)]
 
-    # transverse frame vectors: columns of the inverse factorization matrix
-    binv = np.linalg.inv(data.transverse)  # (nx, 2, 2); v_l = binv[:, :, 0]
-    dhx = np.gradient(data.hx_samples, x, axis=0, edge_order=2)
+    # transverse frame vectors: the columns of B^-1, B the transverse rows
+    binv = data._transverse_inverse  # (nx, 2, 2)
+    dhx = fd.derivative(data.hx_samples, g.spacing[0])
 
-    nx, ny, nz = g.shape
-    th = np.zeros((nx, ny, nz, 3, 3))
+    th = np.zeros(g.shape + (3, 3))
     th[..., 0, 0] = eu_exp * (data.F_samples[:, None, None] + du[0])
 
-    # Theta(e_u, e_i) = du(e_i#) for the transverse frame directions
-    for i in range(2):  # frame index l, n
-        v = binv[:, :, i]  # (nx, 2) components on (partial_y, partial_z)
-        val = du[1] * v[:, None, None, 0] + du[2] * v[:, None, None, 1]
-        th[..., 0, 1 + i] = val
-        th[..., 1 + i, 0] = val
+    # Theta(e_u, e_a) = du(e_a#) for the transverse frame directions
+    for a in range(2):  # frame index l, n
+        v = binv[:, None, None, :, a]  # components on (partial_y, partial_z)
+        th[..., 0, 1 + a] = th[..., 1 + a, 0] = du[1] * v[..., 0] + du[2] * v[..., 1]
 
-    block = -0.5 * np.einsum(
-        "xim,xmn,xjn->xij", binv.transpose(0, 2, 1), dhx, binv.transpose(0, 2, 1)
-    )
+    block = -0.5 * (np.swapaxes(binv, 1, 2) @ dhx @ binv)
     th[..., 1:, 1:] = eu_exp[..., None, None] * block[:, None, None, :, :]
     return g.like(th)
 
@@ -283,26 +276,20 @@ def warped_F_for_ricci_flat(w, u_grid: FieldGrid):
     valid when w' never vanishes and the bracketed u-term depends on x only.
     Returns the sampled F(x) array.
     """
-    x = u_grid.axis(0)
-    w_s = np.array([float(w(xi)) for xi in x])
-    dw = np.gradient(w_s, x, edge_order=2)
-    ddw = np.gradient(dw, x, edge_order=2)
+    h = u_grid.spacing[0]
+    w_s = np.array([float(w(xi)) for xi in u_grid.axis(0)])
+    dw = fd.derivative(w_s, h)
+    ddw = fd.derivative(dw, h)
     if np.any(np.abs(dw) <= DERIV_TOL):
         raise WDerivativeVanishes("w'(x) vanishes at some sample")
 
     u = u_grid.values
-    uy = u_grid.grad(u, 1)
-    uz = u_grid.grad(u, 2)
-    uyy = u_grid.grad(uy, 1)
-    uzz = u_grid.grad(uz, 2)
+    uy, uz = u_grid.grad(u, 1), u_grid.grad(u, 2)
     bracket = np.exp(2 * (u - w_s[:, None, None])) * (
-        2 * uy**2 + 2 * uz**2 + uyy + uzz
-    )
+        2 * uy**2 + 2 * uz**2 + u_grid.grad(uy, 1) + u_grid.grad(uz, 2))
     spread = bracket.max(axis=(1, 2)) - bracket.min(axis=(1, 2))
     scale = max(1.0, float(np.abs(bracket).max()))
     if spread.max() > YZ_TOL * scale:
-        raise YZDependence(
-            f"u-dependent term varies over (y, z) by {spread.max():.3e}"
-        )
+        raise YZDependence(f"u-dependent term varies over (y, z) by {spread.max():.3e}")
     bx = bracket.mean(axis=(1, 2))
     return -(ddw + dw**2) / dw - bx / (2 * dw)

@@ -10,7 +10,9 @@ components (dx, dy, dz), and `comoving_residual` takes it;
 `comoving_metric` is its development metric and `primitive_error_estimate`
 the error of its quadrature.  Every family is sampled by
 `Grid.from_function` (`pp_metric` by `Metric4Grid.from_function`), so a
-malformed sample count is refused before any profile is evaluated.
+malformed sample count is refused before any profile is evaluated.  Every
+derivative here, of a grid or of a profile's samples, is the grid's one
+stencil; the pp-wave ODE residual reads exact derivatives only.
 
 Every norm skips the `grid.COLLAR` on all four axes.  No node on a spatial
 face reaches the comoving report; the t faces reach `theta_eu_static`, a
@@ -119,9 +121,10 @@ class DiagonalFamily:
     case "B_nonzero": f_u^t = a + b t with constants a, b (b != 0) and
     transverse profiles L_l(x + log|a + b t|/b, y), L_n(same, z).
     case "B_zero": b = 0, a = a(x) > 0, profiles L_l(t + A(x), y) and
-    L_n(t + A(x), z) with A the primitive of a vanishing at 0.  Profiles
-    must be nowhere zero on the sampled domain.  `a_primitive`, if given,
-    replaces the composite-Simpson primitive with an exact one.
+    L_n(t + A(x), z) with A a primitive of a: the composite-Simpson one, 0 at
+    the box's first x node, or the exact `a_primitive` if given.  A constant
+    shift of A gives a solution too, so the two agree up to one.  Profiles
+    must be nowhere zero on the sampled domain.
     """
 
     case: str
@@ -190,18 +193,18 @@ def diagonal_solution(fam: DiagonalFamily, interval, box, n) -> Grid4:
 
 
 def primitive_error_estimate(fam: DiagonalFamily, coframe: Grid4) -> float:
-    """An estimate of the error of case B_zero's composite-Simpson primitive
-    on the x axis of its sampled `coframe`: (x1 - x0) h^4 max |a^(4)| / 180,
-    with a^(4) by repeated central differences of the samples f_u = a(x).
-    0 where no quadrature is made (case B_nonzero, or an exact
-    `a_primitive`)."""
+    """An estimate of the error of case B_zero's composite-Simpson primitive,
+    which vanishes at the first x node, on the x axis of its sampled
+    `coframe`: (x1 - x0) h^4 max |a^(4)| / 180, with a^(4) by four nested
+    differences of the samples f_u = a(x) (`grid.derivative`).  0 where no
+    quadrature is made (case B_nonzero, or an exact `a_primitive`)."""
     if fam.case == "B_nonzero" or fam.a_primitive is not None:
         return 0.0
-    x = coframe.axis(1)
-    a_x = coframe.values[0, :, 0, 0, 0, 0]
-    h = coframe.spacing[1]
-    d4 = np.gradient(np.gradient(np.gradient(np.gradient(a_x, h), h), h), h)
-    return float((x[-1] - x[0]) * h**4 * np.abs(d4).max() / 180)
+    (x0, x1), h = coframe.box[1], coframe.spacing[1]
+    d4 = coframe.values[0, :, 0, 0, 0, 0]
+    for _ in range(4):
+        d4 = fd.derivative(d4, h)
+    return float((x1 - x0) * h**4 * np.abs(d4).max() / 180)
 
 
 def diagonal_ricci_flat_residual(fam: DiagonalFamily, interval, box, n) -> np.ndarray:
@@ -229,9 +232,10 @@ def diagonal_ricci_flat_residual(fam: DiagonalFamily, interval, box, n) -> np.nd
 class PPWaveData:
     """Two-function pp-wave family in null coordinates (x+, x-, y1, y2).
 
-    `fl`, `fn` are smooth functions of x+; `c` is a real constant.  Optional
-    `dfl`, `dfn`, `ddfl`, `ddfn` provide analytic derivatives for the ODE
-    residuals; otherwise central differences are used.
+    `fl`, `fn` are smooth functions of x+; `c` is a real constant.  `dfl`,
+    `dfn`, `ddfl`, `ddfn` are their exact derivatives, which the ODE residual
+    `pp_ricci_residual` needs; without them the data can still sample its
+    metric (`pp_metric`).
     """
 
     fl: object
@@ -291,19 +295,15 @@ def pp_metric(data: PPWaveData, box, n) -> Metric4Grid:
 
 
 def pp_ricci_residual(data: PPWaveData, x):
-    """The two Ricci-flat ODE residuals r_i = (d f_i)^2 + d^2 f_i sampled on x."""
+    """The two Ricci-flat ODE residuals r_i = (d f_i)^2 + d^2 f_i sampled on x,
+    from the exact derivatives of the profiles; data without all four is
+    refused with ParamOutOfRange."""
+    pairs = ((data.dfl, data.ddfl), (data.dfn, data.ddfn))
+    if any(f is None for pair in pairs for f in pair):
+        raise ParamOutOfRange("the pp-wave ODE residual needs exact dfl, dfn, ddfl and ddfn")
     x = np.asarray(x, dtype=float)
-    out = []
-    for f, df, ddf in ((data.fl, data.dfl, data.ddfl),
-                       (data.fn, data.dfn, data.ddfn)):
-        if df is not None and ddf is not None:
-            d1, d2 = np.asarray(df(x), dtype=float), np.asarray(ddf(x), dtype=float)
-        else:
-            vals = np.asarray(f(x), dtype=float)
-            d1 = np.gradient(vals, x, edge_order=2)
-            d2 = np.gradient(d1, x, edge_order=2)
-        out.append(d1**2 + d2)
-    return tuple(out)
+    return tuple(np.asarray(df(x), dtype=float) ** 2 + np.asarray(ddf(x), dtype=float)
+                 for df, ddf in pairs)
 
 
 def _bivector_action() -> np.ndarray:

@@ -14,17 +14,15 @@ planes (`plane_inverse`), and grid-major 4x4 blocks to planes (`inverse4`),
 in one pass that also tests each block's Lorentzian signature, so a 4D
 metric is validated and inverted at once.  The caller hands the inverse to
 `plane_christoffel`, so each pipeline inverts, and so tests, its metric
-once.  The dense 4x4 and 6x6 curvature algebra of the 4D layer stays
-grid-major with batched matmuls and takes single partials on a box with
-`Grid.grad`.
+once.  The universal cover's one LAPACK `eigh`, `coordinate_fields.spd_sqrt`,
+refuses a block that is not positive definite.  The dense 4x4 and 6x6
+curvature algebra of the 4D layer stays grid-major with batched matmuls and
+takes single partials on a box with `Grid.grad`.
 
-Every derivative on a grid, on either layout, comes from one stencil,
-`_difference`: second-order central differences, one-sided at the boundary.
-Only 1-D derivatives of samples along one coordinate array keep numpy's
-`np.gradient`: `flow.primitive_error_estimate` (edge_order 1), the fallback
-of `flow.pp_ricci_residual` for profiles without exact derivatives, and the
-three universal-cover derivatives of `coordinate_fields` (`_mixed_defect`,
-`build_universal_theta`, `warped_F_for_ricci_flat`).  Every residual
+Every derivative in the package, on either layout and of 1-D samples along
+one grid axis alike, comes from one stencil, `_difference`: second-order
+central differences, one-sided at the boundary.  `derivative` runs it on a
+whole array, for the universal-cover and flow-profile samples.  Every residual
 norm skips the `COLLAR` nodes at each end of each grid axis, and every
 coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
 neither is a parameter.  `plane_partials` acts over a tuple of grid axes,
@@ -45,7 +43,8 @@ constant stays a broadcast view, a coordinate the view it is.  Every grid
 tests its values for inf and NaN in blocks of at most `FINITE_BLOCK`
 entries, with no full-size temporary, and a refusal names the first bad node
 and component.  Every grid then keeps a read-only view of the values it
-validated, so they cannot be written through it.
+validated, so they cannot be written through it; the caller hands its array
+over and must not write it after validation.
 """
 
 from __future__ import annotations
@@ -73,8 +72,9 @@ class Grid:
     subclass) leading grid axes.  `box` holds one (lo, hi) interval per grid
     axis; `values` has shape (*grid_shape, *component_shape), with at least 5
     samples per grid axis.  The grid keeps a read-only view of the values it
-    validated, not a copy, so nothing written through the grid escapes its
-    checks."""
+    validated, so nothing written through it escapes its checks, and not a
+    copy, which would hold the payload twice: the caller hands its array over
+    and must not write it after validation."""
 
     ndim = 0
 
@@ -114,10 +114,11 @@ class Grid:
         per axis: one count for every axis or one per axis.  The coordinates
         are read-only views (`_mesh`), so sampling allocates only what func
         returns: a result short of the grid's shape (a constant) becomes a
-        broadcast view, and a coordinate itself stays the view it is.  func
-        runs with numpy's floating-point warnings off, as the finiteness test
-        of `Grid` refuses a non-finite sample by name.  Any other count, and
-        a box that `Grid` would refuse, is refused before func is called."""
+        broadcast view, one that does not broadcast to it is refused, and a
+        coordinate itself stays the view it is.  func runs with numpy's
+        floating-point warnings off, as the finiteness test of `Grid` refuses
+        a non-finite sample by name.  Any other count, and a box that `Grid`
+        would refuse, is refused before func is called."""
         k = cls.ndim
         box = _box(box, k)
         try:
@@ -131,7 +132,10 @@ class Grid:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals = np.asarray(func(*_mesh(axes)), dtype=float)
         if vals.shape[:k] != counts:
-            vals = np.broadcast_to(vals, counts)
+            try:
+                vals = np.broadcast_to(vals, counts)
+            except ValueError:
+                raise GridInvalid(f"result {vals.shape} not broadcastable to {counts}") from None
         return cls(box, vals)
 
     def like(self, values):
@@ -245,6 +249,13 @@ def plane_partials(grid: Grid, planes, axes=None, own=None) -> np.ndarray:
         lo, hi, _ = own[i].indices(planes.shape[i - k])
         line = planes[(Ellipsis,) + own[:i] + (slice(None),) + own[i + 1:]]
         _difference(line, grid.spacing[i], i - k, out[slot], lo, hi)
+    return out
+
+
+def derivative(f, h, axis=0) -> np.ndarray:
+    """d f / dx along `axis` of all of f, x spaced by h: `_difference`, into a new array."""
+    out = np.empty(np.shape(f))
+    _difference(np.asarray(f, dtype=float), h, axis, out)
     return out
 
 
@@ -651,7 +662,7 @@ def inverse4(m, on_signature) -> np.ndarray:
     the principal 2-minors, e3 = tr adj m and e4 = det m.  Like the
     inverse, they read all 16 entries of a block, both triangles: they are
     the block's own, not those of one triangle's symmetric completion
-    (LAPACK's eigvalsh read the lower).
+    (LAPACK's symmetric eigensolver reads the lower).
 
     `on_signature` is called with the boolean planes (*grid) of the test
     lambda_0 < 0 < lambda_1 on each block's ascending eigenvalues before

@@ -75,7 +75,9 @@ def _shell(g: Grid4, own):
 
 
 class Metric4Grid(Grid4):
-    """Per-node symmetric 4x4 metric with mostly-plus Lorentzian signature."""
+    """Per-node symmetric 4x4 metric with mostly-plus Lorentzian signature,
+    a read-only view of the caller's array (`Grid`): not a copy, so the
+    caller must not write it after validation."""
 
     def __init__(self, box, values):
         super().__init__(box, values)
@@ -207,7 +209,7 @@ class ParabolicPairData:
     read-only planes `l_sharp` of g^-1 l, (4, *grid).  A pair is immutable:
     no attribute can be rebound, and neither g's values nor u, l and
     `l_sharp` can be written through it; u and l are read-only views of the
-    caller's arrays, not copies.
+    caller's arrays, not copies, which it hands over and must not write.
     """
 
     __slots__ = ("g", "u", "l", "l_sharp")

@@ -13,11 +13,11 @@ import pytest
 
 from cauchypairs import classifier, cli, coordinate_fields as cf, flow, grid as fd
 from cauchypairs import spacetime_verifier as sv
-from cauchypairs.errors import NotInGHForm, PairAlgebraViolated, SignatureViolation
+from cauchypairs.errors import ConfigInvalid, NotInGHForm, PairAlgebraViolated, SignatureViolation
 
 import test_spacetime
 from conftest import row_variants, sample_families
-from test_coordinate_fields import warped_realization
+from test_coordinate_fields import rotating_hx, warped_realization
 
 PACKAGE = "cauchypairs"
 
@@ -213,17 +213,50 @@ def test_two_diagonal_solutions_per_flow_diag_run(counter):
 
 
 def test_no_numpy_gradient_on_the_grid(monkeypatch):
-    """Every grid derivative takes its quotients from `grid._difference`; a
-    second stencil on the grid would show here as numpy.gradient calls."""
+    """Every derivative takes its quotients from `grid._difference`, and the
+    universal cover factors h_x once with matmul contractions: a second
+    stencil, an einsum or a second eigenvalue pass would show here as a call
+    to numpy.gradient, numpy.einsum or numpy.linalg.eigvalsh.  Only the
+    classifier's einsum, which serves the frame algebra, may run."""
     calls = []
-    gradient = np.gradient
-    monkeypatch.setattr(np, "gradient", lambda *a, **kw: calls.append(1) or gradient(*a, **kw))
-    cli.run(FLOW_PP)
-    cli.run(MILNE)
-    assert calls == []
-    # the 1-D profile derivatives on coordinate arrays keep numpy's stencil
-    flow.pp_ricci_residual(flow.PPWaveData(fl=np.sin, fn=np.cos), np.linspace(0, 1, 9))
-    assert len(calls) == 4
+    for module, name in ((np, "gradient"), (np, "einsum"), (np.linalg, "eigvalsh")):
+        def recorded(*a, _f=getattr(module, name), _n=name, **kw):
+            calls.append((_n, sys._getframe(1).f_globals["__name__"]))
+            return _f(*a, **kw)
+        monkeypatch.setattr(module, name, recorded)
+    for mode in cli.MODES:
+        try:
+            cli.run({"mode": mode})
+        except ConfigInvalid:
+            assert mode in ("flow-diag", "reproduce")  # each needs a family or fixture
+    for fixture in ("tau3mu", "table", "diag1", "diag2", "ppwave", "universal"):
+        cli.run({"mode": "reproduce", "fixture": fixture})
+    # a B_zero family with a named a(x): the quadrature and its estimate run
+    report = cli.run({"mode": "flow-diag", "interval": [0.0, 0.01],
+                      "family": {"case": "B_zero", "a": {"kind": "exp", "rate": 0.7}, "b": 0.0},
+                      "box": [[0.1, 0.15], [0, 0.01], [0, 0.01]], "n": [9, 17, 5, 5]})
+    assert report["result"]["primitive_error_estimate"] > 0
+    g = cf.FieldGrid.from_function(((0, 0.1),) * 3, (33, 5, 5), lambda x, y, z: 0.0 * x)
+    cf.build_universal_theta(cf.UniversalCoverData(g, hx=rotating_hx, F=lambda x: 0.0))
+    cf.warped_F_for_ricci_flat(lambda x: x, g)
+    assert ("einsum", "cauchypairs.classifier") in calls  # the recording sees calls
+    assert {call for call in calls if call != ("einsum", "cauchypairs.classifier")} == set()
+
+
+@pytest.mark.parametrize("hx, inverses",
+                         [(rotating_hx, 2), (lambda x: np.exp(2 * x) * np.eye(2), 1)],
+                         ids=["rotating", "conformal"])
+def test_one_factorization_of_the_universal_cover(monkeypatch, hx, inverses):
+    # one eigh for the root, one inverse of the rows, and one more where the
+    # rotation repair runs; Theta reuses the rows' inverse
+    lapack = []
+    for name in ("eigh", "eigvalsh", "inv"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **kw:
+                            lapack.append(_n) or _f(*a, **kw))
+    g = cf.FieldGrid.from_function(((0, 0.1),) * 3, (33, 5, 5), lambda x, y, z: 0.0 * x)
+    cf.build_universal_theta(cf.UniversalCoverData(g, hx=hx, F=lambda x: 0.0))
+    assert sorted(lapack) == ["eigh"] + ["inv"] * inverses
 
 
 def test_no_numpy_gradient_in_the_frame_stream(monkeypatch, rng):

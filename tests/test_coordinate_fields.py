@@ -416,6 +416,8 @@ class TestUniversalCover:
         ((), np.eye(3)),
         ((), np.array([[1.0, 2.0], [0.0, 1.0]])),
         ((), -np.eye(2)),
+        ((), np.diag([1.0, 0.0])),
+        ((), np.array([[1.0, 2.0], [2.0, 1.0]])),
     ])
     def test_malformed_input_raises_grid_invalid(self, u_payload, hx):
         g = FieldGrid(BOX, np.zeros((5, 5, 5) + u_payload))

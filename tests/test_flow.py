@@ -1,5 +1,7 @@
 """Tests for the comoving flow solution families and the pp-wave family."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,12 +311,17 @@ class TestDiagonalSolution:
             case="B_zero", a=lambda x: np.exp(x), b=0.0,
             Ll=lambda s, y: 2.0 + s, Ln=const_profile,
         )
-        with_exact = DiagonalFamily(a_primitive=lambda x: np.expm1(x), **common)
         with_quad = DiagonalFamily(**common)
-        box, n = ((0, 0.1),) * 3, 17
-        e1 = flow.diagonal_solution(with_exact, (0, 0.1), box, n).values
-        e2 = flow.diagonal_solution(with_quad, (0, 0.1), box, n).values
-        assert np.abs(e1 - e2).max() < 1e-9
+        n = 17
+        for x0 in (0.0, 0.5):
+            # the quadrature's primitive vanishes at the box's first x node,
+            # so the exact one is shifted by A(x0) to be the same solution
+            with_exact = DiagonalFamily(a_primitive=lambda x: np.expm1(x) - np.expm1(x0),
+                                        **common)
+            box = ((x0, x0 + 0.1), (0, 0.1), (0, 0.1))
+            e1 = flow.diagonal_solution(with_exact, (0, 0.1), box, n).values
+            e2 = flow.diagonal_solution(with_quad, (0, 0.1), box, n).values
+            assert np.abs(e1 - e2).max() < 1e-9
 
     def test_ricci_flat_choice_vs_generic(self):
         rf = DiagonalFamily(
@@ -368,12 +375,16 @@ class TestPPWave:
         assert np.abs(r_l).max() == 0.0
         assert np.abs(r_n).max() == 0.0
 
-    def test_fd_ode_residual_matches_analytic(self):
-        data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0)
-        fd_data = PPWaveData(fl=data.fl, fn=data.fn)
-        x = np.linspace(-0.1, 0.1, 201)
-        r_l, _ = flow.pp_ricci_residual(fd_data, x)
-        assert np.abs(r_l[2:-2]).max() < 1e-3
+    @pytest.mark.parametrize("missing", ["dfl", "dfn", "ddfl", "ddfn"])
+    def test_ode_residual_refuses_data_without_exact_derivatives(self, missing):
+        data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)
+        bare = dataclasses.replace(data, **{missing: None})
+        with pytest.raises(ParamOutOfRange, match="exact"):
+            flow.pp_ricci_residual(bare, np.linspace(-0.1, 0.1, 9))
+        # the metric reads no derivative, so such data still samples it
+        box, n = ((-0.05, 0.05), (0, 1), (0, 1), (0, 1)), (9, 5, 5, 5)
+        assert flow.pp_metric(bare, box, n).values.tobytes() \
+            == flow.pp_metric(data, box, n).values.tobytes()
 
     def test_metric_block_entries(self):
         data = PPWaveData.log_solution(0.0, -1.0, 0.0, 1.0, c=0.3)

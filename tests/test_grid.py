@@ -151,6 +151,18 @@ class TestSampling:
             grid.values[...] = 0.0
         assert y[0, -1, 0] == BOX3[1][1]
 
+    @pytest.mark.parametrize("cls, func", [
+        (Metric4Grid, lambda *x: np.diag([-1.0, 1, 1, 1])),
+        (FieldGrid, lambda *x: np.eye(3)),
+        (FieldGrid, lambda x, y, z: x[:2]),
+    ], ids=["metric-block", "field-block", "short-axis"])
+    def test_a_result_that_does_not_broadcast_is_typed(self, cls, func):
+        # a constant payload block is refused, not sampled: no caller needs one
+        box = ((0.0, 1.0),) * cls.ndim
+        shape = re.escape(str((5,) * cls.ndim))
+        with pytest.raises(GridInvalid, match=rf"result \(.*\) not broadcastable to {shape}"):
+            cls.from_function(box, 5, func)
+
     def test_a_constant_is_sampled_as_a_read_only_broadcast(self):
         box = ((0.0, 1.0),) * 3
         grid = FieldGrid.from_function(box, 65, lambda x, y, z: 2.5)
@@ -282,6 +294,13 @@ class TestPlaneStencil:
             for axis in range(ndim):
                 ref = np.gradient(values, grid.spacing[axis], axis=axis, edge_order=2).tobytes()
                 assert grid.grad(values, axis).tobytes() == ref
+                assert fd.derivative(values, grid.spacing[axis], axis).tobytes() == ref
+        # 1-D uniform samples along one grid axis, as the universal cover and
+        # the flow profiles take them
+        for samples in (wide(shape[-ndim:][:1]), wide(shape[-1:])):
+            for h in grid.spacing:
+                ref = np.gradient(samples, h, edge_order=2).tobytes()
+                assert fd.derivative(samples, h).tobytes() == ref
         # on a box, and on a box from the field on the nodes `grow` says it reads
         nx = shape[-ndim]
         whole = fd.plane_partials(grid, planes)
