@@ -213,7 +213,9 @@ class UniversalCoverData:
                 i = int(np.argmax(np.abs(defect)))
                 raise MixedConditionViolated(
                     "mixed symmetry condition fails after rotation repair",
-                    max_residual=float(np.abs(defect).max()), location=float(x[i]))
+                    max_residual=float(np.abs(defect).max()),
+                    location=float(x[i]),
+                )
         self.mixed_residual = float(np.abs(defect).max())
         return root, binv
 
@@ -253,10 +255,12 @@ def build_universal_theta(data: UniversalCoverData) -> FieldGrid:
     th = np.zeros(g.shape + (3, 3))
     th[..., 0, 0] = eu_exp * (data.F_samples[:, None, None] + du[0])
 
-    # Theta(e_u, e_a) = du(e_a#) for the transverse frame directions
-    for a in range(2):  # frame index l, n
-        v = binv[:, None, None, :, a]  # components on (partial_y, partial_z)
-        th[..., 0, 1 + a] = th[..., 1 + a, 0] = du[1] * v[..., 0] + du[2] * v[..., 1]
+    # Theta(e_u, e_i) = du(e_i#) for the transverse frame directions
+    for i in range(2):  # frame index l, n
+        v = binv[:, :, i]  # (nx, 2) components on (partial_y, partial_z)
+        val = du[1] * v[:, None, None, 0] + du[2] * v[:, None, None, 1]
+        th[..., 0, 1 + i] = val
+        th[..., 1 + i, 0] = val
 
     block = -0.5 * (np.swapaxes(binv, 1, 2) @ dhx @ binv)
     th[..., 1:, 1:] = eu_exp[..., None, None] * block[:, None, None, :, :]
@@ -284,12 +288,18 @@ def warped_F_for_ricci_flat(w, u_grid: FieldGrid):
         raise WDerivativeVanishes("w'(x) vanishes at some sample")
 
     u = u_grid.values
-    uy, uz = u_grid.grad(u, 1), u_grid.grad(u, 2)
+    uy = u_grid.grad(u, 1)
+    uz = u_grid.grad(u, 2)
+    uyy = u_grid.grad(uy, 1)
+    uzz = u_grid.grad(uz, 2)
     bracket = np.exp(2 * (u - w_s[:, None, None])) * (
-        2 * uy**2 + 2 * uz**2 + u_grid.grad(uy, 1) + u_grid.grad(uz, 2))
+        2 * uy**2 + 2 * uz**2 + uyy + uzz
+    )
     spread = bracket.max(axis=(1, 2)) - bracket.min(axis=(1, 2))
     scale = max(1.0, float(np.abs(bracket).max()))
     if spread.max() > YZ_TOL * scale:
-        raise YZDependence(f"u-dependent term varies over (y, z) by {spread.max():.3e}")
+        raise YZDependence(
+            f"u-dependent term varies over (y, z) by {spread.max():.3e}"
+        )
     bx = bracket.mean(axis=(1, 2))
     return -(ddw + dw**2) / dw - bx / (2 * dw)

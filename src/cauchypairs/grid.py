@@ -21,11 +21,11 @@ takes single partials on a box with `Grid.grad`.
 
 Every derivative in the package, on either layout and of 1-D samples along
 one grid axis alike, comes from one stencil, `_difference`: second-order
-central differences, one-sided at the boundary.  `derivative` runs it on a
-whole array, for the universal-cover and flow-profile samples.  Every residual
-norm skips the `COLLAR` nodes at each end of each grid axis, and every
-coframe passes one degeneracy test, `require_regular` at `DEGENERACY_TOL`;
-neither is a parameter.  `plane_partials` acts over a tuple of grid axes,
+central differences, one-sided at the boundary.  `derivative` runs it along
+the first axis of a whole array, for the universal-cover and flow-profile
+samples.  Every residual norm skips the `COLLAR` nodes at each end of each
+grid axis, and every coframe passes one degeneracy test, `require_regular`
+at `DEGENERACY_TOL`; neither is a parameter.  `plane_partials` acts over a tuple of grid axes,
 all by default; axes (1, 2, 3) of a (t, x, y, z) grid give the spatial
 partials on every t-slice.
 
@@ -252,10 +252,10 @@ def plane_partials(grid: Grid, planes, axes=None, own=None) -> np.ndarray:
     return out
 
 
-def derivative(f, h, axis=0) -> np.ndarray:
-    """d f / dx along `axis` of all of f, x spaced by h: `_difference`, into a new array."""
+def derivative(f, h) -> np.ndarray:
+    """d f / dx along the first axis of f, x spaced by h: `_difference` into a new array."""
     out = np.empty(np.shape(f))
-    _difference(np.asarray(f, dtype=float), h, axis, out)
+    _difference(np.asarray(f, dtype=float), h, 0, out)
     return out
 
 

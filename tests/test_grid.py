@@ -294,7 +294,6 @@ class TestPlaneStencil:
             for axis in range(ndim):
                 ref = np.gradient(values, grid.spacing[axis], axis=axis, edge_order=2).tobytes()
                 assert grid.grad(values, axis).tobytes() == ref
-                assert fd.derivative(values, grid.spacing[axis], axis).tobytes() == ref
         # 1-D uniform samples along one grid axis, as the universal cover and
         # the flow profiles take them
         for samples in (wide(shape[-ndim:][:1]), wide(shape[-1:])):
