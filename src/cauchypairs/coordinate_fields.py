@@ -182,6 +182,11 @@ class UniversalCoverData:
         hx_samples = np.array([np.asarray(hx(xi), dtype=float) for xi in x])
         if hx_samples.shape[1:] != (2, 2):
             raise GridInvalid("hx must produce 2x2 matrices")
+        bad = np.argwhere(~np.isfinite(hx_samples))
+        if bad.size:
+            i, a, b = map(int, bad[0])
+            raise GridInvalid(f"hx must be finite: {hx_samples[i, a, b]} at x node {i}, "
+                              f"component ({a}, {b})")
         if not fd.is_symmetric(hx_samples):
             raise GridInvalid("hx must be symmetric")
         root = spd_sqrt(hx_samples)

@@ -8,13 +8,15 @@ per-node contraction is a few whole-array multiply-adds.  A pipeline converts
 its fields once at entry (`to_planes`); `from_planes` gives a grid-major view
 back, and `to_planes` of that view is the original array, not a copy.  The
 3x3 and 4x4 paths share the kernels (`plane_partials`, `plane_christoffel`,
-`plane_covariant_derivative`).  Only the inverse depends on the block size,
-and each size has one closed-form route, with no LAPACK call: 3x3 blocks of
-planes (`plane_inverse`), and grid-major 4x4 blocks to planes (`inverse4`),
-in one pass that also tests each block's Lorentzian signature, so a 4D
-metric is validated and inverted at once.  The caller hands the inverse to
-`plane_christoffel`, so each pipeline inverts, and so tests, its metric
-once.  The universal cover's one LAPACK `eigh`, `coordinate_fields.spd_sqrt`,
+`plane_covariant_derivative`).  `plane_christoffel` forms a box of at most
+`BLOCK_NODES` nodes as one block, in a few calls with index arrays, and a
+larger one pair by pair; the two routes agree bit for bit.  Only the
+inverse depends on the block size, and each size has one closed-form
+route on planes, with no LAPACK call: 3x3 blocks (`plane_inverse`), and
+4x4 blocks (`inverse4`) in one pass that also tests each block's
+Lorentzian signature, so a 4D metric is validated and inverted at once.
+The caller hands the inverse to `plane_christoffel`, so each pipeline
+inverts, and so tests, its metric once.  The universal cover's one LAPACK `eigh`, `coordinate_fields.spd_sqrt`,
 refuses a block that is not positive definite.  The dense 4x4 and 6x6
 curvature algebra of the 4D layer stays grid-major with batched matmuls and
 takes single partials on a box with `Grid.grad`.
@@ -40,11 +42,13 @@ Sampling and checking a grid cost only its payload.  `Grid.meshgrid` and
 `Grid.from_function` hand out the node coordinates as read-only broadcast
 views of the axes, never as dense copies, and sampling makes no copy: a
 constant stays a broadcast view, a coordinate the view it is.  Every grid
-tests its values for inf and NaN in blocks of at most `FINITE_BLOCK`
-entries, with no full-size temporary, and a refusal names the first bad node
-and component.  Every grid then keeps a read-only view of the values it
-validated, so they cannot be written through it; the caller hands its array
-over and must not write it after validation.
+refuses a spacing below `MIN_SPACING`, and tests its values for inf and NaN
+in blocks of at most `FINITE_BLOCK` entries, with no full-size temporary;
+a refusal names the first bad node and component.  Every grid then keeps a
+read-only view of the values it validated, so they cannot be written
+through it; the caller hands its array over and must not write it after
+validation.  A 4D metric (`spacetime_verifier.Metric4Grid`) instead holds
+g as its own read-only planes, converted once at validation.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ DEGENERACY_TOL = 1e-12  # |det| of coframe rows over Hadamard's bound: singular 
 # Entries of `values` per block of the finiteness test of `Grid` (one plane of
 # grid axis 0 if that is larger): its boolean temporary takes as many bytes.
 FINITE_BLOCK = 1 << 16
+# The finest node spacing h of any grid: below it h**-3 overflows, the scale
+# of a third difference quotient, the deepest that a check takes (that of
+# the covariant derivative of Riemann).
+MIN_SPACING = np.finfo(float).max ** (-1 / 3)
 
 
 class Grid:
@@ -89,7 +97,7 @@ class Grid:
         values.flags.writeable = False
         self.box = box
         self.values = values
-        self.spacing = tuple((b - a) / (n - 1) for (a, b), n in zip(box, self.shape))
+        self.spacing = _spacing(box, self.shape)
 
     @property
     def shape(self):
@@ -113,12 +121,12 @@ class Grid:
         """Sample func(*coordinates) (broadcasting over arrays) with n samples
         per axis: one count for every axis or one per axis.  The coordinates
         are read-only views (`_mesh`), so sampling allocates only what func
-        returns: a result short of the grid's shape (a constant) becomes a
-        broadcast view, one that does not broadcast to it is refused, and a
-        coordinate itself stays the view it is.  func runs with numpy's
+        returns: a scalar, or a result whose leading grid axes each hold the
+        count or 1, becomes a broadcast view, any other result is refused,
+        and a coordinate itself stays the view it is.  func runs with numpy's
         floating-point warnings off, as the finiteness test of `Grid` refuses
-        a non-finite sample by name.  Any other count, and a box that `Grid`
-        would refuse, is refused before func is called."""
+        a non-finite sample by name.  Any other count, and a box or spacing
+        that `Grid` would refuse, is refused before func is called."""
         k = cls.ndim
         box = _box(box, k)
         try:
@@ -128,14 +136,18 @@ class Grid:
         if len(counts) != k:
             raise GridInvalid(f"need {k} sample counts, got {len(counts)}")
         _require_samples(counts)
+        _spacing(box, counts)
         axes = [np.linspace(a, b, c) for (a, b), c in zip(box, counts)]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals = np.asarray(func(*_mesh(axes)), dtype=float)
-        if vals.shape[:k] != counts:
-            try:
-                vals = np.broadcast_to(vals, counts)
-            except ValueError:
-                raise GridInvalid(f"result {vals.shape} not broadcastable to {counts}") from None
+        lead = vals.shape[:k]
+        # a payload of its own (a constant block) would broadcast into the
+        # trailing grid axes: only a scalar may be short of the grid axes
+        if vals.ndim and (len(lead) < k or any(s not in (c, 1) for s, c in zip(lead, counts))):
+            raise GridInvalid(f"result {vals.shape} not broadcastable to {counts}: a result "
+                              f"is a scalar or leads with {k} axes of the count or 1")
+        if lead != counts:
+            vals = np.broadcast_to(vals, counts + vals.shape[k:])
         return cls(box, vals)
 
     def like(self, values):
@@ -174,6 +186,17 @@ def _box(box, k):
 def _require_samples(shape):
     if any(n < 5 for n in shape):
         raise GridTooSmall(f"need >= 5 samples per axis, got {shape}")
+
+
+def _spacing(box, counts):
+    """The node spacing along each axis of `box` with `counts` samples;
+    GridInvalid where one is below `MIN_SPACING`."""
+    spacing = tuple((b - a) / (n - 1) for (a, b), n in zip(box, counts))
+    for i, h in enumerate(spacing):
+        if h < MIN_SPACING:
+            raise GridInvalid(f"spacing {h} along axis {i} is below {MIN_SPACING}, "
+                              "where a third difference quotient overflows")
+    return spacing
 
 
 def _mesh(axes):
@@ -344,19 +367,60 @@ def coframe_metric(e) -> np.ndarray:
     return plane_matmul(np.swapaxes(e, 0, 1), e)
 
 
+# Boxes of at most this many nodes take `plane_christoffel`'s block route,
+# larger ones its loop over (i, j, l).  The block route makes ~35 numpy calls
+# per 4x4 set where the loop makes ~170, but holds three more blocks of
+# n^2 (n + 1) / 2 planes, and its memory traffic costs more than the calls it
+# saves from between 2401 and 2744 nodes on, for n = 3 and 4 alike
+# (`BENCH_30.json`).
+BLOCK_NODES = 2500
+
+
+@functools.cache
+def _christoffel_slots(n):
+    """The components (j, l), j <= l, of a symmetric n x n field in the
+    order `plane_christoffel` differentiates them, and slot[j, l] ==
+    slot[l, j], the place of each in that order."""
+    upper = [(j, l) for j in range(n) for l in range(j, n)]
+    slot = {}
+    for s, (j, l) in enumerate(upper):
+        slot[j, l] = slot[l, j] = s
+    return upper, slot
+
+
+@functools.cache
+def _christoffel_gathers(n):
+    """The index arrays of the block route: rows [l, s] of d_i g_jl (flat in
+    (i, jl)) that give d_i g_jl, d_j g_il and d_l g_ij for the pair (i, j)
+    in slot s, and rows [k, i, j] of the raised block (flat in (k, s)) that
+    give Gamma^k_ij."""
+    upper, slot = _christoffel_slots(n)
+    m = len(upper)
+    first = np.array([[i * m + slot[j, l] for i, j in upper] for l in range(n)])
+    second = np.array([[j * m + slot[i, l] for i, j in upper] for l in range(n)])
+    third = np.array([[l * m + slot[i, j] for i, j in upper] for l in range(n)])
+    unpack = np.array([[[k * m + slot[i, j] for j in range(n)] for i in range(n)]
+                       for k in range(n)])
+    for index in (first, second, third, unpack):
+        index.flags.writeable = False  # shared by every call
+    return first, second, third, unpack
+
+
 def plane_christoffel(grid: Grid, metric, inverse, own=None) -> np.ndarray:
     """Gamma^k_ij = (1/2) g^kl (d_i g_jl + d_j g_il - d_l g_ij) of a symmetric
     n x n metric given as component planes, returned as planes (k, i, j, *grid)
     on the box `own` (as in `plane_partials`).  `inverse` holds the planes of
     g^kl on that box: the caller inverts, and so tests, the metric.  Only the
     components g_jl, j <= l, are read and differentiated, and each symbol is
-    formed once for i <= j, so Gamma^k_ij == Gamma^k_ji exactly."""
+    formed once for i <= j, so Gamma^k_ij == Gamma^k_ji exactly.  A box of at
+    most `BLOCK_NODES` nodes is formed as one block (`_block_christoffel`),
+    a larger one pair by pair; each entry takes the same operations in the
+    same order on both routes, so they agree bit for bit."""
     n = len(metric)
-    upper = [(j, l) for j in range(n) for l in range(j, n)]
-    slot = {}
-    for s, (j, l) in enumerate(upper):
-        slot[j, l] = slot[l, j] = s
+    upper, slot = _christoffel_slots(n)
     dg = plane_partials(grid, metric[tuple(zip(*upper))], own=own)  # d_i g_jl
+    if math.prod(dg.shape[2:]) <= BLOCK_NODES:
+        return _block_christoffel(dg, inverse)
     gam = np.empty((n, n, n) + dg.shape[2:])
     sym = np.empty((n,) + dg.shape[2:])
     tmp = np.empty(gam.shape[:1] + sym.shape[1:])
@@ -374,6 +438,30 @@ def plane_christoffel(grid: Grid, metric, inverse, own=None) -> np.ndarray:
             if j != i:
                 gam[:, j, i] = acc
     return gam
+
+
+def _block_christoffel(dg, inverse) -> np.ndarray:
+    """`plane_christoffel`'s block route from the partials dg[i, s] =
+    d_i g_jl, (j, l) in slot s: the symmetrised partials of every pair
+    i <= j and every l are gathered at once, raised with g^kl in l order one
+    k at a time, and unpacked to (k, i, j) in one gather.  `take` runs with
+    mode="clip" (every index is in range), as the default mode buffers its
+    `out`."""
+    n = len(inverse)
+    first, second, third, unpack = _christoffel_gathers(n)
+    nodes = dg.shape[2:]
+    flat = dg.reshape((-1,) + nodes)
+    sym = np.take(flat, first, axis=0, mode="clip")  # sym[l, s]
+    tmp = np.take(flat, second, axis=0, mode="clip")
+    sym += tmp
+    sym -= np.take(flat, third, axis=0, out=tmp, mode="clip")
+    sym *= 0.5  # exact, so g (s/2) rounds as (g s)/2 short of underflow
+    raised = np.empty(sym.shape)  # raised[k, s] = Gamma^k of the pair in slot s
+    for k in range(n):
+        np.multiply(inverse[k, 0], sym[0], out=raised[k])
+        for l in range(1, n):
+            raised[k] += np.multiply(inverse[k, l], sym[l], out=tmp[0])
+    return np.take(raised.reshape((-1,) + nodes), unpack, axis=0, mode="clip")
 
 
 def plane_covariant_derivative(gamma, partial, omega) -> np.ndarray:
@@ -649,13 +737,13 @@ def _adjugate4(m, top, bottom, adj):
 
 
 def inverse4(m, on_signature) -> np.ndarray:
-    """Inverses of the 4x4 blocks of grid-major `m` (*grid, 4, 4), as
-    read-only component planes (4, 4, *grid), in one closed-form pass that
-    also tests each block's signature.  Raises SingularMatrix (a LinAlgError)
+    """Inverses of the 4x4 blocks of component planes `m` (4, 4, *grid), as
+    read-only planes, in one closed-form pass that also tests each block's
+    signature.  Raises SingularMatrix (a LinAlgError)
     where a block is singular or its inverse is not representable; never
     returns inf or NaN.
 
-    The pass scales a planes copy of `m` in place and forms the twelve 2x2
+    The pass scales a copy of `m` and forms the twelve 2x2
     minors of rows (0, 1) and (2, 3) once.  From them come det m, the
     adjugate, so m^-1, and the coefficients of the characteristic
     polynomial x^4 - e1 x^3 + e2 x^2 - e3 x + e4: e1 = tr m, e2 the sum of
@@ -673,11 +761,10 @@ def inverse4(m, on_signature) -> np.ndarray:
     signs, exact for a real-rooted polynomial such as a symmetric block's,
     three positive eigenvalues, and by the sign of their product with the
     fourth, one negative."""
-    a = to_planes(m, m.ndim - 2)
-    inv = np.empty(a.shape)
+    inv = np.empty(m.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nk = _neg_exponents(a)
-        np.ldexp(a, nk, out=a)
+        nk = _neg_exponents(m)
+        a = np.ldexp(m, nk)
         top, bottom = _minors4(a, 0, 1), _minors4(a, 2, 3)
         _adjugate4(a, top, bottom, inv)
         # Laplace's expansion along rows (0, 1), of sign (-1)**(1 + p + q)

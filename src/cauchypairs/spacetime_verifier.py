@@ -8,13 +8,19 @@ nothing below assumes which coordinate is time except the signature check
 and the globally-hyperbolic decompositions.
 
 A `Metric4Grid` is sampled by the inherited `Grid.from_function`, which
-refuses a malformed count before it samples, and its values are read-only,
-as every grid's are.  It tests its symmetry, then validates its signature
-and inverts itself in one closed-form pass on component planes
-(`grid.inverse4`), which returns g^-1 as read-only planes; `inverse`
-returns their grid-major view, whose `to_planes` is those planes again.
-Every Christoffel set, the pair algebra and kappa share that inverse: kappa
-reads the g^-1 l that the pair algebra raised.
+refuses a malformed count before it samples.  It converts g to component
+planes once, at validation, and holds its payload only there, as the
+read-only `planes`, with `values` their grid-major view; a write into the
+caller's array after validation reaches neither g nor g^-1.  It tests the
+symmetry of those planes, then validates its signature and inverts itself
+in one closed-form pass on them (`grid.inverse4`), which returns g^-1 as
+read-only planes; `inverse` returns their grid-major view, whose
+`to_planes` is those planes again.  Every Christoffel set, the pair algebra
+and kappa share that inverse: kappa reads the g^-1 l that the pair algebra
+raised.  No consumer converts g again: `christoffel_fd` reads g's planes
+on its shell and g^-1's on its box as views, and `gh_decomposition` takes
+the cross terms, g_00, lambda and theta from g's planes, so kappa reads
+theta's planes.
 The FD kernels run on component planes, as the 3x3 ones do
 (`grid.plane_christoffel`, `plane_covariant_derivative`,
 `plane_partials`), and so do the null/unit/orthogonality algebra and kappa
@@ -28,9 +34,9 @@ pairs; `ricci4_fd` is its trace.
 Each kernel (`christoffel_fd`, `ricci4_fd`, `riemann4_fd`,
 `covariant_derivative4`) takes a box `own`, one slice per grid axis, as
 `grid.plane_partials` does, and returns its whole-grid result cut to that
-box, bit for bit; by default the box is every node.  It copies and
-differentiates only the shell of the box that its partials read
-(`grid.grow`), and g^-1 on the box.  `parallel_pair_residual` builds its
+box, bit for bit; by default the box is every node.  It differentiates
+only the shell of the box that its partials read (`grid.grow`), and reads
+g^-1 only on the box.  `parallel_pair_residual` builds its
 Christoffel set and covariant derivatives on `INTERIOR`, the nodes its
 norms read.  The metric's symmetry test, its one pass of signature test
 and inverse, the pair algebra and kappa stay on every node.
@@ -75,19 +81,28 @@ def _shell(g: Grid4, own):
 
 
 class Metric4Grid(Grid4):
-    """Per-node symmetric 4x4 metric with mostly-plus Lorentzian signature,
-    a read-only view of the caller's array (`Grid`): not a copy, so the
-    caller must not write it after validation."""
+    """Per-node symmetric 4x4 metric with mostly-plus Lorentzian signature.
+    Unlike other grids it holds its payload as its own read-only component
+    planes `planes`, (4, 4, *grid), copied from the caller's array once, at
+    validation; `values` is their grid-major view.  So a write into the
+    caller's array after validation reaches neither g nor g^-1."""
 
     def __init__(self, box, values):
         super().__init__(box, values)
         if self.values.shape[4:] != (4, 4):
             raise GridInvalid("metric payload must be 4x4")
+        k = self.ndim
+        planes = fd.to_planes(self.values, k)
+        if np.may_share_memory(planes, values):  # the caller's planes, passed grid-major
+            planes = planes.copy()
+        planes.flags.writeable = False
+        self.planes = planes
+        self.values = fd.from_planes(planes, k)
         if not fd.is_symmetric(self.values):
             raise GridInvalid("metric must be symmetric at every node")
         # one closed-form pass tests the signature and inverts every block
-        self._inverse = fd.from_planes(fd.inverse4(self.values, self._require_lorentzian),
-                                       self.ndim)
+        self._inverse_planes = fd.inverse4(planes, self._require_lorentzian)
+        self._inverse = fd.from_planes(self._inverse_planes, k)
 
     @staticmethod
     def _require_lorentzian(lorentzian):
@@ -109,13 +124,13 @@ class Metric4Grid(Grid4):
 def christoffel_fd(g: Metric4Grid, own=None) -> np.ndarray:
     """Gamma^mu_{nu rho} = (1/2) g^{mu s}(d_nu g_{rho s} + d_rho g_{nu s} - d_s g_{nu rho})
     on the box `own`, one slice per grid axis (every node by default), the
-    grid-major view of `grid.plane_christoffel`'s planes.  Only g on the
-    box's shell and g^-1 on the box are copied."""
-    k = g.ndim
+    grid-major view of `grid.plane_christoffel`'s planes.  It reads g's
+    planes on the box's shell and those of g^-1 on the box, and copies
+    neither."""
     own, shell, inner = _shell(g, own)
-    planes = fd.plane_christoffel(g, fd.to_planes(g.values[shell], k),
-                                  fd.to_planes(g.inverse()[own], k), inner)
-    return fd.from_planes(planes, k)
+    planes = fd.plane_christoffel(g, g.planes[(Ellipsis,) + shell],
+                                  g._inverse_planes[(Ellipsis,) + own], inner)
+    return fd.from_planes(planes, g.ndim)
 
 
 # the bivector index pairs A = (m, n), m < n, in the order of the 6x6 blocks
@@ -243,18 +258,21 @@ class ParabolicPairData:
 def gh_decomposition(g: Metric4Grid):
     """Lapse, spatial metric and shape operator of a metric in the globally
     hyperbolic form -lambda^2 dt (x) dt + h_t; rejects metrics with dt-space
-    cross terms above `CROSS_TOL`."""
-    gv = g.values
-    cross = float(np.abs(gv[..., 0, 1:]).max())
+    cross terms above `CROSS_TOL`.  All three are taken from g's planes;
+    h and theta = -d_t h / (2 lambda) are returned as grid-major views of
+    planes."""
+    cross = fd.max_abs(g.planes[0, 1:])
     if cross > CROSS_TOL:
         raise NotInGHForm(f"metric has dt-space cross terms of size {cross}")
-    g00 = gv[..., 0, 0]
+    g00 = g.planes[0, 0]
     if np.any(g00 >= 0):
         raise SignatureViolation("g_00 must be negative in the GH decomposition")
     lam = np.sqrt(-g00)
-    h = gv[..., 1:, 1:]
-    theta = -g.grad(h, 0) / (2 * lam[..., None, None])
-    return lam, h, theta
+    h = g.planes[1:, 1:]
+    theta = fd.plane_partials(g, h, (0,))[0]
+    np.negative(theta, out=theta)
+    theta /= 2 * lam
+    return lam, fd.from_planes(h, g.ndim), fd.from_planes(theta, g.ndim)
 
 
 def parallel_pair_residual(pair: ParabolicPairData):

@@ -201,6 +201,19 @@ def test_one_metric_inverse_per_4d_run(counter, monkeypatch, config):
     assert closed_form3 == []
 
 
+def test_one_planes_conversion_per_metric(counter):
+    # Metric4Grid converts g to component planes once, at validation; the
+    # Christoffel set and the GH decomposition read those planes
+    g = test_spacetime.milne(n=7)
+    calls = counter(fd, "to_planes")
+    g = sv.Metric4Grid(g.box, np.array(g.values))
+    assert len(calls) == 1
+    sv.christoffel_fd(g)
+    sv.christoffel_fd(g, sv.INTERIOR)
+    sv.gh_decomposition(g)
+    assert len(calls) == 1
+
+
 def test_two_diagonal_solutions_per_flow_diag_run(counter):
     config = {"mode": "flow-diag",
               "family": {"case": "B_nonzero", "a": 1.5, "b": 0.5,

@@ -476,6 +476,10 @@ EXIT_CODE_TABLE = [
     (dict(MILNE_CONFIG, tolerance=0.1), [], 2),
     # e^(f_l + f_n) underflows to 0: the transverse determinant delta <= 0
     ({"mode": "flow-pp", "pp": {"a_l": -400, "a_n": -400}}, [], 3),
+    # a spacing whose h^-3 overflows is refused before sampling, so no
+    # difference quotient of it overflows
+    ({"mode": "flow-pp", "pp": {"a_l": 0.3, "c": 0.2},
+      "box": [[-1e-200, 1e-200], [0, 1], [0, 1], [0, 1]]}, [], 3),
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for sampled-field calculus and the universal-cover construction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,15 @@ class TestUniversalCover:
         with pytest.raises(GridInvalid, match="symmetric"):
             UniversalCoverData(g, hx=lambda x: c * np.array([[1.0, 0.5], [0.0, 1.0]]),
                                F=lambda x: 0.0)
+
+    @pytest.mark.parametrize("hx, where", [
+        (np.full((2, 2), np.nan), "nan at x node 0, component (0, 0)"),
+        (np.diag([1.0, np.inf]), "inf at x node 0, component (1, 1)"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_hx_is_named(self, hx, where):
+        # finiteness is tested before symmetry, which a NaN or an inf diagonal fails
+        with pytest.raises(GridInvalid, match=re.escape(f"hx must be finite: {where}")):
+            UniversalCoverData(self.scalar_grid(9), hx=lambda x: hx, F=lambda x: 0.0)
 
     def test_requires_scalar_grid(self):
         g = FieldGrid(BOX, np.zeros((5, 5, 5, 3)))

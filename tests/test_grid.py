@@ -85,6 +85,21 @@ class TestGridInvalid:
         with pytest.raises(error):
             FieldGrid.from_function(BOX3, n, func)
 
+    def test_spacing_whose_cube_overflows_is_refused_before_sampling(self):
+        # h^-3 is finite at MIN_SPACING and overflows below it
+        h = fd.MIN_SPACING
+        assert np.isfinite(np.float64(h) ** -3)
+        fine = ((0.0, 1.0), (0.0, 4 * h), (0.0, 1.0))
+        FieldGrid.from_function(fine, 5, lambda *x: 0.0)
+        finer = ((0.0, 1.0), (0.0, 2 * h), (0.0, 1.0))
+
+        def func(*x):
+            raise AssertionError("sampled")
+        with pytest.raises(GridInvalid, match="spacing .* along axis 1 is below"):
+            FieldGrid.from_function(finer, 5, func)
+        with pytest.raises(GridInvalid, match="along axis 1"):
+            FieldGrid(finer, np.zeros((5, 5, 5)))
+
     def test_from_function_takes_integer_counts_of_any_type(self):
         g = FieldGrid.from_function(BOX3, (np.int64(7), 8, np.array(9)), lambda *x: 0.0 * x[0])
         assert g.shape == (7, 8, 9)
@@ -155,13 +170,30 @@ class TestSampling:
         (Metric4Grid, lambda *x: np.diag([-1.0, 1, 1, 1])),
         (FieldGrid, lambda *x: np.eye(3)),
         (FieldGrid, lambda x, y, z: x[:2]),
-    ], ids=["metric-block", "field-block", "short-axis"])
+        (FieldGrid, lambda *x: np.eye(5)),
+        (Grid4, lambda t, x, y, z: x[0]),
+    ], ids=["metric-block", "field-block", "short-axis", "block-of-the-count", "trailing-axes"])
     def test_a_result_that_does_not_broadcast_is_typed(self, cls, func):
-        # a constant payload block is refused, not sampled: no caller needs one
+        # a constant payload block is refused, not sampled: no caller needs
+        # one, and a 5x5 block or a (y, z, ...) field would otherwise
+        # broadcast into the trailing grid axes of a 5^k grid
         box = ((0.0, 1.0),) * cls.ndim
         shape = re.escape(str((5,) * cls.ndim))
         with pytest.raises(GridInvalid, match=rf"result \(.*\) not broadcastable to {shape}"):
             cls.from_function(box, 5, func)
+
+    @pytest.mark.parametrize("func, component_shape", [
+        (lambda x, y, z: 2.5, ()),
+        (lambda x, y, z: x[:, :1, :1], ()),
+        (lambda x, y, z: x[:, :1, :1, None] * np.ones(2), (2,)),
+        (lambda x, y, z: np.ones((1, 1, 1, 3, 3)), (3, 3)),
+    ], ids=["constant", "x-column", "x-column-payload", "constant-block"])
+    def test_a_scalar_or_a_result_on_unit_axes_samples(self, func, component_shape):
+        # each leading axis of the result holds the count or 1
+        grid = FieldGrid.from_function(BOX3, (5, 6, 7), func)
+        assert grid.values.shape == (5, 6, 7) + component_shape
+        expected = np.broadcast_to(func(*grid.meshgrid()), grid.values.shape)
+        np.testing.assert_array_equal(grid.values, expected)
 
     def test_a_constant_is_sampled_as_a_read_only_broadcast(self):
         box = ((0.0, 1.0),) * 3
@@ -394,7 +426,8 @@ def inverse4(m):
     """`inverse4` of grid-major 4x4 blocks, read back grid-major, and the
     verdict of its signature test."""
     verdict = []
-    return fd.from_planes(fd.inverse4(m, verdict.append), m.ndim - 2), verdict[0]
+    k = m.ndim - 2
+    return fd.from_planes(fd.inverse4(fd.to_planes(m, k), verdict.append), k), verdict[0]
 
 
 def lorentzian_batch(rng, shape):
@@ -440,7 +473,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_singular_matrix_is_typed(self, n):
-        invert = plane_inverse if n == 3 else lambda m: fd.inverse4(m, lambda lorentzian: None)
+        invert = plane_inverse if n == 3 else lambda m: inverse4(m)[0]
         with pytest.raises(SingularMatrix) as err:
             invert(np.zeros((2, n, n)))
         assert isinstance(err.value, CauchyPairsError)
@@ -492,7 +525,7 @@ class TestClosedForms:
         g[2, 3] = np.diag([-1.0, 0, 1, 1])
         verdicts = []
         with pytest.raises(SingularMatrix):
-            fd.inverse4(g, verdicts.append)
+            fd.inverse4(fd.to_planes(g, 2), verdicts.append)
         assert np.argwhere(~verdicts[0]).tolist() == [[2, 3]]
 
 
@@ -655,6 +688,56 @@ class TestDenseChristoffel:
                 on = (Ellipsis,) + own
                 np.testing.assert_array_equal(
                     fd.plane_christoffel(grid, metric, inverse[on], own=own), whole[on])
+
+
+class TestChristoffelRoutes:
+    """`plane_christoffel`'s block route (boxes of at most `BLOCK_NODES`
+    nodes) and its loop over (i, j, l) agree bit for bit: each entry takes
+    the same operations in the same order."""
+
+    @staticmethod
+    def window(n, box_shape):
+        """Dense n x n metric planes, and their inverse on the box, on the
+        window (3, ..., 3, m + 2) that the box (1, ..., 1, m) of a grid's
+        partials reads (`grid.grow`); the box in window indices."""
+        shape = (3,) * (n - 1) + (box_shape[-1] + 2,)
+        mesh = np.meshgrid(*(np.linspace(0.0, 0.01 * c, c) for c in shape), indexing="ij")
+        a = np.empty((n, n) + shape)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = np.sin(sum((i + c + 1) * (j + 2) * x for c, x in enumerate(mesh))
+                                 + i * j) / n
+        metric = fd.plane_matmul(a, np.swapaxes(a, 0, 1))
+        for i in range(n):
+            metric[i, i] += 1.0
+        own = tuple(slice(1, 1 + c) for c in box_shape)
+        if n == 3:
+            inverse = fd.plane_inverse(metric)
+        else:
+            metric[0, 0] *= -1.0
+            inverse = fd.inverse4(metric, lambda lorentzian: None)
+        return metric, inverse[(Ellipsis,) + own], own
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("nodes", ["one", "below", "at", "above"])
+    def test_routes_agree_bit_for_bit(self, monkeypatch, n, nodes):
+        m = {"one": 1, "below": fd.BLOCK_NODES - 1, "at": fd.BLOCK_NODES,
+             "above": fd.BLOCK_NODES + 1}[nodes]
+        cls = FieldGrid if n == 3 else Grid4
+        grid = cls.from_function(((0.0, 1.0),) * n, 5, lambda *x: 0.0)  # its spacing only
+        metric, inverse, own = self.window(n, (1,) * (n - 1) + (m,))
+        blocks = []
+        block = fd._block_christoffel
+        monkeypatch.setattr(fd, "_block_christoffel", lambda *a: blocks.append(1) or block(*a))
+        default = fd.plane_christoffel(grid, metric, inverse, own)
+        assert default.shape == (n, n, n) + (1,) * (n - 1) + (m,)
+        assert blocks == ([1] if m <= fd.BLOCK_NODES else [])
+        routes = []
+        for limit in (0, m):  # the loop, then the block route
+            monkeypatch.setattr(fd, "BLOCK_NODES", limit)
+            routes.append(fd.plane_christoffel(grid, metric, inverse, own))
+        assert routes[0].tobytes() == routes[1].tobytes() == default.tobytes()
+        assert np.all(default != 0.0)
 
 
 class TestQuadrature:

@@ -121,17 +121,26 @@ class TestMetric4Grid:
             return sampled[-1]
 
         vals = np.broadcast_to(np.diag([-1.0, 1, 1, 1]), (5, 5, 5, 5, 4, 4)).copy()
+        planes = fd.to_planes(vals, 4)
         coframe = sv.Grid4(BOX, np.broadcast_to(np.eye(3), (5, 5, 5, 5, 3, 3)))
         for g, source in ((Metric4Grid.from_function(BOX, 5, gfun), sampled),
                           (Metric4Grid(BOX, vals), [vals]),
+                          (Metric4Grid(BOX, fd.from_planes(planes, 4)), [planes]),
                           (flow.comoving_metric(coframe), [])):
-            g.inverse()
+            inverse = g.inverse().copy()
             with pytest.raises(ValueError, match="read-only"):
                 g.values[..., 1, 1] = 2.0
             assert g.values[..., 1, 1].min() == 1.0
-            # neither sampling nor construction copies the payload
+            # g holds its payload once, as its own planes, and values is their view
+            assert g.planes.shape == (4, 4) + g.shape and g.planes.flags.c_contiguous
+            assert np.shares_memory(g.values, g.planes) and not g.planes.flags.writeable
+            # a write into the caller's array after validation reaches neither
+            # g nor g^-1
             for a in source:
-                assert np.shares_memory(g.values, a) and a.flags.writeable
+                assert a.flags.writeable
+                a[...] = 4.0
+            assert g.values[..., 1, 1].max() == 1.0
+            assert g.inverse().tobytes() == inverse.tobytes()
 
 
 class TestCurvature:
@@ -283,6 +292,35 @@ class TestGHDecomposition:
         # theta = -d_t h / (2 lambda); h_xx quadratic in t so FD is exact
         assert np.abs(theta[..., 0, 0] + (1 + tt)).max() < 1e-10
         assert np.abs(theta[..., 1, 1]).max() < 1e-12
+
+
+    def test_lapse_and_shape_operator_match_the_grid_major_formula(self):
+        # an asymmetry of h_ij that Metric4Grid accepts (1e-9 of the largest
+        # entry) and that varies in t: lambda and theta = -d_t h / (2 lambda)
+        # from g's planes equal the grid-major formula on the caller's array
+        # bit for bit, every entry of h read as given
+        def gfun(t, x, y, z):
+            out = np.zeros(t.shape + (4, 4))
+            out[..., 0, 0] = -(1 + 0.3 * np.sin(x + t)) ** 2
+            out[..., 1, 1] = (1.0 + t) ** 2
+            out[..., 2, 2] = np.exp(0.4 * x * t)
+            out[..., 3, 3] = 1 + y**2 + t
+            out[..., 1, 2] = out[..., 2, 1] = 0.1 * np.cos(t + z)
+            out[..., 1, 3] = out[..., 3, 1] = 0.05 * t * y
+            for i, j in ((1, 2), (2, 3), (3, 1)):
+                out[..., i, j] += 1e-9 * np.sin(3 * t + 2 * x - y + (i + j) * z)
+            return out
+
+        box = ((0, 0.5),) * 4
+        vals = gfun(*sv.Grid4.from_function(box, 7, lambda *x: 0.0).meshgrid())
+        g = Metric4Grid(box, vals)
+        assert not np.array_equal(vals, np.swapaxes(vals, -1, -2))
+        lam, h, theta = sv.gh_decomposition(g)
+        ref_lam = np.sqrt(-vals[..., 0, 0])
+        ref_theta = -g.grad(vals[..., 1:, 1:], 0) / (2 * ref_lam[..., None, None])
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert np.ascontiguousarray(h).tobytes() == vals[..., 1:, 1:].tobytes()
+        assert np.ascontiguousarray(theta).tobytes() == ref_theta.tobytes()
 
 
 class TestParabolicPair:
