@@ -82,8 +82,7 @@ def _target_tau3(mu: float) -> tuple:
 
 def transform_structure(d: StructureData, m: np.ndarray) -> np.ndarray:
     """Structure coefficients of the coframe f = m e: f_k = sum m[k][j] e_j."""
-    arr = np.array([[[float(d[k, i, j]) for j in range(3)] for i in range(3)]
-                    for k in range(3)])
+    arr = np.array(d.d, dtype=float)
     minv = np.linalg.inv(m)
     return np.einsum("km,mpq,pi,qj->kij", m, arr, minv, minv)
 

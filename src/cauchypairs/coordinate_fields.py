@@ -45,8 +45,8 @@ def fd_exterior_derivative(grid: FieldGrid) -> FieldGrid:
     """Exterior derivative of a covector grid: (d omega)_ij = d_i omega_j - d_j omega_i."""
     if grid.component_shape != (3,):
         raise GridInvalid("fd_exterior_derivative expects a covector grid")
-    d = fd.exterior_derivative(grid, fd.to_planes(grid.values, grid.ndim))
-    return grid.like(fd.from_planes(d, grid.ndim))
+    partial = fd.plane_partials(grid, fd.to_planes(grid.values, grid.ndim))
+    return grid.like(fd.from_planes(partial - np.swapaxes(partial, 0, 1), grid.ndim))
 
 
 def christoffel3_fd(grid: FieldGrid, h: np.ndarray, hinv: np.ndarray, own=None) -> np.ndarray:

@@ -8,7 +8,6 @@ take an absolute tolerance (default 1e-9) which is ignored for exact inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -39,16 +38,11 @@ def is_zero(x, tol: float = DEFAULT_TOL) -> bool:
     return abs(x) <= tol
 
 
-def _half(x):
-    """x / 2, kept exact for int input (int / 2 would round to a float)."""
-    return Fraction(x, 2) if isinstance(x, int) else x / 2
-
-
 def _symmetrized(m):
     """3x3 tuple of m with each unequal off-diagonal pair replaced by its mean.
 
-    `(x + y) / 2`, not `_half`, so that float-mode int entries still average
-    to a float.
+    `(x + y) / 2`, not `Fraction(x + y, 2)`, so that float-mode int entries
+    still average to a float.
     """
     return tuple(
         tuple(m[a][b] if m[a][b] == m[b][a] else (m[a][b] + m[b][a]) / 2 for b in AXES)
@@ -62,11 +56,6 @@ def _tensor(entry):
         tuple([(entry(i, j, U), entry(i, j, L), entry(i, j, N)) for j in AXES])
         for i in AXES
     ])
-
-
-def _max_abs(entry):
-    """Max over all index triples of |entry(i, j, k)|, as a float."""
-    return max(abs(float(entry(i, j, k))) for i in AXES for j in AXES for k in AXES)
 
 
 class _Frozen:
@@ -224,69 +213,6 @@ class StructureData(_Frozen):
     def __repr__(self):
         return f"StructureData({[[list(r) for r in p] for p in self.d]})"
 
-    def bracket_coeffs(self):
-        """Structure constants c^k_{ij} of the dual frame: [e_i, e_j] = c^k_{ij} e_k.
-
-        These are minus the coframe coefficients: d e^k(e_i, e_j) = -e^k([e_i, e_j]).
-        """
-        return _tensor(lambda k, i, j: -self.d[k][i][j])
-
-    def d_squared(self):
-        """Coefficients of d(d e^k) on e^u wedge e^l wedge e^n, for each k.
-
-        Vanishing of all three is the Jacobi/integrability identity.
-        """
-        out = []
-        for k in AXES:
-            acc = 0
-            # d(sum_{i<j} d[k][i][j] e^i ^ e^j) = sum_{i<j} d[k][i][j] (de^i ^ e^j - e^i ^ de^j)
-            for i, j in ((U, L), (U, N), (L, N)):
-                c = self.d[k][i][j]
-                if c != 0:
-                    acc += c * (_wedge(self.d[i], j) - _wedge(self.d[j], i))
-            out.append(acc)
-        return tuple(out)
-
-
-# the nonzero Levi-Civita symbols eps_{kpq} as (sign, p, q), for each k, in
-# ascending (p, q); eps is cyclic, so eps_{pqk} = eps_{kpq}
-_EPS = (
-    ((1, L, N), (-1, N, L)),
-    ((-1, U, N), (1, N, U)),
-    ((1, U, L), (-1, L, U)),
-)
-
-
-def _wedge(two_form, k):
-    """Coefficient of e^u ^ e^l ^ e^n in e^k ^ (2-form), which equals (2-form) ^ e^k."""
-    acc = 0
-    for s, p, q in _EPS[k]:
-        acc += s * two_form[p][q]
-    return _half(acc)
-
-
-class Connection(_Frozen):
-    """Frame components gamma[c][b][a] of nabla_{e_b} e_a = sum_c gamma[c][b][a] e_c."""
-
-    __slots__ = ("gamma",)
-
-    def __init__(self, gamma):
-        object.__setattr__(self, "gamma", tuple(tuple(tuple(r) for r in p) for p in gamma))
-
-    def __getitem__(self, cba):
-        c, b, a = cba
-        return self.gamma[c][b][a]
-
-    def __eq__(self, other):
-        return isinstance(other, Connection) and self.gamma == other.gamma
-
-    def max_abs_diff(self, other):
-        return _max_abs(lambda c, b, a: self.gamma[c][b][a] - other.gamma[c][b][a])
-
-    def metric_compat_residual(self):
-        """Max |gamma[c][b][a] + gamma[a][b][c]| (orthonormal-frame antisymmetry)."""
-        return _max_abs(lambda c, b, a: self.gamma[c][b][a] + self.gamma[a][b][c])
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -331,8 +257,9 @@ def is_unimodular(theta: ShapeOperator, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def connection_cauchy(theta: ShapeOperator) -> Connection:
-    """Levi-Civita connection of a parallel Cauchy pair.
+def connection_cauchy(theta: ShapeOperator):
+    """Levi-Civita connection of a parallel Cauchy pair, as nested [c][b][a]
+    with nabla_{e_b} e_a = sum_c gamma[c][b][a] e_c:
 
     nabla_{e_b} e_a = -delta_{au} theta(e_b) + theta(e_a, e_b) e_u.
     """
@@ -344,23 +271,7 @@ def connection_cauchy(theta: ShapeOperator) -> Connection:
             val = val - t[b][c]
         return val
 
-    return Connection(_tensor(entry))
-
-
-def connection_koszul(d: StructureData, tol: float = DEFAULT_TOL) -> Connection:
-    """Unique metric-compatible torsion-free connection of an orthonormal coframe.
-
-    Independent oracle from structure coefficients alone, via the Koszul formula
-    <nabla_{e_b} e_a, e_c> = (c^c_{ba} - c^b_{ac} + c^a_{cb}) / 2.
-    Fails if the Jacobi residual of `d` exceeds `tol`.
-    """
-    jac = d.d_squared()
-    if not all(is_zero(j, tol) for j in jac):
-        raise CauchyPairsError(f"structure data violates Jacobi identity: {jac}")
-    c = d.bracket_coeffs()
-    return Connection(_tensor(
-        lambda cc, b, a: _half(c[cc][b][a] - c[b][a][cc] + c[a][cc][b])
-    ))
+    return _tensor(entry)
 
 
 def nabla_theta(theta: ShapeOperator):
@@ -378,20 +289,6 @@ def nabla_theta(theta: ShapeOperator):
             val = val + t2[a][b]
         if b == U:
             val = val + t2[a][c]
-        return val
-
-    return _tensor(entry)
-
-
-def nabla_theta_oracle(theta: ShapeOperator):
-    """Same tensor via the product rule with the Cauchy connection (components constant)."""
-    gam = connection_cauchy(theta).gamma
-    t = theta.entries
-
-    def entry(a, b, c):
-        val = 0
-        for m in AXES:
-            val = val - gam[m][a][b] * t[m][c] - gam[m][a][c] * t[b][m]
         return val
 
     return _tensor(entry)
@@ -457,17 +354,13 @@ def constrained_ricci_flat_residual(theta: ShapeOperator):
     return theta.uu * theta.trace - theta.norm_sq
 
 
-def codazzi_tensors(theta: ShapeOperator):
-    """The three obstruction tensors C_a, a = u, l, n.
+def _codazzi_entry(t, t2, a, b, c):
+    """(C_a)_{bc} of the obstruction tensors C_a, a = u, l, n, from the entries
+    t of theta and t2 of theta o theta:
 
     C_a = e_u x (theta o theta)(e_a) - theta(e_u) x theta(e_a)
           - delta_{ua} theta o theta + theta_{ua} theta.
     """
-    return _tensor(functools.partial(_codazzi_entry, theta.entries, theta.square()))
-
-
-def _codazzi_entry(t, t2, a, b, c):
-    """(C_a)_{bc} from the entries t of theta and t2 of theta o theta."""
     val = -t[U][b] * t[a][c] + t[U][a] * t[b][c]
     if b == U:
         val = val + t2[a][c]
@@ -504,8 +397,3 @@ def codazzi_predicate_conditions(theta: ShapeOperator, tol: float = DEFAULT_TOL)
     )
     return bullet1 or bullet2
 
-
-def codazzi_antisymmetry_residual(theta: ShapeOperator):
-    """Max |C_a(e_b, e_d) + C_b(e_a, e_d)| over all index triples."""
-    cs = codazzi_tensors(theta)
-    return _max_abs(lambda a, b, d: cs[a][b][d] + cs[b][a][d])

@@ -333,13 +333,6 @@ def plane_dot(a, b) -> np.ndarray:
     return plane_matmul(a[None], b[:, None])[0, 0]
 
 
-def exterior_derivative(grid: Grid, omega) -> np.ndarray:
-    """(d omega)_ij = d_i omega_j - d_j omega_i of covector component planes,
-    one component per grid axis."""
-    partial = plane_partials(grid, omega)
-    return partial - np.swapaxes(partial, 0, 1)
-
-
 # the components ij, i < j, that fix a 2-form
 _UPPER = ((0, 1), (0, 2), (1, 2))
 

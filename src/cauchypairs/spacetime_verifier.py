@@ -194,13 +194,13 @@ def riemann4_fd(g: Metric4Grid, own=None) -> np.ndarray:
 def covariant_derivative4(g: Metric4Grid, omega: np.ndarray, gamma=None, own=None) -> np.ndarray:
     """(nabla omega)_{mu nu} = d_mu omega_nu - Gamma^l_{mu nu} omega_l on the
     box `own` (every node by default), with `gamma` the Christoffel set on
-    that box (built here if not given).  Only omega on the box's shell is
-    copied."""
+    that box (built here if not given).  omega is read in place, as a view
+    of its planes on the box's shell."""
     own, shell, inner = _shell(g, own)
     if gamma is None:
         gamma = christoffel_fd(g, own)
     k = g.ndim
-    omega = fd.to_planes(omega[shell], k)
+    omega = np.moveaxis(omega[shell], -1, 0)
     partial = fd.plane_partials(g, omega, own=inner)
     return fd.from_planes(fd.plane_covariant_derivative(
         fd.to_planes(gamma, k), partial, omega[(Ellipsis,) + inner]), k)

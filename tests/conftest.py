@@ -1,15 +1,20 @@
 """Shared samplers for admissible shape operators across the test suite,
-a traced-memory probe for the per-node memory tests, and the reference
-partials, Christoffel symbols and 256-component Riemann tensor that the FD
-kernels are tested against, built from numpy's gradient and einsum alone."""
+a traced-memory probe for the per-node memory tests, the exact-layer oracles
+that `frame_core`'s closed forms are tested against (the Koszul connection,
+the product-rule nabla Theta, the Jacobi identity and the antisymmetry of the
+Codazzi tensors), and the reference partials, Christoffel symbols and
+256-component Riemann tensor that the FD kernels are tested against, built
+from numpy's gradient and einsum alone."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cauchypairs import classifier
+from cauchypairs import classifier, frame_core as fc
 from cauchypairs.classifier import ROW_IDS
+from cauchypairs.errors import CauchyPairsError
 
 # Verdict lines recorded by the acceptance tests; replayed after the run so
 # they reach the terminal even though pytest captures test stdout.
@@ -73,6 +78,124 @@ def bivector_block(riem_low):
     m, n = (list(i) for i in zip(*PAIRS))
     anti = 0.5 * (riem_low - np.swapaxes(riem_low, -4, -3))
     return anti[..., m, n, :, :][..., m, n]
+
+
+# ---------------------------------------------------------------------------
+# exact-layer oracles: frame components in the index order (u, l, n) = (0, 1,
+# 2), as nested tuples; int/Fraction entries stay exact
+# ---------------------------------------------------------------------------
+
+TRIPLES = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+
+
+def tensor(entry):
+    """Nested 3x3x3 tuple whose [i][j][k] component is entry(i, j, k)."""
+    return tuple(tuple(tuple(entry(i, j, k) for k in range(3)) for j in range(3))
+                 for i in range(3))
+
+
+def _half(x):
+    """x / 2, kept exact for int input (int / 2 would round to a float)."""
+    return Fraction(x, 2) if isinstance(x, int) else x / 2
+
+
+def _max_abs(entry):
+    """Max over all index triples of |entry(i, j, k)|, as a float."""
+    return max(abs(float(entry(i, j, k))) for i, j, k in TRIPLES)
+
+
+def max_abs_diff(gamma, other):
+    """Max |gamma[c][b][a] - other[c][b][a]| of two connections."""
+    return _max_abs(lambda c, b, a: gamma[c][b][a] - other[c][b][a])
+
+
+def metric_compat_residual(gamma):
+    """Max |gamma[c][b][a] + gamma[a][b][c]| (orthonormal-frame antisymmetry)."""
+    return _max_abs(lambda c, b, a: gamma[c][b][a] + gamma[a][b][c])
+
+
+def bracket_coeffs(d):
+    """Structure constants c^k_{ij} of the dual frame of StructureData `d`:
+    [e_i, e_j] = c^k_{ij} e_k.  These are minus the coframe coefficients:
+    d e^k(e_i, e_j) = -e^k([e_i, e_j])."""
+    return tensor(lambda k, i, j: -d.d[k][i][j])
+
+
+# the nonzero Levi-Civita symbols eps_{kpq} as (sign, p, q), for each k, in
+# ascending (p, q); eps is cyclic, so eps_{pqk} = eps_{kpq}
+_EPS = (
+    ((1, 1, 2), (-1, 2, 1)),
+    ((-1, 0, 2), (1, 2, 0)),
+    ((1, 0, 1), (-1, 1, 0)),
+)
+
+
+def _wedge(two_form, k):
+    """Coefficient of e^u ^ e^l ^ e^n in e^k ^ (2-form), which equals (2-form) ^ e^k."""
+    acc = 0
+    for s, p, q in _EPS[k]:
+        acc += s * two_form[p][q]
+    return _half(acc)
+
+
+def d_squared(d):
+    """Coefficients of d(d e^k) on e^u ^ e^l ^ e^n, for each k, of
+    StructureData `d`.  Vanishing of all three is the Jacobi/integrability
+    identity."""
+    out = []
+    for k in range(3):
+        acc = 0
+        # d(sum_{i<j} d[k][i][j] e^i ^ e^j) = sum_{i<j} d[k][i][j] (de^i ^ e^j - e^i ^ de^j)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            c = d.d[k][i][j]
+            if c != 0:
+                acc += c * (_wedge(d.d[i], j) - _wedge(d.d[j], i))
+        out.append(acc)
+    return tuple(out)
+
+
+def connection_koszul(d, tol=fc.DEFAULT_TOL):
+    """Unique metric-compatible torsion-free connection gamma[c][b][a] of an
+    orthonormal coframe with StructureData `d`, from the structure
+    coefficients alone, via the Koszul formula
+    <nabla_{e_b} e_a, e_c> = (c^c_{ba} - c^b_{ac} + c^a_{cb}) / 2.
+    Fails if the Jacobi residual of `d` exceeds `tol`."""
+    jac = d_squared(d)
+    if not all(fc.is_zero(j, tol) for j in jac):
+        raise CauchyPairsError(f"structure data violates Jacobi identity: {jac}")
+    c = bracket_coeffs(d)
+    return tensor(lambda cc, b, a: _half(c[cc][b][a] - c[b][a][cc] + c[a][cc][b]))
+
+
+def nabla_theta_oracle(theta):
+    """(nabla_{e_a} theta)_{bc} as nested [a][b][c], by the product rule with
+    the Cauchy connection (the components of theta are constant)."""
+    gam = fc.connection_cauchy(theta)
+    t = theta.entries
+
+    def entry(a, b, c):
+        val = 0
+        for m in range(3):
+            val = val - gam[m][a][b] * t[m][c] - gam[m][a][c] * t[b][m]
+        return val
+
+    return tensor(entry)
+
+
+def loop_codazzi(t, t2):
+    """The Codazzi tensors (C_a)_{bc} as nested [a][b][c], from the entries t
+    of theta and t2 of theta o theta, by a per-index loop form."""
+    def entry(a, b, c):
+        val = -t[0][b] * t[a][c] + t[0][a] * t[b][c]
+        val = val + t2[a][c] if b == 0 else val
+        return val - t2[b][c] if a == 0 else val
+    return tensor(entry)
+
+
+def codazzi_antisymmetry_residual(theta):
+    """Max |C_a(e_b, e_d) + C_b(e_a, e_d)| over all index triples."""
+    cs = loop_codazzi(theta.entries, theta.square())
+    return _max_abs(lambda a, b, d: cs[a][b][d] + cs[b][a][d])
 
 
 def _nonzero(rng, lo=0.2, hi=3.0):

@@ -16,7 +16,14 @@ from cauchypairs import spacetime_verifier as sv
 from cauchypairs.frame_core import ShapeOperator
 
 import conftest
-from conftest import gh_pp_metric_and_pair, sample_families
+from conftest import (
+    codazzi_antisymmetry_residual,
+    connection_koszul,
+    d_squared,
+    gh_pp_metric_and_pair,
+    max_abs_diff,
+    sample_families,
+)
 from test_coordinate_fields import warped_realization
 
 
@@ -78,7 +85,7 @@ def test_acceptance_3_oracle_equivalence():
         d = fc.structure_from_theta(fam.theta)
         worst_conn = max(
             worst_conn,
-            fc.connection_koszul(d).max_abs_diff(fc.connection_cauchy(fam.theta)),
+            max_abs_diff(connection_koszul(d), fc.connection_cauchy(fam.theta)),
         )
         ric, _ = fc.ricci_frame(fam.theta)
         trace = sum(ric[a][a] for a in range(3))
@@ -94,7 +101,7 @@ def test_acceptance_3_oracle_equivalence():
     for mu in (Fraction(-1, 2), Fraction(1, 2), 1):
         theta = ShapeOperator.diagonal(1, mu, 1)
         d = fc.structure_from_theta(theta)
-        exact_ok &= fc.connection_koszul(d) == fc.connection_cauchy(theta)
+        exact_ok &= connection_koszul(d) == fc.connection_cauchy(theta)
         ric, _ = fc.ricci_frame(theta)
         exact_ok &= sum(ric[a][a] for a in range(3)) == fc.scalar_curvature(theta)
     ok = worst_conn < 1e-12 and worst_trace < 1e-11 and equiv_ok and exact_ok
@@ -270,7 +277,7 @@ def test_acceptance_7_property_suite():
     antisym_worst = 0.0
     for fam in sample_families(rng2, 500):
         antisym_worst = max(
-            antisym_worst, fc.codazzi_antisymmetry_residual(fam.theta)
+            antisym_worst, codazzi_antisymmetry_residual(fam.theta)
         )
 
     jacobi_ok = True
@@ -278,7 +285,7 @@ def test_acceptance_7_property_suite():
         theta = ShapeOperator.from_components(*rng2.uniform(-3, 3, size=6))
         d_zero = all(
             abs(float(v)) < 1e-11 for v in
-            fc.structure_from_theta(theta).d_squared()
+            d_squared(fc.structure_from_theta(theta))
         )
         i_zero = all(
             abs(float(v)) < 1e-11 for v in fc.integrability_residual(theta)

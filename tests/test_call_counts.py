@@ -214,6 +214,28 @@ def test_one_planes_conversion_per_metric(counter):
     assert len(calls) == 1
 
 
+def test_no_planes_copy_of_the_metric_in_flow_pp(monkeypatch):
+    # the covariant derivative of the null column of g that plane_wave_check
+    # takes reads that column in place, as a view of g's planes: no
+    # to_planes call copies any part of g
+    metrics, conversions = [], []
+    init, to_planes = sv.Metric4Grid.__init__, fd.to_planes
+    monkeypatch.setattr(sv.Metric4Grid, "__init__",
+                        lambda self, *a, **kw: init(self, *a, **kw) or metrics.append(self))
+
+    def recorded(values, ndim):
+        planes = to_planes(values, ndim)
+        conversions.append((values, planes))
+        return planes
+
+    monkeypatch.setattr(fd, "to_planes", recorded)
+    cli.run(FLOW_PP)
+    assert len(metrics) == 1
+    g = metrics[0].planes
+    assert conversions
+    assert all(np.may_share_memory(p, g) for v, p in conversions if np.may_share_memory(v, g))
+
+
 def test_two_diagonal_solutions_per_flow_diag_run(counter):
     config = {"mode": "flow-diag",
               "family": {"case": "B_nonzero", "a": 1.5, "b": 0.5,

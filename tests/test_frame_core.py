@@ -13,7 +13,19 @@ from cauchypairs import classifier, frame_core as fc
 from cauchypairs.errors import CauchyPairsError
 from cauchypairs.frame_core import ShapeOperator, StructureData
 
-from conftest import sample_families
+from conftest import (
+    TRIPLES,
+    bracket_coeffs,
+    codazzi_antisymmetry_residual,
+    connection_koszul,
+    d_squared,
+    loop_codazzi,
+    max_abs_diff,
+    metric_compat_residual,
+    nabla_theta_oracle,
+    sample_families,
+    tensor,
+)
 
 
 def ricci_from_curvature(theta):
@@ -24,8 +36,8 @@ def ricci_from_curvature(theta):
     Entirely independent of the closed-form Ricci expression under test.
     """
     d = fc.structure_from_theta(theta)
-    gam = np.array(fc.connection_koszul(d).gamma, dtype=float)
-    c = np.array(d.bracket_coeffs(), dtype=float)
+    gam = np.array(connection_koszul(d), dtype=float)
+    c = np.array(bracket_coeffs(d), dtype=float)
     riem = (
         np.einsum("ead,dbc->ecab", gam, gam)
         - np.einsum("ebd,dac->ecab", gam, gam)
@@ -122,46 +134,46 @@ class TestStructureData:
     def test_jacobi_iff_integrability(self, rng):
         for fam in sample_families(rng, 30):
             d = fc.structure_from_theta(fam.theta)
-            assert d.d_squared() == (0, 0, 0) or all(
-                abs(float(v)) < 1e-12 for v in d.d_squared()
+            assert d_squared(d) == (0, 0, 0) or all(
+                abs(float(v)) < 1e-12 for v in d_squared(d)
             )
         # a theta violating integrability yields a non-Jacobi structure
         bad = ShapeOperator.from_components(ul=1, ll=1, nn=-1)
         assert any(v != 0 for v in fc.integrability_residual(bad))
         d = fc.structure_from_theta(bad)
-        assert any(v != 0 for v in d.d_squared())
+        assert any(v != 0 for v in d_squared(d))
 
 
 class TestConnection:
     def test_koszul_matches_cauchy_connection(self, rng):
         for fam in sample_families(rng, 100):
             d = fc.structure_from_theta(fam.theta)
-            koszul = fc.connection_koszul(d)
+            koszul = connection_koszul(d)
             direct = fc.connection_cauchy(fam.theta)
-            assert koszul.max_abs_diff(direct) < 1e-12
+            assert max_abs_diff(koszul, direct) < 1e-12
 
     def test_koszul_matches_exactly_in_rational_mode(self):
         theta = ShapeOperator.diagonal(1, Fraction(1, 2), 1)
         d = fc.structure_from_theta(theta)
-        assert fc.connection_koszul(d) == fc.connection_cauchy(theta)
+        assert connection_koszul(d) == fc.connection_cauchy(theta)
 
     def test_metric_compatibility(self, rng):
         for fam in sample_families(rng, 30):
             conn = fc.connection_cauchy(fam.theta)
-            assert conn.metric_compat_residual() < 1e-12
+            assert metric_compat_residual(conn) < 1e-12
 
     def test_koszul_rejects_non_jacobi_structure(self):
         bad = ShapeOperator.from_components(ul=1, ll=1, nn=-1)
         d = fc.structure_from_theta(bad)
         with pytest.raises(CauchyPairsError):
-            fc.connection_koszul(d)
+            connection_koszul(d)
 
 
 class TestNablaTheta:
     def test_closed_form_matches_product_rule_oracle(self, rng):
         for fam in sample_families(rng, 60):
             closed = np.array(fc.nabla_theta(fam.theta), dtype=float)
-            oracle = np.array(fc.nabla_theta_oracle(fam.theta), dtype=float)
+            oracle = np.array(nabla_theta_oracle(fam.theta), dtype=float)
             assert np.abs(closed - oracle).max() < 1e-12
 
     def test_divergence_is_trace_of_nabla(self, rng):
@@ -232,7 +244,7 @@ class TestCodazzi:
 
     def test_antisymmetry_identity(self, rng):
         for fam in sample_families(rng, 100):
-            assert fc.codazzi_antisymmetry_residual(fam.theta) < 1e-12
+            assert codazzi_antisymmetry_residual(fam.theta) < 1e-12
 
     def test_known_codazzi_examples(self):
         assert fc.codazzi_predicate(ShapeOperator.diagonal(2, 2, 2))
@@ -256,7 +268,7 @@ class TestProperties:
     def test_jacobi_iff_integrability_any_theta(self, uu, ul, un, ll, ln, nn):
         theta = ShapeOperator.from_components(uu, ul, un, ll, ln, nn)
         d = fc.structure_from_theta(theta)
-        jac = [float(v) for v in d.d_squared()]
+        jac = [float(v) for v in d_squared(d)]
         i1, i2 = (float(v) for v in fc.integrability_residual(theta))
         # d o d vanishes exactly when the integrability bilinears do:
         # the Jacobi defect components are (0, -i1, -i2)
@@ -283,35 +295,25 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     def test_codazzi_predicate_is_every_entry_zero(self, comps, tol):
         theta = ShapeOperator.from_components(*comps)
-        entries = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(fc.codazzi_tensors(theta))
-        )
+        entries = flat(loop_codazzi(theta.entries, theta.square()))
         assert fc.codazzi_predicate(theta, tol) == all(fc.is_zero(x, tol) for x in entries)
 
 
-# Per-index loop forms of the closed formulas, evaluated in the library's
-# operation order: with +-0.0 entries the sign of a zero result depends on it
-# (-0.0 + 0 is 0.0, while x - 0 keeps the sign of x).
-TRIPLES = list(itertools.product(range(3), repeat=3))
-
-
-def loop_tensor(entry):
-    out = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k in TRIPLES:
-        out[i][j][k] = entry(i, j, k)
-    return out
+# Per-index loop forms of the closed formulas (with conftest's `loop_codazzi`),
+# evaluated in the library's operation order: with +-0.0 entries the sign of a
+# zero result depends on it (-0.0 + 0 is 0.0, while x - 0 keeps the sign of x).
 
 
 def loop_structure(t):
-    return loop_tensor(lambda a, b, c: t[a][b] if c == 0 and b != 0
-                       else -t[a][c] if b == 0 and c != 0 else 0)
+    return tensor(lambda a, b, c: t[a][b] if c == 0 and b != 0
+                  else -t[a][c] if b == 0 and c != 0 else 0)
 
 
 def loop_connection(t):
     def entry(c, b, a):
         val = t[a][b] if c == 0 else 0
         return val - t[b][c] if a == 0 else val
-    return loop_tensor(entry)
+    return tensor(entry)
 
 
 def loop_nabla_theta(t, t2):
@@ -319,15 +321,7 @@ def loop_nabla_theta(t, t2):
         val = -t[0][b] * t[a][c] - t[a][b] * t[0][c]
         val = val + t2[a][b] if c == 0 else val
         return val + t2[a][c] if b == 0 else val
-    return loop_tensor(entry)
-
-
-def loop_codazzi(t, t2):
-    def entry(a, b, c):
-        val = -t[0][b] * t[a][c] + t[0][a] * t[b][c]
-        val = val + t2[a][c] if b == 0 else val
-        return val - t2[b][c] if a == 0 else val
-    return loop_tensor(entry)
+    return tensor(entry)
 
 
 def loop_ricci(theta, t, t2):
@@ -357,9 +351,10 @@ def test_zero_signs_match_loop_forms():
         t, t2 = theta.entries, theta.square()
         pairs = [
             ("structure_from_theta", fc.structure_from_theta(theta).d, loop_structure(t)),
-            ("connection_cauchy", fc.connection_cauchy(theta).gamma, loop_connection(t)),
+            ("connection_cauchy", fc.connection_cauchy(theta), loop_connection(t)),
             ("nabla_theta", fc.nabla_theta(theta), loop_nabla_theta(t, t2)),
-            ("codazzi_tensors", fc.codazzi_tensors(theta), loop_codazzi(t, t2)),
+            ("_codazzi_entry", [fc._codazzi_entry(t, t2, a, b, c) for a, b, c in TRIPLES],
+             loop_codazzi(t, t2)),
             ("ricci_frame", fc.ricci_frame(theta)[0], loop_ricci(theta, t, t2)),
         ]
         for name, got, want in pairs:
