@@ -91,6 +91,8 @@ def constraint_residual_fd(coframe: FieldGrid, theta: FieldGrid) -> dict:
         raise GridInvalid("coframe and theta grids must have 3x3 payloads")
     if theta.shape != coframe.shape:
         raise GridInvalid(f"theta grid {theta.shape} does not match coframe grid {coframe.shape}")
+    if theta.box != coframe.box:
+        raise GridInvalid(f"theta box {theta.box} does not match coframe box {coframe.box}")
 
     fd.require_regular(coframe.values)
     return fd.slab_max(coframe.shape, 1, lambda window, box, own: _slab_residuals(
@@ -105,7 +107,12 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     term lives on the box; only e, h and Theta(e_u), whose partials are
     taken, reach into the one-node shell around it (`grid.grow`).  h is
     inverted once, on the own planes (`grid.slab_inverse`), and both
-    Christoffel sets take it cut to the box."""
+    Christoffel sets take it cut to the box.
+
+    Each Christoffel set is built while only e, h and h^-1 are alive: the
+    terms of e_u, then those of e_l, are formed and reduced between the
+    sets, and a row Theta(e_a) is formed where it is used, not held across
+    a set."""
     norm = fd.max_abs
     e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,29 +121,40 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     hinv = fd.slab_inverse(h, own, box)
     e_box = e[(Ellipsis,) + box]
     eu = e_box[0]
-    # Theta(e_a) = sum_b theta_ab e_b in coordinate components
-    theta_e = fd.plane_matmul(fd.to_planes(th[box], 3), e_box)
 
-    # the covariant forms come first, while only the partials of e_u and e_l
-    # are alive; each Christoffel set is built inside its norm() call, so no
-    # term of an earlier one is alive while the next is built
-    de_u, de_l = (fd.plane_partials(coframe, e[a], own=box) for a in (0, 1))  # d_i (e_a)_j
-    covariant_u = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(coframe, h, hinv, box), de_u, eu)
-        + fd.plane_matmul(np.swapaxes(e_box, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
-        - theta_e[0][:, None] * eu[None, :]
-    )
-    covariant_l = norm(
-        fd.plane_covariant_derivative(christoffel3_fd(coframe, h, hinv, box), de_l, e_box[1])
-        - theta_e[1][:, None] * eu[None, :]
-    )
-    del h, hinv
+    def theta_of(lo, hi, nodes=box):
+        # the rows Theta(e_a) = sum_b theta_ab e_b, lo <= a < hi, in
+        # coordinate components on the box `nodes`
+        return fd.plane_matmul(fd.to_planes(th[nodes][..., lo:hi, :], 3), e[(Ellipsis,) + nodes])
 
+    def covariant(a):
+        # nabla e_a and the partials d_i (e_a)_j on the box; the set is built
+        # before the partials and dropped on return
+        gamma = christoffel3_fd(coframe, h, hinv, box)
+        de = fd.plane_partials(coframe, e[a], own=box)
+        return fd.plane_covariant_derivative(gamma, de, e_box[a]), de
+
+    nabla, de = covariant(0)
+    theta_e = theta_of(0, 3)
+    nabla += fd.plane_matmul(np.swapaxes(e_box, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
+    nabla -= theta_e[0][:, None] * eu[None, :]
+    covariant_u = norm(nabla)
+    exterior = [fd.exterior_system(de, norm, (theta_e[0], eu))]
+    del nabla, de, theta_e
+
+    nabla, de = covariant(1)
+    theta_el = theta_of(1, 2)[0]
+    nabla -= theta_el[:, None] * eu[None, :]
+    covariant_l = norm(nabla)
+    exterior.append(fd.exterior_system(de, norm, (theta_el, eu)))
+    del nabla, de, theta_el, h, hinv
+
+    exterior.append(fd.exterior_system(fd.plane_partials(coframe, e[2], own=box), norm,
+                                       (theta_of(2, 3)[0], eu)))
     # Theta(e_u) feeds a derivative, so it spans the box and its shell
     shell, inner = fd.grow(box, e.shape[2:])
-    theta_eu = fd.plane_matmul(fd.to_planes(th[shell][..., :1, :], 3), e[(Ellipsis,) + shell])[0]
-    report = fd.exterior_system((de_u, de_l, fd.plane_partials(coframe, e[2], own=box)), eu,
-                                theta_e, fd.plane_partials(coframe, theta_eu, own=inner), norm)
+    report = fd.exterior_report(exterior, fd.exterior_system(
+        fd.plane_partials(coframe, theta_of(0, 1, shell)[0], own=inner), norm))
     report["covariant_u"] = covariant_u
     report["covariant_l"] = covariant_l
     report["max"] = float(np.max(list(report.values())))

@@ -103,12 +103,12 @@ def _slab_comoving(grid: Grid4, rows, box, own) -> dict:
     report["evolution"] = norm(ev)
     del ev
 
-    # the partials of one frame row at a time
-    de = (fd.plane_partials(grid, e[a], SPATIAL_AXES, box) for a in range(3))
-    report.update(fd.exterior_system(
-        de, e[(0, Ellipsis) + box], theta_e[(Ellipsis,) + inner],
-        fd.plane_partials(grid, theta_e[0], SPATIAL_AXES, inner), norm
-    ))
+    # each row's residual is reduced as soon as its partials are built
+    e_u = e[(0, Ellipsis) + box]
+    exterior = [fd.exterior_system(fd.plane_partials(grid, e[a], SPATIAL_AXES, box), norm,
+                                   (theta_e[(a, Ellipsis) + inner], e_u)) for a in range(3)]
+    report.update(fd.exterior_report(exterior, fd.exterior_system(
+        fd.plane_partials(grid, theta_e[0], SPATIAL_AXES, inner), norm)))
     report["theta_eu_static"] = norm(fd.plane_partials(grid, theta_e[0], (0,), inner)[0])
     report["max"] = float(np.max(list(report.values())))  # NaN propagates
     return report

@@ -337,24 +337,6 @@ def plane_dot(a, b) -> np.ndarray:
 _UPPER = ((0, 1), (0, 2), (1, 2))
 
 
-def _two_form(partial, wedge_of=None) -> np.ndarray:
-    """The planes ij, i < j (in `_UPPER` order), of d omega - alpha ^ beta,
-    from the partials partial[i, j] = d_i omega_j and `wedge_of` = (alpha,
-    beta), or of d omega alone; the other planes are their exact negatives
-    or 0."""
-    out = np.empty((len(_UPPER),) + partial.shape[2:])
-    for s, (i, j) in enumerate(_UPPER):
-        np.subtract(partial[i, j], partial[j, i], out=out[s])
-    if wedge_of is not None:
-        alpha, beta = wedge_of
-        w = np.empty(out.shape[1:])
-        for s, (i, j) in enumerate(_UPPER):
-            np.multiply(alpha[i], beta[j], out=w)
-            w -= alpha[j] * beta[i]
-            out[s] -= w
-    return out
-
-
 def coframe_metric(e) -> np.ndarray:
     """h_ij = sum_a (e_a)_i (e_a)_j of coframe planes (frame, component, *grid)."""
     return plane_matmul(np.swapaxes(e, 0, 1), e)
@@ -466,22 +448,35 @@ def plane_covariant_derivative(gamma, partial, omega) -> np.ndarray:
     return np.subtract(partial, acc, out=acc)
 
 
-def exterior_system(de, e_u, theta_e, d_theta_eu, norm) -> dict:
-    """Residuals of the exterior system d e_a = Theta(e_a) ^ e_u (a = u, l, n)
-    and of the closedness of Theta(e_u), each reduced by `norm`: the keys
-    exterior_u, exterior_l, exterior_n, exterior_max and theta_eu_closed.
-    All arguments are component planes: `de` yields the partials
-    d_i (e_a)_j, (i, j, *grid), of each frame row a in turn (an array or a
-    generator); `theta_e` holds the rows Theta(e_a), and `d_theta_eu` the
-    partials of Theta(e_u).  Each residual is reduced as soon as it is
-    built, over its planes ij, i < j: the others are their exact negatives
-    or 0."""
-    report = {
-        f"exterior_{name}": norm(_two_form(d_ea, (theta_ea, e_u)))
-        for name, d_ea, theta_ea in zip("uln", de, theta_e)
-    }
-    report["exterior_max"] = float(np.max(list(report.values())))  # NaN propagates
-    report["theta_eu_closed"] = norm(_two_form(d_theta_eu))
+def exterior_system(partial, norm, wedge_of=None) -> float:
+    """The residual of one row a of the exterior system d e_a = Theta(e_a) ^
+    e_u, reduced by `norm`, from the partials partial[i, j] = d_i (e_a)_j
+    and `wedge_of` = (Theta(e_a), e_u); with no `wedge_of`, that of d omega
+    = 0 from the partials of omega, the closedness of Theta(e_u).  All
+    arguments are component planes.  The residual is built over its planes
+    ij, i < j (in `_UPPER` order) only: the others are their exact
+    negatives or 0.  Both coframe residuals call it as soon as a row's
+    partials are built, so no two rows' partials need be alive at once."""
+    out = np.empty((len(_UPPER),) + partial.shape[2:])
+    for s, (i, j) in enumerate(_UPPER):
+        np.subtract(partial[i, j], partial[j, i], out=out[s])
+    if wedge_of is not None:
+        alpha, beta = wedge_of
+        w = np.empty(out.shape[1:])
+        for s, (i, j) in enumerate(_UPPER):
+            np.multiply(alpha[i], beta[j], out=w)
+            w -= alpha[j] * beta[i]
+            out[s] -= w
+    return norm(out)
+
+
+def exterior_report(rows, closed) -> dict:
+    """The keys exterior_u, exterior_l, exterior_n, exterior_max and
+    theta_eu_closed from the residuals of `exterior_system`: the rows
+    (u, l, n) and the closedness of Theta(e_u)."""
+    report = dict(zip(("exterior_u", "exterior_l", "exterior_n"), rows))
+    report["exterior_max"] = float(np.max(rows))  # NaN propagates
+    report["theta_eu_closed"] = closed
     return report
 
 
@@ -525,14 +520,15 @@ def cumulative_simpson(y, x) -> np.ndarray:
 
 # Nodes per slab of grid axis 0 of `slab_max` and `require_regular`, not
 # counting the collar planes folded into the end slabs.  The 3D constraint
-# residual's traced working set is then ~20 MiB above its inputs at n = 129
-# (one-plane slabs) and ~24 MiB at n = 65 (seven-plane slabs): e and h take
-# 144 B per window node (own planes and a one-plane halo), h^-1 72 B per own
-# node until it is cut to the box, and every other term lives on the nodes
-# the norms read.  The comoving residual's is ~300 B per node of a slab's
-# window (own planes and a two-plane halo).  2**15 is the largest power of
-# two that keeps 17^3 and 33^3 one slab each; 17^4 is three, of 8, 6 and 3
-# planes.
+# residual's traced working set is then ~17 MiB above its inputs at n = 129
+# (one-plane slabs), ~18.4 MiB at n = 65 (seven-plane slabs) and ~16.7 MiB
+# at n = 33 (one slab), its peak at a Christoffel set: e and h take 144 B per
+# window node (own planes and a one-plane halo), h^-1 72 B per node of the
+# box the norms read, and the set itself ~410 B per box node; every other
+# term lives on the box between the sets.  The comoving residual's is
+# ~300 B per node of a slab's window (own planes and a two-plane halo).
+# 2**15 is the largest power of two that keeps 17^3 and 33^3 one slab each;
+# 17^4 is three, of 8, 6 and 3 planes.
 SLAB_NODES = 2**15
 
 

@@ -350,6 +350,13 @@ class TestReproduceFixtures:
         report = cli.run({"mode": "reproduce", "fixture": fixture})
         assert report["passed"], report["result"]
 
+    def test_universal_holds_one_residual_slab(self):
+        # the 33^3 residual is one slab, which holds only e, h and h^-1 at
+        # each Christoffel set: ~21.9 MiB; holding Theta(e_a) and the
+        # partials of e_u and e_l across a set as well takes ~26.9 MiB
+        peak = traced_peak(lambda: cli.run({"mode": "reproduce", "fixture": "universal"}))
+        assert peak < 24 * 2**20
+
     def test_tau3mu_numbers(self):
         report = cli.run({"mode": "reproduce", "fixture": "tau3mu"})
         cases = {c["mu"]: c for c in report["result"]["cases"]}

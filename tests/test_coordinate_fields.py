@@ -1,6 +1,7 @@
 """Tests for sampled-field calculus and the universal-cover construction."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ class TestConstraintResidual:
         _, th = warped_realization(11)
         with pytest.raises(GridInvalid):
             cf.constraint_residual_fd(e, th)
+        # the same shape sampled on other nodes
+        e, _ = warped_realization(9, box=((0.1, 0.19),) * 3)
+        _, th = warped_realization(9, box=((5.1, 5.19),) * 3)
+        with pytest.raises(GridInvalid, match=re.escape(f"theta box {th.box} does not "
+                                                        f"match coframe box {e.box}")):
+            cf.constraint_residual_fd(e, th)
 
     @pytest.mark.parametrize("n", [9, 17, 23])
     def test_slabs_match_one_slab(self, monkeypatch, n):
@@ -270,9 +277,38 @@ class TestConstraintResidual:
 
     def test_residual_memory_is_bounded_by_the_slab(self):
         # nine slabs of 7 planes that the norms read, the first and last with
-        # the 2-plane collar folded in: ~23.7 MiB
+        # the 2-plane collar folded in: ~18.4 MiB
         e, th = warped_realization(65)
-        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 29 * 2**20
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 20 * 2**20
+
+    def test_one_slab_residual_memory(self):
+        # at each Christoffel set the slab holds e, h and h^-1 only: ~16.7
+        # MiB; holding Theta(e_a) and the partials of e_u and e_l across a
+        # set as well takes ~21.7 MiB
+        n = 33
+        e, th = warped_realization(n)
+        assert fd._slabs(e.shape) == [(0, n)]
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 17.5 * 2**20
+
+    def test_christoffel_sets_see_only_e_h_and_its_inverse(self, monkeypatch):
+        # the bytes traced at the entry of each set of a one-slab residual
+        # are those of e and h on the window and h^-1 on the box, 9 planes
+        # each, to within the slab's small Python objects
+        n = 17
+        e, th = self.off_solution(n)
+        assert fd._slabs(e.shape) == [(0, n)]
+        at_entry = []
+        build = cf.christoffel3_fd
+
+        def spy(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return build(*args)
+
+        monkeypatch.setattr(cf, "christoffel3_fd", spy)
+        traced_peak(lambda: cf.constraint_residual_fd(e, th))
+        live = 8 * 9 * (2 * n**3 + (n - 2 * fd.COLLAR) ** 3)
+        assert len(at_entry) == 2
+        assert all(abs(b - live) <= 0.05 * live for b in at_entry), (at_entry, live)
 
     def test_christoffel_peak_memory_per_node(self):
         # ~432 B per node: the six partials d_i g_jl, the output, and three
