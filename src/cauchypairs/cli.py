@@ -71,7 +71,9 @@ def _vector(value, size: int, where: str) -> tuple:
 
 def _number(value, exact: bool, where: str):
     """A Theta entry: a JSON number, or a string parsed as an exact rational;
-    rationalized under `exact`, and at most THETA_MAX in magnitude."""
+    at most THETA_MAX in magnitude, and rationalized under `exact`, a float
+    otherwise, so that an integer or a rational string is read in float mode
+    as its float."""
     if isinstance(value, str):
         try:
             value = Fraction(value)
@@ -81,9 +83,11 @@ def _number(value, exact: bool, where: str):
         _fail(f"{where} must be a number, got {value!r}")
     if not abs(value) <= THETA_MAX:
         _fail(f"{where} must be finite with magnitude <= {THETA_MAX:g}, got {value!r}")
-    if exact and isinstance(value, float):
+    if not exact:
+        return float(value)
+    if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
-    return Fraction(value) if exact else value
+    return Fraction(value)
 
 
 def _interval(value, where: str):

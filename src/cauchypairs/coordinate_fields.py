@@ -103,60 +103,70 @@ def _slab_residuals(coframe: FieldGrid, rows, th, box, own) -> dict:
     """The report of `constraint_residual_fd` over the nodes `box` (one slice
     per axis of the x-window) of one slab, from the window's coframe `rows`
     and Theta values `th`; `coframe` is the whole grid, whose spacing the
-    window shares, and `own` the slab's own planes of the window.  Every
-    term lives on the box; only e, h and Theta(e_u), whose partials are
-    taken, reach into the one-node shell around it (`grid.grow`).  h is
+    window shares, and `own` the slab's own planes of the window.  h is
     inverted once, on the own planes (`grid.slab_inverse`), and both
     Christoffel sets take it cut to the box.
 
-    Each Christoffel set is built while only e, h and h^-1 are alive: the
-    terms of e_u, then those of e_l, are formed and reduced between the
-    sets, and a row Theta(e_a) is formed where it is used, not held across
-    a set."""
+    Each Christoffel set is built on the whole box while only e, h and h^-1
+    are alive.  After it, the terms are formed and max-reduced one chunk of
+    the box at a time (`grid._chunks`): after the first set those of e_u and
+    e_n and the closedness of Theta(e_u), after the second those of e_l.
+    Every term lives on its chunk; only e, h and Theta(e_u), whose partials
+    are taken, reach into the one-node shell around it (`grid.grow`).  A row
+    Theta(e_a) is formed where it is used.  Every norm is a max, so the
+    report does not depend on the chunks."""
     norm = fd.max_abs
     e = fd.to_planes(rows, 3)  # e[a, j] = (e_a)_j on the window
     with np.errstate(over="ignore", invalid="ignore"):
         h = fd.coframe_metric(e)
     # raises SingularMatrix wherever an inverse on the own planes is not representable
     hinv = fd.slab_inverse(h, own, box)
-    e_box = e[(Ellipsis,) + box]
-    eu = e_box[0]
+    window = e.shape[2:]
+    chunks = list(fd._chunks(box, window))
+    norms = {}
 
-    def theta_of(lo, hi, nodes=box):
+    def reduce(key, value):
+        norms.setdefault(key, []).append(value)
+
+    def theta_of(lo, hi, nodes):
         # the rows Theta(e_a) = sum_b theta_ab e_b, lo <= a < hi, in
         # coordinate components on the box `nodes`
         return fd.plane_matmul(fd.to_planes(th[nodes][..., lo:hi, :], 3), e[(Ellipsis,) + nodes])
 
-    def covariant(a):
-        # nabla e_a and the partials d_i (e_a)_j on the box; the set is built
-        # before the partials and dropped on return
-        gamma = christoffel3_fd(coframe, h, hinv, box)
-        de = fd.plane_partials(coframe, e[a], own=box)
-        return fd.plane_covariant_derivative(gamma, de, e_box[a]), de
+    gamma = christoffel3_fd(coframe, h, hinv, box)
+    for at, part in chunks:
+        e_at = e[(Ellipsis,) + at]
+        eu = e_at[0]
+        de = fd.plane_partials(coframe, e[::2], own=at)  # d_i (e_a)_j, a = u, n
+        nabla = fd.plane_covariant_derivative(gamma[(Ellipsis,) + part], de[:, 0], eu)
+        theta_e = theta_of(0, 3, at)
+        nabla += fd.plane_matmul(np.swapaxes(e_at, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
+        nabla -= theta_e[0][:, None] * eu[None, :]
+        reduce("covariant_u", norm(nabla))
+        reduce("exterior_u", fd.exterior_system(de[:, 0], norm, (theta_e[0], eu)))
+        reduce("exterior_n", fd.exterior_system(de[:, 1], norm, (theta_e[2], eu)))
+        del nabla, de, theta_e
+        # Theta(e_u) feeds a derivative, so it spans the chunk and its shell
+        shell, inner = fd.grow(at, window)
+        reduce("closed", fd.exterior_system(
+            fd.plane_partials(coframe, theta_of(0, 1, shell)[0], own=inner), norm))
+    del gamma
 
-    nabla, de = covariant(0)
-    theta_e = theta_of(0, 3)
-    nabla += fd.plane_matmul(np.swapaxes(e_box, 0, 1), theta_e)  # theta_ab (e_a)_i (e_b)_j
-    nabla -= theta_e[0][:, None] * eu[None, :]
-    covariant_u = norm(nabla)
-    exterior = [fd.exterior_system(de, norm, (theta_e[0], eu))]
-    del nabla, de, theta_e
-
-    nabla, de = covariant(1)
-    theta_el = theta_of(1, 2)[0]
-    nabla -= theta_el[:, None] * eu[None, :]
-    covariant_l = norm(nabla)
-    exterior.append(fd.exterior_system(de, norm, (theta_el, eu)))
-    del nabla, de, theta_el, h, hinv
-
-    exterior.append(fd.exterior_system(fd.plane_partials(coframe, e[2], own=box), norm,
-                                       (theta_of(2, 3)[0], eu)))
-    # Theta(e_u) feeds a derivative, so it spans the box and its shell
-    shell, inner = fd.grow(box, e.shape[2:])
-    report = fd.exterior_report(exterior, fd.exterior_system(
-        fd.plane_partials(coframe, theta_of(0, 1, shell)[0], own=inner), norm))
-    report["covariant_u"] = covariant_u
-    report["covariant_l"] = covariant_l
+    gamma = christoffel3_fd(coframe, h, hinv, box)
+    del h, hinv
+    for at, part in chunks:
+        eu, el = e[(Ellipsis,) + at][:2]
+        de = fd.plane_partials(coframe, e[1], own=at)
+        nabla = fd.plane_covariant_derivative(gamma[(Ellipsis,) + part], de, el)
+        theta_el = theta_of(1, 2, at)[0]
+        nabla -= theta_el[:, None] * eu[None, :]
+        reduce("covariant_l", norm(nabla))
+        reduce("exterior_l", fd.exterior_system(de, norm, (theta_el, eu)))
+    # NaN propagates through np.max, so a NaN on any chunk reaches the report
+    worst = {key: float(np.max(values)) for key, values in norms.items()}
+    report = fd.exterior_report([worst["exterior_" + row] for row in "uln"], worst["closed"])
+    report["covariant_u"] = worst["covariant_u"]
+    report["covariant_l"] = worst["covariant_l"]
     report["max"] = float(np.max(list(report.values())))
     return report
 

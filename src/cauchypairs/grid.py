@@ -8,9 +8,10 @@ per-node contraction is a few whole-array multiply-adds.  A pipeline converts
 its fields once at entry (`to_planes`); `from_planes` gives a grid-major view
 back, and `to_planes` of that view is the original array, not a copy.  The
 3x3 and 4x4 paths share the kernels (`plane_partials`, `plane_christoffel`,
-`plane_covariant_derivative`).  `plane_christoffel` forms a box of at most
-`BLOCK_NODES` nodes as one block, in a few calls with index arrays, and a
-larger one pair by pair; the two routes agree bit for bit.  Only the
+`plane_covariant_derivative`).  `plane_christoffel` forms a box one chunk
+of at most `BLOCK_NODES` nodes at a time (`_chunks`), each as one block in
+a few calls with index arrays, so its temporaries are bounded by a chunk;
+the set does not depend on the chunks, bit for bit.  Only the
 inverse depends on the block size, and each size has one closed-form
 route on planes, with no LAPACK call: 3x3 blocks (`plane_inverse`), and
 4x4 blocks (`inverse4`) in one pass that also tests each block's
@@ -54,6 +55,7 @@ g as its own read-only planes, converted once at validation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
@@ -338,17 +340,48 @@ _UPPER = ((0, 1), (0, 2), (1, 2))
 
 
 def coframe_metric(e) -> np.ndarray:
-    """h_ij = sum_a (e_a)_i (e_a)_j of coframe planes (frame, component, *grid)."""
-    return plane_matmul(np.swapaxes(e, 0, 1), e)
+    """h_ij = sum_a (e_a)_i (e_a)_j of coframe planes (frame, component, *grid),
+    summed in the order of a.  Each entry j >= i is formed once and mirrored
+    to h_ji, which the same sum of the same products gives bit for bit."""
+    n = e.shape[1]
+    h = np.empty((n, n) + e.shape[2:])
+    for i in range(n):
+        # the row h_ij over every j >= i at once
+        np.multiply(e[0, i], e[0, i:], out=h[i, i:])
+        for a in range(1, len(e)):
+            h[i, i:] += e[a, i] * e[a, i:]
+        h[i + 1:, i] = h[i, i + 1:]
+    return h
 
 
-# Boxes of at most this many nodes take `plane_christoffel`'s block route,
-# larger ones its loop over (i, j, l).  The block route makes ~35 numpy calls
-# per 4x4 set where the loop makes ~170, but holds three more blocks of
-# n^2 (n + 1) / 2 planes, and its memory traffic costs more than the calls it
-# saves from between 2401 and 2744 nodes on, for n = 3 and 4 alike
-# (`BENCH_30.json`).
+# The most nodes of a chunk: `plane_christoffel` forms a larger box, and the
+# 3D constraint residual reduces the terms of a larger slab, one chunk at a
+# time (`_chunks`), so their temporaries are bounded by a chunk, not by the
+# box.  A box of at most this many nodes is one chunk, formed in ~35 numpy
+# calls per 4x4 set where a loop over the pairs (i, j) made ~170
+# (`BENCH_30.json`): among them 13^3, the box of the n = 17 residual, and
+# every 4D interior up to 7^4.
 BLOCK_NODES = 2500
+
+
+def _chunks(box, shape):
+    """The sub-boxes of `box` (one slice per grid axis of a grid of `shape`)
+    that cover it once, in index order, each of at most `BLOCK_NODES` nodes,
+    as pairs (chunk in grid indices, chunk in the box's indices).  The box is
+    cut along its leading axes: into single indices along every axis before
+    the first whose trailing axes hold at most `BLOCK_NODES` nodes, and into
+    runs along that one; a box of at most `BLOCK_NODES` nodes is one chunk."""
+    lo = [s.indices(n)[0] for s, n in zip(box, shape)]
+    size = [len(range(*s.indices(n))) for s, n in zip(box, shape)]
+    k = 0
+    while math.prod(size[k + 1:]) > BLOCK_NODES:
+        k += 1
+    step = BLOCK_NODES // max(1, math.prod(size[k + 1:]))
+    tail = tuple(slice(0, m) for m in size[k + 1:])
+    for lead in itertools.product(*map(range, size[:k])):
+        for a in range(0, size[k], step):
+            part = (*(slice(i, i + 1) for i in lead), slice(a, min(a + step, size[k])), *tail)
+            yield tuple(slice(b + p.start, b + p.stop) for b, p in zip(lo, part)), part
 
 
 @functools.cache
@@ -367,18 +400,15 @@ def _christoffel_slots(n):
 def _christoffel_gathers(n):
     """The index arrays of the block route: rows [l, s] of d_i g_jl (flat in
     (i, jl)) that give d_i g_jl, d_j g_il and d_l g_ij for the pair (i, j)
-    in slot s, and rows [k, i, j] of the raised block (flat in (k, s)) that
-    give Gamma^k_ij."""
+    in slot s."""
     upper, slot = _christoffel_slots(n)
     m = len(upper)
     first = np.array([[i * m + slot[j, l] for i, j in upper] for l in range(n)])
     second = np.array([[j * m + slot[i, l] for i, j in upper] for l in range(n)])
     third = np.array([[l * m + slot[i, j] for i, j in upper] for l in range(n)])
-    unpack = np.array([[[k * m + slot[i, j] for j in range(n)] for i in range(n)]
-                       for k in range(n)])
-    for index in (first, second, third, unpack):
+    for index in (first, second, third):
         index.flags.writeable = False  # shared by every call
-    return first, second, third, unpack
+    return first, second, third
 
 
 def plane_christoffel(grid: Grid, metric, inverse, own=None) -> np.ndarray:
@@ -387,43 +417,34 @@ def plane_christoffel(grid: Grid, metric, inverse, own=None) -> np.ndarray:
     on the box `own` (as in `plane_partials`).  `inverse` holds the planes of
     g^kl on that box: the caller inverts, and so tests, the metric.  Only the
     components g_jl, j <= l, are read and differentiated, and each symbol is
-    formed once for i <= j, so Gamma^k_ij == Gamma^k_ji exactly.  A box of at
-    most `BLOCK_NODES` nodes is formed as one block (`_block_christoffel`),
-    a larger one pair by pair; each entry takes the same operations in the
-    same order on both routes, so they agree bit for bit."""
+    formed once for i <= j, so Gamma^k_ij == Gamma^k_ji exactly.  The box is
+    formed one chunk of at most `BLOCK_NODES` nodes at a time (`_chunks`),
+    each as one block (`_block_christoffel`) from the partials of the
+    metric on the shell it reads (`grow`); every entry takes the same
+    operations in the same order whatever the chunks, so the set does not
+    depend on them, bit for bit."""
     n = len(metric)
-    upper, slot = _christoffel_slots(n)
-    dg = plane_partials(grid, metric[tuple(zip(*upper))], own=own)  # d_i g_jl
-    if math.prod(dg.shape[2:]) <= BLOCK_NODES:
-        return _block_christoffel(dg, inverse)
-    gam = np.empty((n, n, n) + dg.shape[2:])
-    sym = np.empty((n,) + dg.shape[2:])
-    tmp = np.empty(gam.shape[:1] + sym.shape[1:])
-    for i in range(n):
-        for j in range(i, n):
-            for l in range(n):
-                np.add(dg[i, slot[j, l]], dg[j, slot[i, l]], out=sym[l])
-                sym[l] -= dg[l, slot[i, j]]
-            sym *= 0.5  # exact, so g (s/2) rounds as (g s)/2 short of underflow
-            # the column Gamma^k_ij over every k at once
-            acc = gam[:, i, j]
-            np.multiply(inverse[:, 0], sym[0], out=acc)
-            for l in range(1, n):
-                acc += np.multiply(inverse[:, l], sym[l], out=tmp)
-            if j != i:
-                gam[:, j, i] = acc
+    upper = tuple(zip(*_christoffel_slots(n)[0]))
+    window = metric.shape[2:]
+    own = (slice(None),) * len(window) if own is None else tuple(own)
+    gam = np.empty((n, n, n) + tuple(len(range(*s.indices(m))) for s, m in zip(own, window)))
+    for at, part in _chunks(own, window):
+        shell, inner = grow(at, window)
+        dg = plane_partials(grid, metric[upper + shell], own=inner)  # d_i g_jl
+        _block_christoffel(dg, inverse[(Ellipsis,) + part], gam[(Ellipsis,) + part])
     return gam
 
 
-def _block_christoffel(dg, inverse) -> np.ndarray:
+def _block_christoffel(dg, inverse, out) -> None:
     """`plane_christoffel`'s block route from the partials dg[i, s] =
-    d_i g_jl, (j, l) in slot s: the symmetrised partials of every pair
-    i <= j and every l are gathered at once, raised with g^kl in l order one
-    k at a time, and unpacked to (k, i, j) in one gather.  `take` runs with
+    d_i g_jl, (j, l) in slot s, written to the planes `out`: the
+    symmetrised partials of every pair i <= j and every l are gathered at
+    once, raised with g^kl in l order over every k at once, and copied to
+    (k, i, j) and (k, j, i) one row i at a time.  `take` runs with
     mode="clip" (every index is in range), as the default mode buffers its
     `out`."""
     n = len(inverse)
-    first, second, third, unpack = _christoffel_gathers(n)
+    first, second, third = _christoffel_gathers(n)
     nodes = dg.shape[2:]
     flat = dg.reshape((-1,) + nodes)
     sym = np.take(flat, first, axis=0, mode="clip")  # sym[l, s]
@@ -431,12 +452,16 @@ def _block_christoffel(dg, inverse) -> np.ndarray:
     sym += tmp
     sym -= np.take(flat, third, axis=0, out=tmp, mode="clip")
     sym *= 0.5  # exact, so g (s/2) rounds as (g s)/2 short of underflow
-    raised = np.empty(sym.shape)  # raised[k, s] = Gamma^k of the pair in slot s
-    for k in range(n):
-        np.multiply(inverse[k, 0], sym[0], out=raised[k])
-        for l in range(1, n):
-            raised[k] += np.multiply(inverse[k, l], sym[l], out=tmp[0])
-    return np.take(raised.reshape((-1,) + nodes), unpack, axis=0, mode="clip")
+    # raised[k, s] = Gamma^k of the pair in slot s, over every k at once
+    raised = np.multiply(inverse[:, 0, None], sym[0])
+    for l in range(1, n):
+        raised += np.multiply(inverse[:, l, None], sym[l], out=tmp)
+    s = 0
+    for i in range(n):
+        # the slots of the pairs (i, j), j >= i, are consecutive
+        out[:, i, i:] = raised[:, s:s + n - i]
+        out[:, i + 1:, i] = raised[:, s + 1:s + n - i]
+        s += n - i
 
 
 def plane_covariant_derivative(gamma, partial, omega) -> np.ndarray:
@@ -520,13 +545,15 @@ def cumulative_simpson(y, x) -> np.ndarray:
 
 # Nodes per slab of grid axis 0 of `slab_max` and `require_regular`, not
 # counting the collar planes folded into the end slabs.  The 3D constraint
-# residual's traced working set is then ~17 MiB above its inputs at n = 129
-# (one-plane slabs), ~18.4 MiB at n = 65 (seven-plane slabs) and ~16.7 MiB
-# at n = 33 (one slab), its peak at a Christoffel set: e and h take 144 B per
-# window node (own planes and a one-plane halo), h^-1 72 B per node of the
-# box the norms read, and the set itself ~410 B per box node; every other
-# term lives on the box between the sets.  The comoving residual's is
-# ~300 B per node of a slab's window (own planes and a two-plane halo).
+# residual's traced working set is then ~12.6 MiB above its inputs at n = 33
+# (one slab), ~14.4 MiB at n = 65 (seven-plane slabs) and ~17.2 MiB at
+# n = 129 (one-plane slabs, where the peak is h's inverse on the 3-plane
+# window).  At a Christoffel set the slab holds e and h (144 B per window
+# node), h^-1 (72 B per box node), the set's 27 output planes (216 B per box
+# node) and the temporaries of one chunk of at most `BLOCK_NODES` nodes,
+# under 2 MiB whatever the box; every other term lives on one chunk between
+# the sets.  The comoving residual's is ~300 B per node of a slab's window
+# (own planes and a two-plane halo).
 # 2**15 is the largest power of two that keeps 17^3 and 33^3 one slab each;
 # 17^4 is three, of 8, 6 and 3 planes.
 SLAB_NODES = 2**15

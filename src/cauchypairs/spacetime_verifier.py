@@ -297,7 +297,8 @@ def parallel_pair_residual(pair: ParabolicPairData):
     # the 3x3 algebra on component planes; lam and u0 are planes already
     k = g.ndim
     u0 = pair.u[..., 0] / lam
-    if np.any(np.abs(u0) < 1e-14):
+    # relative to each node's largest |u_i|, so that u -> c u refuses alike
+    if np.any(np.abs(u0) <= 1e-14 * fd._max_abs_entry(pair.u[..., i] for i in range(4))):
         raise PairAlgebraViolated("u0 vanishes; kappa extraction undefined")
     l_sharp = pair.l_sharp[1:]
     kappa = np.empty((4,) + g.shape)

@@ -198,15 +198,22 @@ class TestConstraintResidual:
                                                         f"match coframe box {e.box}")):
             cf.constraint_residual_fd(e, th)
 
-    @pytest.mark.parametrize("n", [9, 17, 23])
-    def test_slabs_match_one_slab(self, monkeypatch, n):
+    # against one slab of one chunk: the default chunks, and chunks of at
+    # most 1 and 7 nodes (1-node chunks at n = 9 only, where they take 0.3 s)
+    @pytest.mark.parametrize("n, block_nodes", [
+        pytest.param(n, b, id=f"{n}" + (f"-block{b}" if b else ""))
+        for n, b in [(9, None), (17, None), (23, None), (9, 1), (9, 7), (17, 7), (23, 7)]])
+    def test_slabs_match_one_slab(self, monkeypatch, n, block_nodes):
         e, th = warped_realization(n)
         xx, _, _ = e.meshgrid()
         off = th.values * 1.5 + np.cos(40 * xx)[..., None, None]
         cases = [(e, th), (e, th.like(off))]
+        chunk_nodes = block_nodes or fd.BLOCK_NODES
         monkeypatch.setattr(fd, "SLAB_NODES", n**3)
+        monkeypatch.setattr(fd, "BLOCK_NODES", n**3)
         assert fd._slabs(e.shape) == [(0, n)]
         whole = [cf.constraint_residual_fd(*c) for c in cases]
+        monkeypatch.setattr(fd, "BLOCK_NODES", chunk_nodes)
         # one-plane slabs, the first and last with the 2-plane collar folded
         # in, read on 3-plane windows between 4-plane ones at the ends; and
         # 3-plane slabs with a shorter remainder
@@ -277,18 +284,21 @@ class TestConstraintResidual:
 
     def test_residual_memory_is_bounded_by_the_slab(self):
         # nine slabs of 7 planes that the norms read, the first and last with
-        # the 2-plane collar folded in: ~18.4 MiB
+        # the 2-plane collar folded in: ~14.4 MiB (~18.4 MiB with each set's
+        # partials and each term on the whole box)
         e, th = warped_realization(65)
-        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 20 * 2**20
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 16 * 2**20
 
     def test_one_slab_residual_memory(self):
-        # at each Christoffel set the slab holds e, h and h^-1 only: ~16.7
-        # MiB; holding Theta(e_a) and the partials of e_u and e_l across a
-        # set as well takes ~21.7 MiB
+        # at each Christoffel set the slab holds e, h and h^-1 only, and the
+        # set and the terms live on one chunk at a time: ~12.6 MiB; with the
+        # set's partials and every term on the whole box ~16.7 MiB, and
+        # holding Theta(e_a) and the partials of e_u and e_l across a set as
+        # well ~21.7 MiB
         n = 33
         e, th = warped_realization(n)
         assert fd._slabs(e.shape) == [(0, n)]
-        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 17.5 * 2**20
+        assert traced_peak(lambda: cf.constraint_residual_fd(e, th)) < 14 * 2**20
 
     def test_christoffel_sets_see_only_e_h_and_its_inverse(self, monkeypatch):
         # the bytes traced at the entry of each set of a one-slab residual
@@ -311,14 +321,15 @@ class TestConstraintResidual:
         assert all(abs(b - live) <= 0.05 * live for b in at_entry), (at_entry, live)
 
     def test_christoffel_peak_memory_per_node(self):
-        # ~432 B per node: the six partials d_i g_jl, the output, and three
-        # planes each of the symmetrised partials and of one product (the
-        # caller's inverse is allocated before the trace starts)
+        # ~253 B per node: the 27 output planes, 216 B, and the temporaries
+        # of one chunk of at most BLOCK_NODES nodes; the partials d_i g_jl
+        # of the whole box beside the output took ~432 B (the caller's
+        # inverse is allocated before the trace starts)
         n = 33
         e, _ = warped_realization(n)
         h = fd.coframe_metric(fd.to_planes(e.values, 3))
         hinv = fd.plane_inverse(h)
-        assert traced_peak(lambda: cf.christoffel3_fd(e, h, hinv)) < 600 * n**3
+        assert traced_peak(lambda: cf.christoffel3_fd(e, h, hinv)) < 300 * n**3
 
     def test_coframe_metric(self):
         e, _ = warped_realization(9, mu=0.5)

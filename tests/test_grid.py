@@ -691,16 +691,28 @@ class TestDenseChristoffel:
 
 
 class TestChristoffelRoutes:
-    """`plane_christoffel`'s block route (boxes of at most `BLOCK_NODES`
-    nodes) and its loop over (i, j, l) agree bit for bit: each entry takes
-    the same operations in the same order."""
+    """`plane_christoffel` forms its box one chunk of at most `BLOCK_NODES`
+    nodes at a time (`grid._chunks`), and every route through the box, one
+    chunk or many, gives the same set, bit for bit: each entry takes the
+    same operations in the same order whatever chunk it falls in."""
+
+    # the trailing axes of a box, from BLOCK_NODES = m, and its chunks at
+    # the default m: a line longer than m is cut into runs, a box whose
+    # trailing planes hold at most m nodes into runs of planes, and one
+    # whose trailing planes hold more into runs of rows
+    BOXES = {"one": lambda m: (1,), "below": lambda m: (m - 1,), "at": lambda m: (m,),
+             "above": lambda m: (m + 1,), "line": lambda m: (2, m + 3),
+             "planes": lambda m: (5, 30, 30), "rows": lambda m: (3, 40, 70)}
+    CHUNKS = {"above": 2, "line": 4, "planes": 3, "rows": 6}
 
     @staticmethod
     def window(n, box_shape):
-        """Dense n x n metric planes, and their inverse on the box, on the
-        window (3, ..., 3, m + 2) that the box (1, ..., 1, m) of a grid's
-        partials reads (`grid.grow`); the box in window indices."""
-        shape = (3,) * (n - 1) + (box_shape[-1] + 2,)
+        """Dense n x n metric planes on the window that a box of `box_shape`
+        (its leading axes 1 node long) of a grid's partials reads, one node
+        beyond the box on each side (`grid.grow`), the metric's inverse on
+        the box, and the box in window indices."""
+        box_shape = (1,) * (n - len(box_shape)) + box_shape
+        shape = tuple(c + 2 for c in box_shape)
         mesh = np.meshgrid(*(np.linspace(0.0, 0.01 * c, c) for c in shape), indexing="ij")
         a = np.empty((n, n) + shape)
         for i in range(n):
@@ -718,25 +730,51 @@ class TestChristoffelRoutes:
             inverse = fd.inverse4(metric, lambda lorentzian: None)
         return metric, inverse[(Ellipsis,) + own], own
 
+    @pytest.mark.parametrize("limit", [1, 7, fd.BLOCK_NODES, 10**9])
+    @pytest.mark.parametrize("box", list(BOXES))
+    def test_chunks_cover_the_box_once(self, monkeypatch, box, limit):
+        box_shape = (1, 1) + self.BOXES[box](fd.BLOCK_NODES)
+        shape = tuple(c + 4 for c in box_shape)
+        own = tuple(slice(2, -2) for _ in shape)
+        default = fd.BLOCK_NODES
+        monkeypatch.setattr(fd, "BLOCK_NODES", limit)
+        covered = np.zeros(shape, dtype=int)
+        parts = np.zeros(box_shape, dtype=int)
+        chunks = list(fd._chunks(own, shape))
+        for at, part in chunks:
+            assert 0 < covered[at].size <= limit and covered[at].shape == parts[part].shape
+            covered[at] += 1
+            parts[part] += 1
+        assert np.all(covered[own] == 1) and covered.sum() == parts.sum() == parts.size
+        # in index order, each chunk a run along one axis of whole trailing axes
+        assert [at for at, _ in chunks] == sorted(at for at, _ in chunks)
+        for _, part in chunks:
+            cut = next((k for k, p in enumerate(part) if p.stop - p.start > 1), len(part) - 1)
+            assert all(p == slice(0, c) for p, c in zip(part[cut + 1:], box_shape[cut + 1:]))
+        # a box of at most `limit` nodes is one chunk
+        if parts.size <= limit:
+            assert len(chunks) == 1
+        if limit == default:
+            assert len(chunks) == self.CHUNKS.get(box, 1)
+
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("nodes", ["one", "below", "at", "above"])
-    def test_routes_agree_bit_for_bit(self, monkeypatch, n, nodes):
-        m = {"one": 1, "below": fd.BLOCK_NODES - 1, "at": fd.BLOCK_NODES,
-             "above": fd.BLOCK_NODES + 1}[nodes]
+    @pytest.mark.parametrize("box", list(BOXES))
+    def test_routes_agree_bit_for_bit(self, monkeypatch, n, box):
+        box_shape = self.BOXES[box](fd.BLOCK_NODES)
         cls = FieldGrid if n == 3 else Grid4
         grid = cls.from_function(((0.0, 1.0),) * n, 5, lambda *x: 0.0)  # its spacing only
-        metric, inverse, own = self.window(n, (1,) * (n - 1) + (m,))
+        metric, inverse, own = self.window(n, box_shape)
         blocks = []
         block = fd._block_christoffel
         monkeypatch.setattr(fd, "_block_christoffel", lambda *a: blocks.append(1) or block(*a))
         default = fd.plane_christoffel(grid, metric, inverse, own)
-        assert default.shape == (n, n, n) + (1,) * (n - 1) + (m,)
-        assert blocks == ([1] if m <= fd.BLOCK_NODES else [])
-        routes = []
-        for limit in (0, m):  # the loop, then the block route
+        assert default.shape == (n, n, n) + inverse.shape[2:]
+        assert len(blocks) == self.CHUNKS.get(box, 1)
+        sets = []
+        for limit in (1, 7, fd.BLOCK_NODES, 10**9):
             monkeypatch.setattr(fd, "BLOCK_NODES", limit)
-            routes.append(fd.plane_christoffel(grid, metric, inverse, own))
-        assert routes[0].tobytes() == routes[1].tobytes() == default.tobytes()
+            sets.append(fd.plane_christoffel(grid, metric, inverse, own).tobytes())
+        assert sets == [default.tobytes()] * 4
         assert np.all(default != 0.0)
 
 

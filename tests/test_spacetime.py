@@ -210,6 +210,19 @@ class TestCurvature:
         g = flow.pp_metric(data, ((-0.02, 0.02), (0, 1), (0, 1), (0, 1)), shape)
         assert traced_peak(lambda: sv.ricci4_fd(g)) < 2.4e3 * np.prod(shape)
 
+    def test_christoffel_peak_above_its_output_is_one_chunk(self):
+        # boxes of 5 and 13 x 11^3 interior nodes, both cut into chunks of
+        # 11^3 <= BLOCK_NODES nodes: above its 64 output planes a set holds
+        # one chunk's temporaries, ~1.7 MiB at either size, where the
+        # partials d_i g_jl of the whole box took ~2.6 and ~6.9 MiB
+        extra = []
+        for shape in ((9, 15, 15, 15), (17, 15, 15, 15)):
+            g = generic_metric(shape)
+            nodes = np.prod([c - 2 * fd.COLLAR for c in shape])
+            assert nodes > fd.BLOCK_NODES
+            extra.append(traced_peak(lambda: sv.christoffel_fd(g, sv.INTERIOR)) - 8 * 64 * nodes)
+        assert 0 < extra[1] <= 1.02 * extra[0] and extra[1] < 3 * 2**20
+
     def test_covariant_derivative_flat_is_partial(self):
         g = minkowski(n=9)
         tt, xx, _, _ = g.meshgrid()
@@ -404,6 +417,27 @@ class TestParabolicPair:
         pair = sv.ParabolicPairData(g, u, l + 0.5 * u)
         with pytest.raises(PairAlgebraViolated):
             sv.parallel_pair_residual(pair)
+
+    @pytest.mark.parametrize("k", [60, -60])
+    @pytest.mark.parametrize("l_axis", [2, 1])
+    def test_residuals_scale_with_u(self, k, l_axis):
+        # u = dt + dz is null on Milne space -dt^2 + (1 + t)^2 dx^2 + dy^2 +
+        # dz^2, and l = dy, or (1 + t) dx, whose kappa is not 0, is unit and
+        # orthogonal to it: u -> 2^k u scales nabla u by 2^k and kappa by
+        # 2^-k, and leaves nabla l - kappa (x) u as it is, bit for bit; the
+        # test that u0 vanishes is relative to |u|, so no scale is refused
+        g = milne(n=9)
+        tt = g.meshgrid()[0]
+        u = np.zeros(g.shape + (4,))
+        u[..., 0] = u[..., 3] = 1.0
+        l = np.zeros(g.shape + (4,))
+        l[..., l_axis] = 1.0 + tt if l_axis == 1 else 1.0
+        nab_u, nab_l, kappa = sv.parallel_pair_residual(sv.ParabolicPairData(g, u, l))
+        assert nab_u > 0 and (np.abs(kappa).max() > 0) == (l_axis == 1)
+        scaled = sv.parallel_pair_residual(sv.ParabolicPairData(g, np.ldexp(u, k), l))
+        assert scaled[0] == np.ldexp(nab_u, k)
+        assert scaled[1] == nab_l
+        assert scaled[2].tobytes() == np.ldexp(kappa, -k).tobytes()
 
     @staticmethod
     def comoving_diag_pair(n, scale=1.0):
